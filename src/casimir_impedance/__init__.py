@@ -8,22 +8,17 @@ Drude model) in the conventional Lifshitz formulation.
 """
 
 from .physcore import (
-    CODATA, GOLD, C_LIGHT, HBAR, K_B,
-    Geometry, InequalityCheck, MaterialParams, PhysicalConstants, Regime,
+    GOLD, C_LIGHT, HBAR, K_B,
+    Geometry, InequalityCheck, MaterialParams, Regime,
     RegimeReport, ThermalState, ToleranceConfig,
     characteristic_frequency, classify_regime, derive_anomalous_constant,
     effective_temperature, matsubara_frequency, sigma_gaussian_from_si,
     transition_frequency,
 )
 from .impedance import (
-    AnomalousSkin, IdealMetal, ImpedanceModel, ImpedanceValue,
-    InfraredOptics, NormalSkin, dimensionless_impedance, impedance_imag_axis,
+    AnomalousSkin, IdealMetal, ImpedanceModel, InfraredOptics, NormalSkin,
 )
-from .reflection import (
-    DielectricModel, DispersionEval, Drude, Formulation, Plasma,
-    ReflectionPair, SpectralPoint, dispersion_functions, eps_imag_axis,
-    refl_impedance, refl_lifshitz, x_factors, zero_freq_coefficients,
-)
+from .reflection import DielectricModel, Drude, Plasma
 from .quadrature import (
     IntegralResult, NonConvergenceError, SumResult, integrate_interval,
     integrate_semiinf, matsubara_sum,

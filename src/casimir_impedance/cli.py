@@ -25,7 +25,7 @@ from .physcore import (
     classify_regime, derive_anomalous_constant,
 )
 from .impedance import AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin
-from .reflection import Drude, Formulation, Plasma, zero_freq_coefficients
+from .reflection import Drude, Plasma
 from .quadrature import NonConvergenceError
 from . import observables as obs
 
@@ -42,11 +42,11 @@ MODEL_NAMES = ("ideal", "normal-skin", "anomalous-skin", "infrared-optics",
                "lifshitz-plasma", "lifshitz-drude")
 
 ZERO_FREQ_FORMS = (
-    ("impedance-normal", Formulation.IMPEDANCE_NORMAL),
-    ("impedance-anomalous", Formulation.IMPEDANCE_ANOMALOUS),
-    ("impedance-infrared", Formulation.IMPEDANCE_INFRARED),
-    ("lifshitz-plasma", Formulation.LIFSHITZ_PLASMA),
-    ("lifshitz-drude", Formulation.LIFSHITZ_DRUDE),
+    ("impedance-normal", NormalSkin),
+    ("impedance-anomalous", AnomalousSkin),
+    ("impedance-infrared", InfraredOptics),
+    ("lifshitz-plasma", Plasma),
+    ("lifshitz-drude", Drude),
 )
 
 
@@ -276,10 +276,10 @@ def _cmd_zero_freq(args, parser) -> int:
     if any(k <= 0.0 for k in kperps):
         raise ConfigError("--kperp values must be positive")
     rows = []
-    for name, form in ZERO_FREQ_FORMS:
+    for name, cls in ZERO_FREQ_FORMS:
         for k in kperps:
-            pair = zero_freq_coefficients(form, k, material)
-            rows.append((name, k, pair.r_par_sq, pair.r_perp_sq))
+            rows.append((name, k, *cls.zero_freq_r_sq(
+                k, material.plasma_frequency)))
     fmt = args.format or "csv"
     with _open_output(args.output) as stream:
         if fmt == "csv":

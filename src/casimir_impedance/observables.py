@@ -24,15 +24,15 @@ representation (not by differentiating F numerically):
 and the sphere-plate force through the proximity relation F = 2 pi R F_pp.
 The entropy S = -dF/dT uses a Richardson-extrapolated central difference.
 
-The zero-frequency (l = 0) term always comes from the analytic limits of
-the reflection coefficients, never from substituting zeta = 0 into the
-finite-frequency formulas.
+The zero-frequency (l = 0) term always comes from each model's analytic
+limit: impedance models state it explicitly (the finite-frequency formulas
+are 0/0 there), and the scaled Fresnel inputs of the dielectric models are
+finite at zeta = 0 and equal to it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
@@ -44,12 +44,8 @@ from .physcore import (
     ToleranceConfig, characteristic_frequency, effective_temperature,
     matsubara_frequency,
 )
-from .impedance import (
-    AnomalousSkin, IdealMetal, ImpedanceModel, InfraredOptics, NormalSkin,
-)
-from .reflection import (
-    DielectricModel, Drude, Plasma, lifshitz_x_grid, x_factors_grid,
-)
+from .impedance import ImpedanceModel, InfraredOptics
+from .reflection import DielectricModel, lifshitz_x_grid, x_factors_grid
 from .quadrature import (
     IntegralResult, SumResult, integrate_interval, integrate_semiinf,
     matsubara_sum, tail_cutoff,
@@ -90,28 +86,12 @@ class ResultValue:
     diagnostics: Mapping[str, object]
 
 
-def _check_impedance_applicability(model: Model, geometry: Geometry) -> None:
-    # only the impedance family has this restriction, and only the
-    # plasma-frequency variant knows its own lambda_p
-    if not isinstance(model, InfraredOptics):
-        return
-    lam_p = 2.0 * math.pi * C_LIGHT / model.omega_p
-    if geometry.separation <= lam_p:
-        warnings.warn(
-            f"separation {geometry.separation:.3g} m is not above the plasma "
-            f"wavelength {lam_p:.3g} m; results there are outside the "
-            "validity range of the surface-impedance description",
-            stacklevel=3)
-
-
 def _x_grid(model: Model, geometry: Geometry, zeta: float, y: np.ndarray):
-    """(X_par, X_perp) arrays for any reflection model, zeta = 0 included."""
-    if isinstance(model, (IdealMetal, NormalSkin, AnomalousSkin,
-                          InfraredOptics)):
-        return x_factors_grid(model, geometry, zeta, y)
-    if isinstance(model, (Plasma, Drude)):
-        return lifshitz_x_grid(model, geometry, zeta, y)
-    raise TypeError(f"not a reflection model: {model!r}")
+    """(X_par, X_perp) arrays for any reflection model, zeta = 0 included.
+    The kernels stay module globals so perfbench/spans.py can wrap them."""
+    kernel = (x_factors_grid if isinstance(model, ImpedanceModel)
+              else lifshitz_x_grid)
+    return kernel(model, geometry, zeta, y)
 
 
 def _free_energy_integrand(model: Model, geometry: Geometry, zeta: float):
@@ -155,34 +135,39 @@ def energy_ideal(geometry: Geometry) -> ResultValue:
 def free_energy_ideal(geometry: Geometry, state: ThermalState) -> ResultValue:
     """Ideal-metal free energy per area from its closed series.
 
-    With t = T/T_eff (k_B T_eff = hbar c / 2a),
+    With t = T/T_eff (k_B T_eff = hbar c / 2a) and K = 45/pi^3,
 
-        F = E0 { 1 + (45/pi^3) sum_{l>=1} [ t^3 coth(pi l/t)/l^3
-                 + pi t^2 sinh^-2(pi l/t)/l^2 ] - t^4 }.
+        F = E0 { 1 + K sum_{l>=1} [ t^3 coth(pi l/t)/l^3
+                 + pi t^2 sinh^-2(pi l/t)/l^2 ] - t^4 }
+          = E0 K t { zeta(3) + 2 sum_{l>=1} [ 1/(l^3 (e^{b l} - 1))
+                 + b e^{b l}/(l^2 (e^{b l} - 1)^2) ] },   b = 2 pi t,
 
-    For the numerical evaluation coth is split as 1 + 2/(e^{2x} - 1), which
-    pulls the slowly decaying part of the sum into the exact zeta(3) term
-    and leaves remainder terms decaying like exp(-2 pi l / t); terms are
-    accumulated until below 1e-16 of the running total.
+    the second form being the Matsubara sum.  For t <= 1 the first is
+    summed, with coth split as 1 + 2/(e^{2x} - 1) to pull its slowly
+    decaying part into an exact zeta(3) term; its terms decay like
+    exp(-2 pi l/t).  Above t = 1 it would cancel t^4 against its sum
+    (losing ~t^3 ulps), so the second, decaying like exp(-2 pi l t), is
+    summed.  Terms are accumulated until below 1e-17 of the total.
     """
     e0 = energy_ideal(geometry).value
     t = state.temperature / effective_temperature(geometry)
     if t == 0.0:
         return ResultValue(Quantity.FREE_ENERGY_PER_AREA, e0, 0.0,
                            {"closed_form": True, "terms_used": 0})
-    braces = 1.0 + (45.0 / math.pi ** 3) * t ** 3 * ZETA3 - t ** 4
+    k = 45.0 / math.pi ** 3
+    if t <= 1.0:
+        b, c3 = 2.0 * math.pi / t, 2.0 * k * t ** 3
+        braces = 1.0 + k * ZETA3 * t ** 3 - t ** 4
+    else:
+        b, c3, braces = 2.0 * math.pi * t, 2.0 * k * t, k * ZETA3 * t
+    c2 = 4.0 * math.pi * k * t * t
     l = 0
-    while True:
+    while b * (l + 1) <= 700.0:  # exp(-b l) below 1e-304: nothing left
         l += 1
-        x = math.pi * l / t
-        if x > 360.0:  # exp(-2x) below 1e-312: nothing left
-            break
-        em = math.exp(-2.0 * x)
-        term = (45.0 / math.pi ** 3) * (
-            2.0 * t ** 3 / l ** 3 * em / (1.0 - em)
-            + math.pi * t ** 2 / l ** 2 * 4.0 * em / (1.0 - em) ** 2)
+        d = math.expm1(b * l)
+        term = (c3 / l + c2 * (1.0 + 1.0 / d)) / (l * l * d)
         braces += term
-        if abs(term) < 1e-16 * abs(braces):
+        if term < 1e-17 * abs(braces):
             break
     return ResultValue(Quantity.FREE_ENERGY_PER_AREA, e0 * braces,
                        abs(e0 * braces) * 1e-15,
@@ -224,7 +209,7 @@ def energy_T0(model: Model, geometry: Geometry,
     Also reports the correction factor E/E0 relative to the ideal metal in
     the diagnostics.
     """
-    _check_impedance_applicability(model, geometry)
+    model.check_separation(geometry)
     a = geometry.separation
     rel_tol = tol.quadrature_rel_tol
     outer, evals = _double_integral(model, geometry, rel_tol, 0.0, None,
@@ -271,7 +256,8 @@ def _matsubara_observable(model: Model, geometry: Geometry,
         return res.value
 
     s = matsubara_sum(term, tol.sum_rel_tol, l_floor)
-    tail_est = s.last_term_magnitude / math.expm1(zeta1)
+    # capped so that a large a*T cannot overflow expm1; the bound only grows
+    tail_est = s.last_term_magnitude / math.expm1(min(zeta1, 700.0))
     return s, math.fsum(quad_errs) + tail_est, evals
 
 
@@ -284,7 +270,7 @@ def free_energy(model: Model, geometry: Geometry, state: ThermalState,
     """
     if state.temperature <= 0.0:
         raise ValueError("free_energy requires T > 0; use energy_T0 at T = 0")
-    _check_impedance_applicability(model, geometry)
+    model.check_separation(geometry)
     a = geometry.separation
     s, sum_err, evals = _matsubara_observable(
         model, geometry, state, tol, _free_energy_integrand)
@@ -325,7 +311,7 @@ def pressure_plates(model: Model, geometry: Geometry, state: ThermalState,
     numerically differentiating the free energy.  T = 0 is accepted and
     handled by the continuous-spectrum double integral.
     """
-    _check_impedance_applicability(model, geometry)
+    model.check_separation(geometry)
     a = geometry.separation
     if state.temperature > 0.0:
         s, sum_err, evals = _matsubara_observable(

@@ -27,7 +27,6 @@ from pathlib import Path
 
 __all__ = [
     "HBAR", "C_LIGHT", "K_B", "EPSILON_0",
-    "PhysicalConstants", "CODATA",
     "MaterialParams", "GOLD", "sigma_gaussian_from_si",
     "ThermalState", "Geometry", "ToleranceConfig",
     "Regime", "InequalityCheck", "RegimeReport",
@@ -41,18 +40,6 @@ HBAR = 1.054571817e-34      # J s
 C_LIGHT = 299792458.0       # m/s (exact)
 K_B = 1.380649e-23          # J/K (exact)
 EPSILON_0 = 8.8541878128e-12  # F/m
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants; fixed CODATA values, not user-tunable."""
-
-    hbar: float = HBAR
-    c: float = C_LIGHT
-    k_B: float = K_B
-
-
-CODATA = PhysicalConstants()
 
 
 def sigma_gaussian_from_si(sigma_si: float) -> float:
@@ -193,7 +180,6 @@ class ToleranceConfig:
 
 
 class Regime(Enum):
-    NORMAL_SKIN = "normal-skin"
     ANOMALOUS_SKIN = "anomalous-skin"
     INFRARED_OPTICS = "infrared-optics"
     TRANSITION = "transition"
@@ -264,10 +250,10 @@ def classify_regime(material: MaterialParams, geometry: Geometry,
 
     Infrared optics when lambda_p < a and omega_c > 2 Omega; anomalous skin
     effect when omega_c < Omega/2; Transition inside the factor-of-2 window.
-    The normal-skin window collapses at low temperature (the electron mean
-    free path grows as T falls) and the mean free path is not modeled here,
-    so NORMAL_SKIN is never assigned; the l-dependent inequalities are
-    reported as not evaluable.
+    Normal skin is not classified: its window collapses at low temperature
+    (the electron mean free path grows as T falls) and the mean free path
+    is not modeled here; the l-dependent inequalities are reported as not
+    evaluable.
 
     Warns when a <= lambda_p, where the impedance boundary condition itself
     stops being applicable.

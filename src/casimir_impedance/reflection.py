@@ -1,4 +1,4 @@
-"""Squared reflection coefficients in the impedance and Fresnel pictures.
+"""Transparency factors X = 1 - r^2 in the impedance and Fresnel pictures.
 
 At imaginary frequency xi with transverse wavenumber k_perp (and
 q = sqrt(k_perp^2 + xi^2/c^2)) the impedance boundary condition gives
@@ -18,42 +18,44 @@ coefficients are conveniently written through the transparency factors
     X_par  = 4 zeta y Z / (y + zeta Z)^2 = 1 - r_par^2
     X_perp = 4 zeta y Z / (zeta + y Z)^2 = 1 - r_perp^2
 
-which stay accurate when r^2 is exponentially close to 1.
-
-Zero frequency is always handled through the analytic limits (the direct
-formulas are 0/0 there): both impedance skin-effect models give
-r_par^2 = r_perp^2 = 1 like an ideal metal; infrared optics keeps a
-material dependence r_perp^2(0) = ((omega_p - c k_perp)/(omega_p + c k_perp))^2;
-the plasma dielectric keeps a similar perpendicular limit, while the Drude
-dielectric collapses to r_perp^2(0) = 0 discontinuously.
+which stay accurate when r^2 is exponentially close to 1.  `x_factors_grid`
+evaluates them for the impedance models of `impedance`, which carry their
+own zero-frequency limits.  `lifshitz_x_grid` evaluates the Fresnel ones
+from the scaled inputs (w, 1/eps) that each `DielectricModel` supplies,
+w = 2 a k.  Both stay finite at zeta = 0, where they give the model's
+limit with no special case: the plasma dielectric keeps r_perp^2(0) > 0
+much like infrared optics, while the Drude dielectric gives exactly
+(X_par, X_perp) = (0, 1), collapsing to r_perp^2(0) = 0 discontinuously.
+Every model also states its limit as (r_par^2, r_perp^2), ``zero_freq_r_sq``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Union
 
 import numpy as np
 
-from .physcore import C_LIGHT, Geometry, MaterialParams
-from .impedance import (
-    ImpedanceModel, ImpedanceValue, InfraredOptics, _z_on_axis,
-)
+from .physcore import C_LIGHT, Geometry
+from .impedance import ImpedanceModel, _check_k_perp
 
 __all__ = [
-    "Plasma", "Drude", "DielectricModel",
-    "SpectralPoint", "ReflectionPair", "DispersionEval", "Formulation",
-    "eps_imag_axis", "refl_impedance", "refl_lifshitz",
-    "x_factors", "zero_freq_coefficients", "dispersion_functions",
-    "x_factors_grid", "lifshitz_x_grid",
+    "DielectricModel", "Plasma", "Drude", "x_factors_grid", "lifshitz_x_grid",
 ]
 
 
+class DielectricModel:
+    """Base class of the dielectric models; subclasses define
+    fresnel_inputs(geometry, zeta, y) -> (w, 1/eps) on an array of y."""
+
+    def check_separation(self, geometry: Geometry) -> None:
+        """Fresnel coefficients hold at every separation: nothing to warn."""
+
+
 @dataclass(frozen=True)
-class Plasma:
-    """Collisionless plasma dielectric: eps(i xi) = 1 + omega_p^2/xi^2."""
+class Plasma(DielectricModel):
+    """Collisionless plasma dielectric: eps(i xi) = 1 + omega_p^2/xi^2.
+    eps xi^2 = xi^2 + omega_p^2 and 1/eps stay finite at xi = 0."""
 
     omega_p: float
 
@@ -61,10 +63,21 @@ class Plasma:
         if self.omega_p <= 0.0:
             raise ValueError("omega_p must be positive")
 
+    def fresnel_inputs(self, geometry, zeta, y):
+        wp_t = 2.0 * geometry.separation * self.omega_p / C_LIGHT
+        return np.hypot(y, wp_t), zeta * zeta / (zeta * zeta + wp_t * wp_t)
+
+    @staticmethod
+    def zero_freq_r_sq(k_perp, omega_p):
+        _check_k_perp(k_perp)
+        k0 = math.hypot(k_perp, omega_p / C_LIGHT)
+        return 1.0, ((k_perp - k0) / (k_perp + k0)) ** 2
+
 
 @dataclass(frozen=True)
-class Drude:
-    """Dissipative Drude dielectric: eps(i xi) = 1 + omega_p^2/(xi (xi + gamma))."""
+class Drude(DielectricModel):
+    """Dissipative Drude dielectric: eps(i xi) = 1 + omega_p^2/(xi (xi + gamma)).
+    At xi = 0, w = y and 1/eps = 0."""
 
     omega_p: float
     gamma: float
@@ -75,272 +88,52 @@ class Drude:
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
 
+    def fresnel_inputs(self, geometry, zeta, y):
+        wp_t = 2.0 * geometry.separation * self.omega_p / C_LIGHT
+        xi = zeta * C_LIGHT / (2.0 * geometry.separation)
+        denom = xi * (xi + self.gamma)
+        return (np.sqrt(y * y + wp_t * wp_t * xi / (xi + self.gamma)),
+                denom / (denom + self.omega_p ** 2))
 
-DielectricModel = Union[Plasma, Drude]
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One (imaginary frequency, transverse wavenumber) point, rad/s and rad/m."""
-
-    xi: float
-    k_perp: float
-
-    def __post_init__(self) -> None:
-        if self.xi < 0.0:
-            raise ValueError("xi must be non-negative")
-        if self.k_perp < 0.0:
-            raise ValueError("k_perp must be non-negative")
-
-    @property
-    def q(self) -> float:
-        """sqrt(k_perp^2 + xi^2/c^2), rad/m."""
-        return math.hypot(self.k_perp, self.xi / C_LIGHT)
-
-    def dimensionless(self, geometry: Geometry) -> tuple[float, float]:
-        """(zeta, y) = (2 a xi / c, 2 a q)."""
-        a = geometry.separation
-        return 2.0 * a * self.xi / C_LIGHT, 2.0 * a * self.q
-
-
-@dataclass(frozen=True)
-class ReflectionPair:
-    r_par_sq: float
-    r_perp_sq: float
-
-
-@dataclass(frozen=True)
-class DispersionEval:
-    """Parallel/perpendicular dispersion functions at one spectral point,
-    their infinite-separation normalizations, and the renormalized ratios
-    (which equal 1 - r^2 exp(-2 a q))."""
-
-    delta_par: float
-    delta_perp: float
-    delta_par_inf: float
-    delta_perp_inf: float
-    renormalized_par: float
-    renormalized_perp: float
-
-
-class Formulation(Enum):
-    IMPEDANCE_NORMAL = "impedance-normal"
-    IMPEDANCE_ANOMALOUS = "impedance-anomalous"
-    IMPEDANCE_INFRARED = "impedance-infrared"
-    LIFSHITZ_PLASMA = "lifshitz-plasma"
-    LIFSHITZ_DRUDE = "lifshitz-drude"
-
-
-def eps_imag_axis(model: DielectricModel, xi: float) -> float:
-    """Dielectric function on the imaginary axis; real and >= 1."""
-    if isinstance(model, Plasma):
-        if xi < 0.0:
-            raise ValueError("xi must be non-negative")
-        if xi == 0.0:
-            return math.inf
-        return 1.0 + (model.omega_p / xi) ** 2
-    if isinstance(model, Drude):
-        if xi <= 0.0:
-            raise ValueError("Drude eps(i xi) diverges at xi = 0; "
-                             "use zero_freq_coefficients for the limit")
-        return 1.0 + model.omega_p ** 2 / (xi * (xi + model.gamma))
-    raise TypeError(f"not a dielectric model: {model!r}")
-
-
-def refl_impedance(z: ImpedanceValue | float,
-                   point: SpectralPoint) -> ReflectionPair:
-    """Impedance squared reflection coefficients at xi > 0.
-
-    Zero frequency is a 0/0 limit of the perpendicular coefficient; use
-    `zero_freq_coefficients` there.
-    """
-    zv = z.z if isinstance(z, ImpedanceValue) else float(z)
-    if point.xi <= 0.0:
-        raise ValueError("refl_impedance requires xi > 0; "
-                         "zero frequency is handled by zero_freq_coefficients")
-    cq = C_LIGHT * point.q
-    xi = point.xi
-    r_par = (cq - zv * xi) / (cq + zv * xi)
-    r_perp = (xi - zv * cq) / (xi + zv * cq)
-    return ReflectionPair(r_par * r_par, r_perp * r_perp)
-
-
-def refl_lifshitz(model: DielectricModel,
-                  point: SpectralPoint) -> ReflectionPair:
-    """Fresnel squared reflection coefficients for a dielectric model.
-
-    The plasma model is continuous down to xi = 0 (eps xi^2 -> omega_p^2),
-    so xi = 0 is allowed there; the Drude model must go through
-    `zero_freq_coefficients` instead.
-    """
-    xi = point.xi
-    q = point.q
-    if q <= 0.0:
-        raise ValueError("refl_lifshitz requires q > 0 "
-                         "(xi and k_perp cannot both vanish)")
-    if isinstance(model, Plasma):
-        # eps xi^2 = xi^2 + omega_p^2 and 1/eps = xi^2/(xi^2 + omega_p^2)
-        # stay finite at xi = 0.
-        eps_xi2 = xi * xi + model.omega_p ** 2
-        inv_eps = xi * xi / eps_xi2
-    elif isinstance(model, Drude):
-        if xi <= 0.0:
-            raise ValueError("Drude reflection at xi = 0 is defined only as "
-                             "a limit; use zero_freq_coefficients")
-        denom = xi * (xi + model.gamma)
-        eps_xi2 = xi * xi + model.omega_p ** 2 * xi / (xi + model.gamma)
-        inv_eps = denom / (denom + model.omega_p ** 2)
-    else:
-        raise TypeError(f"not a dielectric model: {model!r}")
-    k = math.sqrt(point.k_perp ** 2 + eps_xi2 / C_LIGHT ** 2)
-    r_par = (q - k * inv_eps) / (q + k * inv_eps)
-    r_perp = (q - k) / (q + k)
-    return ReflectionPair(r_par * r_par, r_perp * r_perp)
+    @staticmethod
+    def zero_freq_r_sq(k_perp, omega_p):
+        _check_k_perp(k_perp)
+        return 1.0, 0.0
 
 
 def x_factors_grid(model: ImpedanceModel, geometry: Geometry,
                    zeta: float, y):
-    """Transparency factors (X_par, X_perp) on an array of y at fixed zeta.
-
-    zeta = 0 uses the analytic limits: zero for both skin-effect models and
-    the ideal metal; for infrared optics X_perp(0, y) = 4 alpha y/(1+alpha y)^2
-    with alpha = c/(2 a omega_p).
-    """
+    """Transparency factors (X_par, X_perp) on an array of y at fixed zeta;
+    zeta = 0 takes the model's analytic limit ``x_zero``."""
     y = np.asarray(y, dtype=float)
     if zeta < 0.0:
         raise ValueError("zeta must be non-negative")
     if np.any(y <= 0.0):
         raise ValueError("y must be positive")
     if zeta == 0.0:
-        xpar = np.zeros_like(y)
-        if isinstance(model, InfraredOptics):
-            alpha = C_LIGHT / (2.0 * geometry.separation * model.omega_p)
-            xperp = 4.0 * alpha * y / (1.0 + alpha * y) ** 2
-        else:
-            xperp = np.zeros_like(y)
-        return xpar, xperp
-    z = float(_z_on_axis(
-        model, zeta * C_LIGHT / (2.0 * geometry.separation)))
+        return model.x_zero(geometry, y)
+    xi = np.asarray(zeta * C_LIGHT / (2.0 * geometry.separation))
+    z = float(model.z(xi))
     common = 4.0 * zeta * y * z
     xpar = common / (y + zeta * z) ** 2
     xperp = common / (zeta + y * z) ** 2
     return xpar, xperp
 
 
-def x_factors(model: ImpedanceModel, geometry: Geometry,
-              zeta: float, y: float) -> tuple[float, float]:
-    """Scalar (X_par, X_perp) at one (zeta, y); requires y > 0."""
-    if y <= 0.0:
-        raise ValueError("y must be positive")
-    xpar, xperp = x_factors_grid(model, geometry, zeta, np.array([y]))
-    return float(xpar[0]), float(xperp[0])
-
-
 def lifshitz_x_grid(model: DielectricModel, geometry: Geometry,
                     zeta: float, y):
     """Transparency factors (X_par, X_perp) = (1 - r_par^2, 1 - r_perp^2)
     for a dielectric model in scaled variables, computed without the
-    cancellation of forming 1 - r^2.
-
-    With w = 2 a k (the scaled wavevector inside the metal),
+    cancellation of forming 1 - r^2:
 
         X_par  = 4 y (w/eps) / (y + w/eps)^2,   X_perp = 4 y w / (y + w)^2.
 
-    Written through eps*xi^2 and 1/eps, both finite for all zeta >= 0, so
-    the plasma zeta = 0 limit needs no special case; the Drude limit
-    (X_par, X_perp) = (0, 1) is applied explicitly.
+    The model's (w, 1/eps) are finite for all zeta >= 0, so zero frequency
+    needs no special case.
     """
     y = np.asarray(y, dtype=float)
-    wp_t = 2.0 * geometry.separation * model.omega_p / C_LIGHT
-    if isinstance(model, Plasma):
-        w = np.hypot(y, wp_t)
-        inv_eps = zeta * zeta / (zeta * zeta + wp_t * wp_t)
-    elif isinstance(model, Drude):
-        if zeta == 0.0:
-            return np.zeros_like(y), np.ones_like(y)
-        xi = zeta * C_LIGHT / (2.0 * geometry.separation)
-        w = np.sqrt(y * y + wp_t * wp_t * xi / (xi + model.gamma))
-        denom = xi * (xi + model.gamma)
-        inv_eps = denom / (denom + model.omega_p ** 2)
-    else:
-        raise TypeError(f"not a dielectric model: {model!r}")
+    w, inv_eps = model.fresnel_inputs(geometry, zeta, y)
     w_par = w * inv_eps
     xpar = 4.0 * y * w_par / (y + w_par) ** 2
     xperp = 4.0 * y * w / (y + w) ** 2
     return xpar, xperp
-
-
-def zero_freq_coefficients(formulation: Formulation, k_perp: float,
-                           material: MaterialParams) -> ReflectionPair:
-    """Squared reflection coefficients in the zero-frequency limit.
-
-    Both skin-effect impedances reproduce the ideal-metal (1, 1); infrared
-    optics and the plasma dielectric retain an omega_p-dependent
-    perpendicular coefficient; the Drude dielectric drops it to zero.
-    """
-    if k_perp <= 0.0:
-        raise ValueError("k_perp must be positive")
-    if formulation in (Formulation.IMPEDANCE_NORMAL,
-                       Formulation.IMPEDANCE_ANOMALOUS):
-        return ReflectionPair(1.0, 1.0)
-    omega_p = material.plasma_frequency
-    if formulation is Formulation.IMPEDANCE_INFRARED:
-        ck = C_LIGHT * k_perp
-        return ReflectionPair(1.0, ((omega_p - ck) / (omega_p + ck)) ** 2)
-    if formulation is Formulation.LIFSHITZ_PLASMA:
-        k0 = math.hypot(k_perp, omega_p / C_LIGHT)
-        return ReflectionPair(1.0, ((k_perp - k0) / (k_perp + k0)) ** 2)
-    if formulation is Formulation.LIFSHITZ_DRUDE:
-        return ReflectionPair(1.0, 0.0)
-    raise TypeError(f"not a formulation: {formulation!r}")
-
-
-def dispersion_functions(z: ImpedanceValue | float, point: SpectralPoint,
-                         geometry: Geometry) -> DispersionEval:
-    """Dispersion functions of the two polarizations at imaginary frequency.
-
-    With eta = Z xi/(c q) and kappa = Z c q/xi (both real here), the
-    parallel function continued to the imaginary axis is
-
-        Delta_par = (1/4) [ (1 + eta)^2 - exp(-2 a q) (1 - eta)^2 ]
-
-    and analogously for the perpendicular one with kappa.  Dividing by the
-    infinite-separation values (1/4)(1 + eta)^2 etc. must reproduce
-    1 - r^2 exp(-2 a q); this identity is checked internally against the
-    independently computed reflection coefficients.
-
-    eta or kappa exactly 1 makes the separated-factor diagnostics
-    degenerate and is rejected; perturb by one ulp if needed.
-    """
-    zv = z.z if isinstance(z, ImpedanceValue) else float(z)
-    if point.xi <= 0.0:
-        raise ValueError("dispersion functions require xi > 0")
-    q = point.q
-    aq = geometry.separation * q
-    if aq <= 0.0:
-        raise ValueError("requires q > 0")
-    eta = zv * point.xi / (C_LIGHT * q)
-    kappa = zv * C_LIGHT * q / point.xi
-    if eta == 1.0 or kappa == 1.0:
-        raise ValueError("eta or kappa exactly 1: degenerate factorization; "
-                         "perturb the input by one ulp")
-    damp = math.exp(-2.0 * aq)
-
-    def one(mu: float) -> tuple[float, float, float]:
-        inf = 0.25 * (1.0 + mu * mu) * (1.0 + 2.0 * mu / (1.0 + mu * mu))
-        delta = 0.25 * ((1.0 + mu) ** 2 - damp * (1.0 - mu) ** 2)
-        return delta, inf, delta / inf
-
-    d_par, d_par_inf, ren_par = one(eta)
-    d_perp, d_perp_inf, ren_perp = one(kappa)
-
-    pair = refl_impedance(zv, point)
-    for ren, r2 in ((ren_par, pair.r_par_sq), (ren_perp, pair.r_perp_sq)):
-        direct = 1.0 - r2 * damp
-        if abs(ren - direct) > 1e-12 * abs(direct):
-            raise AssertionError(
-                "renormalized dispersion function disagrees with "
-                "1 - r^2 exp(-2aq) beyond rounding")
-
-    return DispersionEval(d_par, d_perp, d_par_inf, d_perp_inf,
-                          ren_par, ren_perp)

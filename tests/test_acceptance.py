@@ -38,17 +38,17 @@ from casimir_impedance.physcore import (
 )
 from casimir_impedance.impedance import (
     AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
-    impedance_imag_axis,
 )
-from casimir_impedance.reflection import (
-    Formulation, Plasma, SpectralPoint, dispersion_functions,
-    refl_impedance, x_factors, zero_freq_coefficients,
-)
+from casimir_impedance.reflection import Drude, Plasma
 from casimir_impedance.quadrature import integrate_semiinf
 from casimir_impedance.observables import (
     ZETA3, energy_T0, energy_ideal, entropy, free_energy, free_energy_ideal,
     lowT_asymptotics, pressure_plates, spectral_contribution,
     thermal_correction, _free_energy_integrand,
+)
+from oracles import (
+    ReflectionPair, SpectralPoint, dispersion_functions, impedance_imag_axis,
+    refl_impedance, x_factors,
 )
 
 GOLD_CA = derive_anomalous_constant(GOLD)
@@ -226,15 +226,11 @@ def test_criterion_8_matsubara_truncation():
 def test_criterion_9_zero_frequency_table():
     k_perp = 2.0e7
     wp = GOLD.plasma_frequency
-    normal = zero_freq_coefficients(Formulation.IMPEDANCE_NORMAL, k_perp,
-                                    GOLD)
-    anomalous = zero_freq_coefficients(Formulation.IMPEDANCE_ANOMALOUS,
-                                       k_perp, GOLD)
-    infrared = zero_freq_coefficients(Formulation.IMPEDANCE_INFRARED,
-                                      k_perp, GOLD)
-    plasma = zero_freq_coefficients(Formulation.LIFSHITZ_PLASMA, k_perp,
-                                    GOLD)
-    drude = zero_freq_coefficients(Formulation.LIFSHITZ_DRUDE, k_perp, GOLD)
+    normal = ReflectionPair(*NormalSkin.zero_freq_r_sq(k_perp, wp))
+    anomalous = ReflectionPair(*AnomalousSkin.zero_freq_r_sq(k_perp, wp))
+    infrared = ReflectionPair(*InfraredOptics.zero_freq_r_sq(k_perp, wp))
+    plasma = ReflectionPair(*Plasma.zero_freq_r_sq(k_perp, wp))
+    drude = ReflectionPair(*Drude.zero_freq_r_sq(k_perp, wp))
     ck = C_LIGHT * k_perp
     ir_expected = ((wp - ck) / (wp + ck)) ** 2
     ok = (normal.r_par_sq == 1.0 and normal.r_perp_sq == 1.0

@@ -314,3 +314,19 @@ def test_material_file_flow(tmp_path, capsys):
                        "--separation", "1e-6")
     assert code == 2
     assert "unknown key" in err
+
+
+def test_large_separation_temperature_product_exits_0(capsys):
+    # a*T so large that the first Matsubara frequency zeta_1 exceeds the
+    # range of exp: the tail bound must stay finite instead of overflowing
+    for argv in (("pressure", "--separation", "1e-2", "--temperature", "300"),
+                 ("free-energy", "--separation", "1e-4",
+                  "--temperature", "1e4")):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        row = dict(zip(CSV_COLUMNS, out.strip().split("\n")[1].split(",")))
+        assert row["status"] == "ok"
+        filled = [v for k, v in row.items()
+                  if k not in ("model", "status") and v != ""]
+        assert len(filled) >= 4
+        assert all(math.isfinite(float(v)) for v in filled)

@@ -13,9 +13,10 @@ import pytest
 from casimir_impedance.physcore import C_LIGHT, GOLD, Geometry, \
     derive_anomalous_constant
 from casimir_impedance.impedance import (
-    AnomalousSkin, IdealMetal, ImpedanceValue, InfraredOptics, NormalSkin,
-    dimensionless_impedance, impedance_imag_axis,
+    AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
 )
+from oracles import ImpedanceValue, dimensionless_impedance, \
+    impedance_imag_axis
 
 GOLD_CA = derive_anomalous_constant(GOLD)
 

@@ -91,6 +91,24 @@ def test_free_energy_ideal_classical_limit():
     assert numeric.value == pytest.approx(closed.value, rel=1e-9)
 
 
+def test_free_energy_ideal_error_covers_high_temperature_limit():
+    # far above T_eff only the classical zeta(3) term survives (the rest is
+    # ~exp(-2 pi t)); the reported error must cover the distance to it
+    for a, t in ((1e-6, 87.0), (1e-4, 876.0)):
+        geometry = Geometry(a)
+        temp = t * effective_temperature(geometry)
+        res = free_energy_ideal(geometry, ThermalState(temp))
+        classical = -K_B * temp * ZETA3 / (8.0 * math.pi * a * a)
+        assert abs(res.value - classical) <= res.numeric_error
+    # and stays tight wherever the series is accurate
+    for a in (1e-7, 1e-6, 1e-4):
+        geometry = Geometry(a)
+        for t in np.geomspace(1e-3, 26.0, 40):
+            res = free_energy_ideal(
+                geometry, ThermalState(t * effective_temperature(geometry)))
+            assert res.numeric_error <= 1e-12 * abs(res.value)
+
+
 def test_free_energy_requires_positive_temperature():
     with pytest.raises(ValueError):
         free_energy(GOLD_IR, Geometry(1e-6), ThermalState(0.0))
@@ -301,3 +319,34 @@ def test_drude_free_energy_runs():
     # dissipation switches off the perpendicular zero-frequency term,
     # weakening the attraction
     assert abs(res.value) < abs(plasma.value)
+
+
+def test_x_factor_kernels_reached_through_module_globals(monkeypatch):
+    # the benchmark times the X-factor layer by wrapping these two names
+    # in observables; every model must reach exactly its family's kernel
+    import casimir_impedance.observables as obs
+
+    calls = {}
+
+    def counting(name):
+        kernel = getattr(obs, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args)
+        return wrapper
+
+    for name in ("x_factors_grid", "lifshitz_x_grid"):
+        monkeypatch.setattr(obs, name, counting(name))
+    loose = ToleranceConfig(1e-4, 1e-4, 1e-3)
+    geometry = Geometry(1e-6)
+    for model, name in ((GOLD_IR, "x_factors_grid"),
+                        (Plasma(GOLD.plasma_frequency), "lifshitz_x_grid"),
+                        (Drude(GOLD.plasma_frequency, 5.3e13),
+                         "lifshitz_x_grid")):
+        for run in (lambda: energy_T0(model, geometry, loose),
+                    lambda: free_energy(model, geometry, ThermalState(300.0),
+                                        loose)):
+            calls.clear()
+            run()
+            assert set(calls) == {name} and calls[name] > 0

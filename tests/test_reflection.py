@@ -11,12 +11,13 @@ from casimir_impedance.physcore import C_LIGHT, GOLD, Geometry, \
     derive_anomalous_constant
 from casimir_impedance.impedance import (
     AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
-    impedance_imag_axis,
 )
 from casimir_impedance.reflection import (
-    Drude, Formulation, Plasma, ReflectionPair, SpectralPoint,
-    dispersion_functions, eps_imag_axis, lifshitz_x_grid, refl_impedance,
-    refl_lifshitz, x_factors, x_factors_grid, zero_freq_coefficients,
+    Drude, Plasma, lifshitz_x_grid, x_factors_grid,
+)
+from oracles import (
+    ReflectionPair, SpectralPoint, dispersion_functions, eps_imag_axis,
+    impedance_imag_axis, refl_impedance, refl_lifshitz, x_factors,
 )
 
 GOLD_CA = derive_anomalous_constant(GOLD)
@@ -87,7 +88,8 @@ def test_plasma_zero_frequency_limit():
     expected = ((k_perp - k0) / (k_perp + k0)) ** 2
     assert pair.r_par_sq == pytest.approx(1.0, abs=1e-15)
     assert pair.r_perp_sq == pytest.approx(expected, rel=1e-12)
-    table = zero_freq_coefficients(Formulation.LIFSHITZ_PLASMA, k_perp, GOLD)
+    table = ReflectionPair(*Plasma.zero_freq_r_sq(k_perp,
+                                                  GOLD.plasma_frequency))
     assert pair.r_perp_sq == pytest.approx(table.r_perp_sq, rel=1e-13)
 
 
@@ -185,30 +187,25 @@ def test_lifshitz_x_grid_matches_scalar_coefficients():
 
 def test_zero_frequency_table():
     k_perp = 3e7
-    for form in (Formulation.IMPEDANCE_NORMAL,
-                 Formulation.IMPEDANCE_ANOMALOUS):
-        pair = zero_freq_coefficients(form, k_perp, GOLD)
-        assert pair == ReflectionPair(1.0, 1.0)
-    pair = zero_freq_coefficients(Formulation.IMPEDANCE_INFRARED,
-                                  k_perp, GOLD)
-    ck = C_LIGHT * k_perp
     wp = GOLD.plasma_frequency
+    for form in (NormalSkin, AnomalousSkin):
+        pair = ReflectionPair(*form.zero_freq_r_sq(k_perp, wp))
+        assert pair == ReflectionPair(1.0, 1.0)
+    pair = ReflectionPair(*InfraredOptics.zero_freq_r_sq(k_perp, wp))
+    ck = C_LIGHT * k_perp
     assert pair.r_par_sq == 1.0
     assert pair.r_perp_sq == pytest.approx(((wp - ck) / (wp + ck)) ** 2,
                                            rel=1e-14)
-    assert zero_freq_coefficients(Formulation.LIFSHITZ_DRUDE, k_perp, GOLD) \
+    assert ReflectionPair(*Drude.zero_freq_r_sq(k_perp, wp)) \
         == ReflectionPair(1.0, 0.0)
-    assert zero_freq_coefficients(Formulation.LIFSHITZ_PLASMA,
-                                  k_perp, GOLD).r_perp_sq > 0.0
+    assert Plasma.zero_freq_r_sq(k_perp, wp)[1] > 0.0
     with pytest.raises(ValueError):
-        zero_freq_coefficients(Formulation.LIFSHITZ_DRUDE, 0.0, GOLD)
+        Drude.zero_freq_r_sq(0.0, wp)
 
 
 def test_zero_frequency_infrared_ideal_limit():
     # omega_p -> infinity reproduces the ideal metal
-    big = zero_freq_coefficients(
-        Formulation.IMPEDANCE_INFRARED, 1e7,
-        type(GOLD)(plasma_frequency=1e30, fermi_velocity=1.4e6))
+    big = ReflectionPair(*InfraredOptics.zero_freq_r_sq(1e7, 1e30))
     assert big.r_perp_sq > 1.0 - 1e-12
 
 
