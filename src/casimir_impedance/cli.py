@@ -15,6 +15,7 @@ exit status to 3; configuration errors exit with 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass, field
 
@@ -40,6 +41,14 @@ CSV_COLUMNS = (
 
 MODEL_NAMES = ("ideal", "normal-skin", "anomalous-skin", "infrared-optics",
                "lifshitz-plasma", "lifshitz-drude")
+
+# command -> (CSV column, observables function); the function is looked up
+# by name when a record is computed, so a patched module attribute is seen
+OBSERVABLE_COMMANDS = {
+    "pressure": ("pressure_N_per_m2", "pressure_plates"),
+    "sphere-plate": ("force_sphere_plate_N", "force_sphere_plate"),
+    "entropy": ("entropy_J_per_m2_K", "entropy"),
+}
 
 ZERO_FREQ_FORMS = (
     ("impedance-normal", NormalSkin),
@@ -169,42 +178,28 @@ def _compute_record(command: str, model_name: str, model, a: float, T: float,
     rec = Record(a, T, model_name)
     vals = rec.values
     try:
-        if command in ("energy", "free-energy", "sweep"):
-            e = obs.energy_T0(model, geometry, tol)
+        if command in OBSERVABLE_COMMANDS:
+            column, name = OBSERVABLE_COMMANDS[command]
+            result = getattr(obs, name)(model, geometry, state, tol)
+            vals[column] = result.value
+        else:  # energy, free-energy and sweep
+            result = e = obs.energy_T0(model, geometry, tol)
             vals["energy_J_per_m2"] = e.value
             vals["correction_factor"] = e.diagnostics["correction_factor"]
-            vals["err_estimate"] = e.numeric_error
             if T > 0.0:
-                f = obs.free_energy(model, geometry, state, tol)
+                result = f = obs.free_energy(model, geometry, state, tol)
                 vals["free_energy_J_per_m2"] = f.value
                 vals["rel_thermal_correction"] = (f.value - e.value) / e.value
-                vals["terms_used"] = f.diagnostics["terms_used"]
-                vals["err_estimate"] = f.numeric_error
-        elif command == "pressure":
-            p = obs.pressure_plates(model, geometry, state, tol)
-            vals["pressure_N_per_m2"] = p.value
-            vals["err_estimate"] = p.numeric_error
-            if "terms_used" in p.diagnostics:
-                vals["terms_used"] = p.diagnostics["terms_used"]
-        elif command == "sphere-plate":
-            fsp = obs.force_sphere_plate(model, geometry, state, tol)
-            vals["force_sphere_plate_N"] = fsp.value
-            vals["err_estimate"] = fsp.numeric_error
-            if "terms_used" in fsp.diagnostics:
-                vals["terms_used"] = fsp.diagnostics["terms_used"]
-        elif command == "entropy":
-            s = obs.entropy(model, geometry, state, tol)
-            vals["entropy_J_per_m2_K"] = s.value
-            vals["err_estimate"] = s.numeric_error
-        else:
-            raise ConfigError(f"unknown command {command!r}")
+        vals["err_estimate"] = result.numeric_error
+        if "terms_used" in result.diagnostics:
+            vals["terms_used"] = result.diagnostics["terms_used"]
     except NonConvergenceError as exc:
         vals.clear()
         rec.status = f"nonconvergence: {exc}"
     return rec
 
 
-def _cmd_records(args, parser) -> int:
+def _cmd_records(args) -> int:
     material = _load_material(args.material)
     tol = _make_tol(args)
     if args.separation is None:
@@ -240,7 +235,7 @@ def _cmd_records(args, parser) -> int:
     return 3 if any(r.status != "ok" for r in records) else 0
 
 
-def _cmd_regime(args, parser) -> int:
+def _cmd_regime(args) -> int:
     material = _load_material(args.material)
     if args.separation is None:
         raise ConfigError("--separation is required")
@@ -270,7 +265,7 @@ def _cmd_regime(args, parser) -> int:
     return 0
 
 
-def _cmd_zero_freq(args, parser) -> int:
+def _cmd_zero_freq(args) -> int:
     material = _load_material(args.material)
     kperps = _parse_grid(args.kperp, log=True, what="--kperp")
     if any(k <= 0.0 for k in kperps):
@@ -304,21 +299,13 @@ def _make_tol(args) -> ToleranceConfig:
         raise ConfigError(str(exc)) from None
 
 
-class _open_output:
-    def __init__(self, path: str | None):
-        self.path = path
-        self.stream = None
-
-    def __enter__(self):
-        if self.path is None or self.path == "-":
-            return sys.stdout
-        self.stream = open(self.path, "w", newline="\n")
-        return self.stream
-
-    def __exit__(self, *exc):
-        if self.stream is not None:
-            self.stream.close()
-        return False
+@contextlib.contextmanager
+def _open_output(path: str | None):
+    if path is None or path == "-":
+        yield sys.stdout
+        return
+    with open(path, "w", newline="\n") as stream:
+        yield stream
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -369,26 +356,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "regime":
-            return _cmd_regime(args, parser)
-        if args.command == "zero-freq":
-            return _cmd_zero_freq(args, parser)
-        if args.command in ("energy", "free-energy", "pressure",
-                            "sphere-plate", "entropy", "sweep"):
-            return _cmd_records(args, parser)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+        handler = {"regime": _cmd_regime, "zero-freq": _cmd_zero_freq}.get(
+            args.command, _cmd_records)
+        return handler(args)
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

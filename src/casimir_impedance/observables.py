@@ -11,7 +11,8 @@ primed Matsubara sum (l = 0 carries weight 1/2)
 
 with zeta_l = 2 a xi_l / c and the transparency factors X = 1 - r^2 of the
 chosen reflection model (X = 0 reproduces the ideal metal).  At T = 0 the
-sum becomes (1/zeta_1) * integral and
+sum becomes its continuum limit, zeta_1 sum'_l -> int dzeta with
+zeta_1 = 4 pi a k_B T / (hbar c), so
 
     E = (hbar c / 32 pi^2 a^3) * int_0^inf dzeta I(zeta),
 
@@ -22,6 +23,9 @@ representation (not by differentiating F numerically):
     P = -(k_B T / 8 pi a^3) * sum'_l int y^2 dy sum_p r_p^2 e^-y/(1 - r_p^2 e^-y)
 
 and the sphere-plate force through the proximity relation F = 2 pi R F_pp.
+One driver, `_spectral`, evaluates both forms for either y-integrand:
+the primed Matsubara sum at T > 0 and the adaptive zeta integral at T = 0.
+Every observable reaches the quadrature through it.
 The entropy S = -dF/dT uses a Richardson-extrapolated central difference.
 
 The zero-frequency (l = 0) term always comes from each model's analytic
@@ -47,8 +51,7 @@ from .physcore import (
 from .impedance import ImpedanceModel, InfraredOptics
 from .reflection import DielectricModel, lifshitz_x_grid, x_factors_grid
 from .quadrature import (
-    IntegralResult, SumResult, integrate_interval, integrate_semiinf,
-    matsubara_sum, tail_cutoff,
+    integrate_interval, integrate_semiinf, matsubara_sum, tail_cutoff,
 )
 
 __all__ = [
@@ -101,7 +104,8 @@ def _free_energy_integrand(model: Model, geometry: Geometry, zeta: float):
     def f(y: np.ndarray) -> np.ndarray:
         xpar, xperp = _x_grid(model, geometry, zeta, y)
         em = np.exp(-y)
-        t = 1.0 / np.expm1(y)
+        with np.errstate(over="ignore"):  # y > 709: 1/inf = 0 is right
+            t = 1.0 / np.expm1(y)
         return y * (2.0 * np.log1p(-em)
                     + np.log1p(xpar * t) + np.log1p(xperp * t))
 
@@ -174,32 +178,72 @@ def free_energy_ideal(geometry: Geometry, state: ThermalState) -> ResultValue:
                        {"closed_form": True, "terms_used": l})
 
 
-def _double_integral(model: Model, geometry: Geometry, rel_tol: float,
-                     zeta_lo: float, zeta_hi: float | None,
-                     integrand_factory) -> tuple[IntegralResult, int]:
-    """Nested zeta/y integration: outer over zeta, inner semi-infinite in y
-    starting at zeta.  Returns the outer result and the total number of
-    integrand evaluations (inner included)."""
-    inner_tol = max(rel_tol * 1e-2, 1e-13)
+def _spectral(model: Model, geometry: Geometry, state: ThermalState,
+              tol: ToleranceConfig, integrand_factory, power: int,
+              zeta_lo: float = 0.0, zeta_hi: float = math.inf,
+              ) -> tuple[float, float, dict]:
+    """(value, absolute error, diagnostics) of an observable's spectral
+    form in physical units: (hbar c / 32 pi^2 a^power) times the adaptive
+    integral over zeta in (zeta_lo, zeta_hi) of the per-zeta y-integrals
+    at T = 0, and (k_B T / 8 pi a^(power-1)) times their primed Matsubara
+    sum at T > 0, where the window is not used.
+
+    At T = 0 the inner integrals run 100 times tighter than the outer one,
+    whose estimate is the error.  At T > 0 the summation floor
+    ceil(10 omega_c / xi_1) covers the spectral window that dominates the
+    result even when early terms are small, and the error adds the per-term
+    quadrature errors to a geometric bound on the truncated tail: the terms
+    decay at least like exp(-zeta_1 l), so the omitted remainder is at most
+    ~ last_term / (exp(zeta_1) - 1).
+    """
+    a = geometry.separation
     evals = 0
 
-    def outer(zetas: np.ndarray) -> np.ndarray:
+    def y_integral(zeta: float, rel_tol: float):
         nonlocal evals
-        out = np.empty_like(zetas)
-        for i, z in enumerate(zetas):
-            res = integrate_semiinf(integrand_factory(model, geometry, z),
-                                    z, inner_tol)
-            evals += res.evaluations
-            out[i] = res.value
-        return out
+        res = integrate_semiinf(integrand_factory(model, geometry, zeta),
+                                zeta, rel_tol)
+        evals += res.evaluations
+        return res
 
-    if zeta_hi is None:
-        upper = tail_cutoff(zeta_lo, rel_tol)
-    else:
+    if state.temperature <= 0.0:
+        rel_tol = tol.quadrature_rel_tol
+        inner_tol = max(rel_tol * 1e-2, 1e-13)
+
+        def outer(zetas: np.ndarray) -> np.ndarray:
+            return np.array([y_integral(z, inner_tol).value for z in zetas])
+
         upper = min(zeta_hi, tail_cutoff(zeta_lo, rel_tol))
-    result = integrate_interval(outer, zeta_lo, upper, rel_tol,
-                                max_panels=8192)
-    return result, evals + result.evaluations
+        result = integrate_interval(outer, zeta_lo, upper, rel_tol,
+                                    max_panels=8192)
+        prefac = HBAR * C_LIGHT / (32.0 * math.pi ** 2 * a ** power)
+        return prefac * result.value, prefac * result.abs_error_estimate, {
+            "evaluations": evals + result.evaluations}
+
+    xi1 = matsubara_frequency(1, state)
+    zeta1 = 2.0 * a * xi1 / C_LIGHT
+    omega_c = characteristic_frequency(geometry)
+    l_floor = max(1, math.ceil(10.0 * omega_c / xi1))
+    quad_errs: list[float] = []
+
+    def term(l: int) -> float:
+        # the l = 0 half-weight is applied by matsubara_sum itself
+        res = y_integral(l * zeta1, tol.quadrature_rel_tol)
+        quad_errs.append(res.abs_error_estimate)
+        return res.value
+
+    s = matsubara_sum(term, tol.sum_rel_tol, l_floor)
+    # capped so that a large a*T cannot overflow expm1; the bound only grows
+    tail_est = s.last_term_magnitude / math.expm1(min(zeta1, 700.0))
+    # (8 pi a) a, not 8 pi a^2: the free energy's 17-digit CSV shows the ulp
+    denom = (8.0 * math.pi * a * a if power == 3
+             else 8.0 * math.pi * a ** (power - 1))
+    prefac = K_B * state.temperature / denom
+    return prefac * s.value, prefac * (math.fsum(quad_errs) + tail_est), {
+        "terms_used": s.terms_used,
+        "last_term_magnitude": s.last_term_magnitude,
+        "evaluations": evals,
+    }
 
 
 def energy_T0(model: Model, geometry: Geometry,
@@ -210,55 +254,12 @@ def energy_T0(model: Model, geometry: Geometry,
     the diagnostics.
     """
     model.check_separation(geometry)
-    a = geometry.separation
-    rel_tol = tol.quadrature_rel_tol
-    outer, evals = _double_integral(model, geometry, rel_tol, 0.0, None,
-                                    _free_energy_integrand)
-    prefac = HBAR * C_LIGHT / (32.0 * math.pi ** 2 * a ** 3)
-    value = prefac * outer.value
-    err = prefac * outer.abs_error_estimate + abs(value) * rel_tol * 0.1
+    value, err, diag = _spectral(model, geometry, ThermalState(0.0), tol,
+                                 _free_energy_integrand, 3)
+    err += abs(value) * tol.quadrature_rel_tol * 0.1
     e0 = energy_ideal(geometry).value
-    return ResultValue(Quantity.ENERGY_PER_AREA, value, err, {
-        "correction_factor": value / e0,
-        "evaluations": evals,
-    })
-
-
-def _matsubara_observable(model: Model, geometry: Geometry,
-                          state: ThermalState, tol: ToleranceConfig,
-                          integrand_factory) -> tuple[SumResult, float, int]:
-    """Run the primed Matsubara sum of per-l y-integrals.
-
-    Returns (sum result, absolute error estimate in the summed units,
-    evaluations).  The summation floor ceil(10 omega_c / xi_1) guarantees
-    the spectral window that dominates the result is covered even when
-    early terms are small.  The error estimate combines the per-term
-    quadrature errors with a geometric bound on the truncated tail: the
-    terms decay at least like exp(-zeta_1 l), so the omitted remainder is
-    at most ~ last_term / (exp(zeta_1) - 1).
-    """
-    a = geometry.separation
-    xi1 = matsubara_frequency(1, state)
-    zeta1 = 2.0 * a * xi1 / C_LIGHT
-    omega_c = characteristic_frequency(geometry)
-    l_floor = max(1, math.ceil(10.0 * omega_c / xi1))
-    quad_errs: list[float] = []
-    evals = 0
-
-    def term(l: int) -> float:
-        # the l = 0 half-weight is applied by matsubara_sum itself
-        nonlocal evals
-        zeta_l = l * zeta1
-        res = integrate_semiinf(integrand_factory(model, geometry, zeta_l),
-                                zeta_l, tol.quadrature_rel_tol)
-        quad_errs.append(res.abs_error_estimate)
-        evals += res.evaluations
-        return res.value
-
-    s = matsubara_sum(term, tol.sum_rel_tol, l_floor)
-    # capped so that a large a*T cannot overflow expm1; the bound only grows
-    tail_est = s.last_term_magnitude / math.expm1(min(zeta1, 700.0))
-    return s, math.fsum(quad_errs) + tail_est, evals
+    return ResultValue(Quantity.ENERGY_PER_AREA, value, err,
+                       {"correction_factor": value / e0, **diag})
 
 
 def free_energy(model: Model, geometry: Geometry, state: ThermalState,
@@ -271,17 +272,8 @@ def free_energy(model: Model, geometry: Geometry, state: ThermalState,
     if state.temperature <= 0.0:
         raise ValueError("free_energy requires T > 0; use energy_T0 at T = 0")
     model.check_separation(geometry)
-    a = geometry.separation
-    s, sum_err, evals = _matsubara_observable(
-        model, geometry, state, tol, _free_energy_integrand)
-    prefac = K_B * state.temperature / (8.0 * math.pi * a * a)
-    return ResultValue(
-        Quantity.FREE_ENERGY_PER_AREA, prefac * s.value,
-        prefac * sum_err, {
-            "terms_used": s.terms_used,
-            "last_term_magnitude": s.last_term_magnitude,
-            "evaluations": evals,
-        })
+    return ResultValue(Quantity.FREE_ENERGY_PER_AREA, *_spectral(
+        model, geometry, state, tol, _free_energy_integrand, 3))
 
 
 def thermal_correction(model: Model, geometry: Geometry, state: ThermalState,
@@ -312,24 +304,9 @@ def pressure_plates(model: Model, geometry: Geometry, state: ThermalState,
     handled by the continuous-spectrum double integral.
     """
     model.check_separation(geometry)
-    a = geometry.separation
-    if state.temperature > 0.0:
-        s, sum_err, evals = _matsubara_observable(
-            model, geometry, state, tol, _pressure_integrand)
-        prefac = -K_B * state.temperature / (8.0 * math.pi * a ** 3)
-        return ResultValue(
-            Quantity.PRESSURE_PLATES, prefac * s.value,
-            abs(prefac) * sum_err, {
-                "terms_used": s.terms_used,
-                "last_term_magnitude": s.last_term_magnitude,
-                "evaluations": evals,
-            })
-    outer, evals = _double_integral(model, geometry, tol.quadrature_rel_tol,
-                                    0.0, None, _pressure_integrand)
-    prefac = -HBAR * C_LIGHT / (32.0 * math.pi ** 2 * a ** 4)
-    return ResultValue(
-        Quantity.PRESSURE_PLATES, prefac * outer.value,
-        abs(prefac) * outer.abs_error_estimate, {"evaluations": evals})
+    value, err, diag = _spectral(model, geometry, state, tol,
+                                 _pressure_integrand, 4)
+    return ResultValue(Quantity.PRESSURE_PLATES, -value, err, diag)
 
 
 def force_sphere_plate(model: Model, geometry: Geometry, state: ThermalState,
@@ -440,10 +417,8 @@ def spectral_contribution(model: Model, geometry: Geometry,
     lo, hi = window
     if lo < 0.0 or not hi > lo:
         raise ValueError("window must satisfy 0 <= zeta_lo < zeta_hi")
-    rel_tol = tol.quadrature_rel_tol
-    full, _ = _double_integral(model, geometry, rel_tol, 0.0, None,
-                               _free_energy_integrand)
-    part, _ = _double_integral(model, geometry, rel_tol, lo,
-                               None if math.isinf(hi) else hi,
-                               _free_energy_integrand)
-    return part.value / full.value
+    full, _, _ = _spectral(model, geometry, ThermalState(0.0), tol,
+                           _free_energy_integrand, 3)
+    part, _, _ = _spectral(model, geometry, ThermalState(0.0), tol,
+                           _free_energy_integrand, 3, lo, hi)
+    return part / full

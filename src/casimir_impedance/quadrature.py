@@ -112,8 +112,7 @@ def _qk15_batch(f, lo: np.ndarray, hi: np.ndarray):
 
 def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
                        lower: float, upper: float, rel_tol: float,
-                       *, max_panels: int = 4096,
-                       initial_panels: int = 8) -> IntegralResult:
+                       *, max_panels: int = 4096) -> IntegralResult:
     """Adaptive integration of ``f`` over the finite interval [lower, upper].
 
     Deterministic: refinement order and accumulation order are functions of
@@ -125,7 +124,7 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
     if not upper > lower:
         raise ValueError("upper must exceed lower")
 
-    edges = np.linspace(lower, upper, initial_panels + 1)
+    edges = np.linspace(lower, upper, 9)  # eight equal starting panels
     los = list(edges[:-1])
     his = list(edges[1:])
     vals_arr, errs_arr, resabs_arr = _qk15_batch(
@@ -133,7 +132,7 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
     vals = list(vals_arr)
     errs = list(errs_arr)
     resabs = list(resabs_arr)
-    evaluations = 15 * initial_panels
+    evaluations = 15 * len(vals)
 
     while True:
         total = math.fsum(vals)
@@ -165,8 +164,7 @@ def tail_cutoff(lower: float, rel_tol: float) -> float:
 
 
 def integrate_semiinf(f: Callable[[np.ndarray], np.ndarray],
-                      lower: float, rel_tol: float,
-                      *, max_panels: int = 4096) -> IntegralResult:
+                      lower: float, rel_tol: float) -> IntegralResult:
     """Integrate ``f`` over [lower, infinity) assuming exp(-y) decay.
 
     The interval is truncated at ``tail_cutoff(lower, rel_tol)`` and handled
@@ -175,8 +173,7 @@ def integrate_semiinf(f: Callable[[np.ndarray], np.ndarray],
     """
     if lower < 0.0:
         raise ValueError("lower must be non-negative")
-    return integrate_interval(f, lower, tail_cutoff(lower, rel_tol),
-                              rel_tol, max_panels=max_panels)
+    return integrate_interval(f, lower, tail_cutoff(lower, rel_tol), rel_tol)
 
 
 def matsubara_sum(term: Callable[[int], float], rel_tol: float,

@@ -251,15 +251,29 @@ def test_nonconvergent_row_keeps_schema_and_exits_3(capsys, monkeypatch):
         raise NonConvergenceError("synthetic budget exhaustion",
                                   IntegralResult(0.0, 1.0, 1))
 
-    monkeypatch.setattr(cli.obs, "energy_T0", explode)
-    code, out, _ = run(capsys, "energy", "--model", "ideal",
-                       "--separation", "1e-6", "--format", "csv")
-    assert code == 3
-    lines = out.strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    row = dict(zip(CSV_COLUMNS, lines[1].split(",")))
-    assert row["energy_J_per_m2"] == ""
-    assert row["status"].startswith("nonconvergence")
+    # every observable command: (command, observables function it reaches,
+    # its value column, the flags it needs)
+    for command, function, column, *extra in (
+            ("energy", "energy_T0", "energy_J_per_m2"),
+            ("free-energy", "free_energy", "free_energy_J_per_m2",
+             "--temperature", "300"),
+            ("pressure", "pressure_plates", "pressure_N_per_m2"),
+            ("sphere-plate", "force_sphere_plate", "force_sphere_plate_N",
+             "--radius", "1e-4"),
+            ("entropy", "entropy", "entropy_J_per_m2_K",
+             "--temperature", "300")):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.obs, function, explode)
+            code, out, _ = run(capsys, command, "--model", "ideal",
+                               "--separation", "1e-6", *extra,
+                               "--format", "csv")
+        assert code == 3, command
+        lines = out.strip().split("\n")
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert len(lines) == 2, command
+        row = dict(zip(CSV_COLUMNS, lines[1].split(",")))
+        assert row[column] == "", command
+        assert row["status"].startswith("nonconvergence"), command
 
 
 def test_byte_identical_output_across_thread_counts():

@@ -321,23 +321,31 @@ def test_drude_free_energy_runs():
     assert abs(res.value) < abs(plasma.value)
 
 
-def test_x_factor_kernels_reached_through_module_globals(monkeypatch):
-    # the benchmark times the X-factor layer by wrapping these two names
-    # in observables; every model must reach exactly its family's kernel
+def _count_module_global_calls(monkeypatch, names):
+    """Wrap the named module globals of observables; return the dict the
+    wrappers count their calls in."""
     import casimir_impedance.observables as obs
 
     calls = {}
 
     def counting(name):
-        kernel = getattr(obs, name)
+        fn = getattr(obs, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return kernel(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("x_factors_grid", "lifshitz_x_grid"):
+    for name in names:
         monkeypatch.setattr(obs, name, counting(name))
+    return calls
+
+
+def test_x_factor_kernels_reached_through_module_globals(monkeypatch):
+    # the benchmark times the X-factor layer by wrapping these two names
+    # in observables; every model must reach exactly its family's kernel
+    calls = _count_module_global_calls(
+        monkeypatch, ("x_factors_grid", "lifshitz_x_grid"))
     loose = ToleranceConfig(1e-4, 1e-4, 1e-3)
     geometry = Geometry(1e-6)
     for model, name in ((GOLD_IR, "x_factors_grid"),
@@ -350,3 +358,25 @@ def test_x_factor_kernels_reached_through_module_globals(monkeypatch):
             calls.clear()
             run()
             assert set(calls) == {name} and calls[name] > 0
+
+
+def test_quadrature_reached_through_module_globals(monkeypatch):
+    # the benchmark's per-layer spans wrap these names in observables, and
+    # its smoke check relies on a T = 0 record running no Matsubara sum
+    calls = _count_module_global_calls(
+        monkeypatch,
+        ("integrate_interval", "integrate_semiinf", "matsubara_sum"))
+    loose = ToleranceConfig(1e-4, 1e-4, 1e-3)
+    geometry = Geometry(1e-6)
+    cold, warm = ThermalState(0.0), ThermalState(300.0)
+    zero_t = {"integrate_interval", "integrate_semiinf"}
+    thermal = {"matsubara_sum", "integrate_semiinf"}
+    for run, reached in (
+            (lambda: energy_T0(GOLD_IR, geometry, loose), zero_t),
+            (lambda: pressure_plates(GOLD_IR, geometry, cold, loose), zero_t),
+            (lambda: free_energy(GOLD_IR, geometry, warm, loose), thermal),
+            (lambda: pressure_plates(GOLD_IR, geometry, warm, loose),
+             thermal)):
+        calls.clear()
+        run()
+        assert set(calls) == reached
