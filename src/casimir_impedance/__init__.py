@@ -21,7 +21,7 @@ from .impedance import (
 from .reflection import DielectricModel, Drude, Plasma
 from .quadrature import (
     IntegralResult, NonConvergenceError, SumResult, integrate_interval,
-    integrate_semiinf, matsubara_sum,
+    integrate_semiinf, integrate_wedge, matsubara_sum,
 )
 from .observables import (
     Model, Quantity, ResultValue, ZETA3,

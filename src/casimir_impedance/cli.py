@@ -7,9 +7,9 @@ scientific notation is accepted, unit suffixes are not.
 Observable commands emit one record per (separation, temperature) pair,
 as a fixed-schema CSV (17 significant digits, '.' decimal separator,
 LF line endings; byte-identical for identical configurations) or as
-aligned human-readable blocks.  Non-convergence of a single row leaves
-its value fields empty, is noted in the status column, and turns the
-exit status to 3; configuration errors exit with 2.
+aligned human-readable blocks.  Non-convergence or a non-finite integrand
+in a single row leaves its value fields empty, is noted in the status
+column, and turns the exit status to 3; configuration errors exit with 2.
 """
 
 from __future__ import annotations
@@ -147,11 +147,9 @@ class Record:
     status: str = "ok"
 
     def row(self) -> list[str]:
-        out = [_fmt(self.a_m), _fmt(self.T_K), self.model]
-        for col in CSV_COLUMNS[3:-1]:
-            out.append(_fmt(self.values.get(col)))
-        out.append(self.status)
-        return out
+        return [_fmt(self.a_m), _fmt(self.T_K), self.model,
+                *(_fmt(self.values.get(col)) for col in CSV_COLUMNS[3:-1]),
+                self.status]
 
 
 def _emit(records: list[Record], fmt: str, stream) -> None:
@@ -193,9 +191,10 @@ def _compute_record(command: str, model_name: str, model, a: float, T: float,
         vals["err_estimate"] = result.numeric_error
         if "terms_used" in result.diagnostics:
             vals["terms_used"] = result.diagnostics["terms_used"]
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, FloatingPointError) as exc:
         vals.clear()
-        rec.status = f"nonconvergence: {exc}"
+        bad = isinstance(exc, FloatingPointError)
+        rec.status = f"{'nonfinite' if bad else 'nonconvergence'}: {exc}"
     return rec
 
 

@@ -24,8 +24,9 @@ representation (not by differentiating F numerically):
 
 and the sphere-plate force through the proximity relation F = 2 pi R F_pp.
 One driver, `_spectral`, evaluates both forms for either y-integrand:
-the primed Matsubara sum at T > 0 and the adaptive zeta integral at T = 0.
-Every observable reaches the quadrature through it.
+the primed Matsubara sum at T > 0 and, at T = 0, the zeta integral with
+the order swapped, int_0^inf dy int_0^y dzeta, by the graded tensor rule
+`integrate_wedge`.  Every observable reaches the quadrature through it.
 The entropy S = -dF/dT uses a Richardson-extrapolated central difference.
 
 The zero-frequency (l = 0) term always comes from each model's analytic
@@ -50,8 +51,9 @@ from .physcore import (
 )
 from .impedance import ImpedanceModel, InfraredOptics
 from .reflection import DielectricModel, lifshitz_x_grid, x_factors_grid
-from .quadrature import (
-    integrate_interval, integrate_semiinf, matsubara_sum, tail_cutoff,
+from .quadrature import (  # integrate_interval: perfbench/spans.py wraps it
+    IntegralResult, integrate_interval, integrate_semiinf, integrate_wedge,
+    matsubara_sum, tail_cutoff,
 )
 
 __all__ = [
@@ -74,7 +76,6 @@ class Quantity(Enum):
     PRESSURE_PLATES = "pressure_plates"                    # N/m^2
     FORCE_SPHERE_PLATE = "force_sphere_plate"              # N
     ENTROPY_PER_AREA = "entropy_per_area"                  # J/(m^2 K)
-    CORRECTION_FACTOR = "correction_factor"                # dimensionless
     RELATIVE_THERMAL_CORRECTION = "relative_thermal_correction"
 
 
@@ -183,13 +184,14 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
               zeta_lo: float = 0.0, zeta_hi: float = math.inf,
               ) -> tuple[float, float, dict]:
     """(value, absolute error, diagnostics) of an observable's spectral
-    form in physical units: (hbar c / 32 pi^2 a^power) times the adaptive
-    integral over zeta in (zeta_lo, zeta_hi) of the per-zeta y-integrals
-    at T = 0, and (k_B T / 8 pi a^(power-1)) times their primed Matsubara
-    sum at T > 0, where the window is not used.
+    form in physical units: (hbar c / 32 pi^2 a^power) times the integral
+    over zeta in (zeta_lo, zeta_hi) of the per-zeta y-integrals at T = 0,
+    and (k_B T / 8 pi a^(power-1)) times their primed Matsubara sum at
+    T > 0, where the window is not used.
 
-    At T = 0 the inner integrals run 100 times tighter than the outer one,
-    whose estimate is the error.  At T > 0 the summation floor
+    At T = 0, with W(c) = int_0^Y dy int_0^min(y, c) dzeta and Y the
+    tail cutoff, the window is W(zeta_hi) - W(zeta_lo) and its error the
+    sum of the two rules' estimates.  At T > 0 the summation floor
     ceil(10 omega_c / xi_1) covers the spectral window that dominates the
     result even when early terms are small, and the error adds the per-term
     quadrature errors to a geometric bound on the truncated tail: the terms
@@ -197,40 +199,29 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     ~ last_term / (exp(zeta_1) - 1).
     """
     a = geometry.separation
-    evals = 0
-
-    def y_integral(zeta: float, rel_tol: float):
-        nonlocal evals
-        res = integrate_semiinf(integrand_factory(model, geometry, zeta),
-                                zeta, rel_tol)
-        evals += res.evaluations
-        return res
-
     if state.temperature <= 0.0:
         rel_tol = tol.quadrature_rel_tol
-        inner_tol = max(rel_tol * 1e-2, 1e-13)
-
-        def outer(zetas: np.ndarray) -> np.ndarray:
-            return np.array([y_integral(z, inner_tol).value for z in zetas])
-
-        upper = min(zeta_hi, tail_cutoff(zeta_lo, rel_tol))
-        result = integrate_interval(outer, zeta_lo, upper, rel_tol,
-                                    max_panels=8192)
+        hi, lo = (integrate_wedge(
+            lambda zeta, y: integrand_factory(model, geometry, zeta)(y),
+            tail_cutoff(0.0, rel_tol), rel_tol, cut) if cut > 0.0
+            else IntegralResult(0.0, 0.0, 0) for cut in (zeta_hi, zeta_lo))
         prefac = HBAR * C_LIGHT / (32.0 * math.pi ** 2 * a ** power)
-        return prefac * result.value, prefac * result.abs_error_estimate, {
-            "evaluations": evals + result.evaluations}
+        return prefac * (hi.value - lo.value), prefac * (
+            hi.abs_error_estimate + lo.abs_error_estimate), {
+            "evaluations": hi.evaluations + lo.evaluations}
 
     xi1 = matsubara_frequency(1, state)
     zeta1 = 2.0 * a * xi1 / C_LIGHT
     omega_c = characteristic_frequency(geometry)
     l_floor = max(1, math.ceil(10.0 * omega_c / xi1))
-    quad_errs: list[float] = []
+    done: list[IntegralResult] = []
 
     def term(l: int) -> float:
         # the l = 0 half-weight is applied by matsubara_sum itself
-        res = y_integral(l * zeta1, tol.quadrature_rel_tol)
-        quad_errs.append(res.abs_error_estimate)
-        return res.value
+        zeta = l * zeta1
+        f = integrand_factory(model, geometry, zeta)
+        done.append(integrate_semiinf(f, zeta, tol.quadrature_rel_tol))
+        return done[-1].value
 
     s = matsubara_sum(term, tol.sum_rel_tol, l_floor)
     # capped so that a large a*T cannot overflow expm1; the bound only grows
@@ -239,10 +230,11 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     denom = (8.0 * math.pi * a * a if power == 3
              else 8.0 * math.pi * a ** (power - 1))
     prefac = K_B * state.temperature / denom
-    return prefac * s.value, prefac * (math.fsum(quad_errs) + tail_est), {
+    quad_err = math.fsum(r.abs_error_estimate for r in done)
+    return prefac * s.value, prefac * (quad_err + tail_est), {
         "terms_used": s.terms_used,
         "last_term_magnitude": s.last_term_magnitude,
-        "evaluations": evals,
+        "evaluations": sum(r.evaluations for r in done),
     }
 
 
@@ -315,10 +307,8 @@ def force_sphere_plate(model: Model, geometry: Geometry, state: ThermalState,
     (2 pi R E(a) at T = 0); requires geometry.sphere_radius."""
     if geometry.sphere_radius is None:
         raise ValueError("force_sphere_plate requires geometry.sphere_radius")
-    if state.temperature > 0.0:
-        base = free_energy(model, geometry, state, tol)
-    else:
-        base = energy_T0(model, geometry, tol)
+    base = (free_energy(model, geometry, state, tol)
+            if state.temperature > 0.0 else energy_T0(model, geometry, tol))
     scale = 2.0 * math.pi * geometry.sphere_radius
     return ResultValue(
         Quantity.FORCE_SPHERE_PLATE, scale * base.value,
@@ -417,8 +407,7 @@ def spectral_contribution(model: Model, geometry: Geometry,
     lo, hi = window
     if lo < 0.0 or not hi > lo:
         raise ValueError("window must satisfy 0 <= zeta_lo < zeta_hi")
-    full, _, _ = _spectral(model, geometry, ThermalState(0.0), tol,
-                           _free_energy_integrand, 3)
-    part, _, _ = _spectral(model, geometry, ThermalState(0.0), tol,
-                           _free_energy_integrand, 3, lo, hi)
+    full, part = (_spectral(model, geometry, ThermalState(0.0), tol,
+                            _free_energy_integrand, 3, *w)[0]
+                  for w in ((), window))
     return part / full

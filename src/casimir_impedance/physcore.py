@@ -277,45 +277,26 @@ def classify_regime(material: MaterialParams, geometry: Geometry,
         c_a = derive_anomalous_constant(material)
     delta_a = c_a * omega_c ** (-1.0 / 3.0)
 
-    checks = [
-        InequalityCheck(
-            label="impedance applicability: lambda_p < a",
-            margin=a / lam_p,
-            satisfied=a > lam_p),
-        InequalityCheck(
-            label="anomalous skin: delta_a(omega_c) << v_F/omega_c",
-            margin=v_over_w / delta_a,
-            satisfied=delta_a < v_over_w),
-        InequalityCheck(
-            label="infrared optics: v_F/omega_c << delta_r = c/omega_p",
-            margin=delta_r / v_over_w,
-            satisfied=v_over_w < delta_r),
-        InequalityCheck(
-            label="anomalous skin: delta_a(omega_c) << l",
-            margin=None, satisfied=None,
-            note="mean free path l(T) not modeled"),
-        InequalityCheck(
-            label="infrared optics: delta_r << l",
-            margin=None, satisfied=None,
-            note="mean free path l(T) not modeled"),
-    ]
+    no_l = "mean free path l(T) not modeled"
     if material.conductivity is not None:
         delta_n = C_LIGHT / math.sqrt(
             2.0 * math.pi * material.conductivity * omega_c)
-        checks.append(InequalityCheck(
-            label="normal skin: l << delta_n(omega_c)",
-            margin=None, satisfied=None,
-            note=f"delta_n(omega_c) = {delta_n:.4g} m; "
-                 "mean free path l(T) not modeled"))
+        normal_note = f"delta_n(omega_c) = {delta_n:.4g} m; {no_l}"
     else:
-        checks.append(InequalityCheck(
-            label="normal skin: l << delta_n(omega_c)",
-            margin=None, satisfied=None,
-            note="requires conductivity and mean free path"))
-    checks.append(InequalityCheck(
-        label="normal skin: l << v_F/omega_c",
-        margin=None, satisfied=None,
-        note="mean free path l(T) not modeled; window collapses at low T"))
+        normal_note = "requires conductivity and mean free path"
+    checks = [
+        InequalityCheck("impedance applicability: lambda_p < a",
+                        a / lam_p, a > lam_p),
+        InequalityCheck("anomalous skin: delta_a(omega_c) << v_F/omega_c",
+                        v_over_w / delta_a, delta_a < v_over_w),
+        InequalityCheck("infrared optics: v_F/omega_c << delta_r = c/omega_p",
+                        delta_r / v_over_w, v_over_w < delta_r),
+    ] + [InequalityCheck(label, None, None, note) for label, note in (
+        ("anomalous skin: delta_a(omega_c) << l", no_l),
+        ("infrared optics: delta_r << l", no_l),
+        ("normal skin: l << delta_n(omega_c)", normal_note),
+        ("normal skin: l << v_F/omega_c",
+         f"{no_l}; window collapses at low T"))]
 
     if omega_c > 2.0 * omega_tr and a > lam_p:
         regime = Regime.INFRARED_OPTICS
@@ -324,10 +305,4 @@ def classify_regime(material: MaterialParams, geometry: Geometry,
     else:
         regime = Regime.TRANSITION
 
-    return RegimeReport(
-        characteristic_frequency=omega_c,
-        transition_frequency=omega_tr,
-        transition_separation=a_tr,
-        applicable_regime=regime,
-        diagnostics=tuple(checks),
-    )
+    return RegimeReport(omega_c, omega_tr, a_tr, regime, tuple(checks))

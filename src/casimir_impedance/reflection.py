@@ -101,35 +101,34 @@ class Drude(DielectricModel):
         return 1.0, 0.0
 
 
-def x_factors_grid(model: ImpedanceModel, geometry: Geometry,
-                   zeta: float, y):
-    """Transparency factors (X_par, X_perp) on an array of y at fixed zeta;
-    zeta = 0 takes the model's analytic limit ``x_zero``."""
+def x_factors_grid(model: ImpedanceModel, geometry: Geometry, zeta, y):
+    """Transparency factors (X_par, X_perp) on an array of y at a zeta that
+    broadcasts against it: a scalar, where zeta = 0 takes the model's
+    analytic limit ``x_zero``, or an array of positive zeta."""
     y = np.asarray(y, dtype=float)
-    if zeta < 0.0:
-        raise ValueError("zeta must be non-negative")
     if np.any(y <= 0.0):
         raise ValueError("y must be positive")
-    if zeta == 0.0:
-        return model.x_zero(geometry, y)
-    xi = np.asarray(zeta * C_LIGHT / (2.0 * geometry.separation))
-    z = float(model.z(xi))
+    if not isinstance(zeta, np.ndarray):  # scalar checks without numpy
+        if zeta < 0.0:
+            raise ValueError("zeta must be non-negative")
+        if zeta == 0.0:
+            return model.x_zero(geometry, y)
+    z = model.z(np.asarray(zeta * C_LIGHT / (2.0 * geometry.separation)))
     common = 4.0 * zeta * y * z
     xpar = common / (y + zeta * z) ** 2
     xperp = common / (zeta + y * z) ** 2
     return xpar, xperp
 
 
-def lifshitz_x_grid(model: DielectricModel, geometry: Geometry,
-                    zeta: float, y):
+def lifshitz_x_grid(model: DielectricModel, geometry: Geometry, zeta, y):
     """Transparency factors (X_par, X_perp) = (1 - r_par^2, 1 - r_perp^2)
     for a dielectric model in scaled variables, computed without the
     cancellation of forming 1 - r^2:
 
         X_par  = 4 y (w/eps) / (y + w/eps)^2,   X_perp = 4 y w / (y + w)^2.
 
-    The model's (w, 1/eps) are finite for all zeta >= 0, so zero frequency
-    needs no special case.
+    zeta is a scalar or an array that broadcasts against y.  The model's
+    (w, 1/eps) are finite for all zeta >= 0: zero needs no special case.
     """
     y = np.asarray(y, dtype=float)
     w, inv_eps = model.fresnel_inputs(geometry, zeta, y)

@@ -276,6 +276,36 @@ def test_nonconvergent_row_keeps_schema_and_exits_3(capsys, monkeypatch):
         assert row["status"].startswith("nonconvergence"), command
 
 
+def test_nonfinite_integrand_fails_its_rows_only(capsys, monkeypatch):
+    # a NaN from one model's X kernel fails that model's rows; the other
+    # model's rows are the bytes of a sweep of that model alone
+    import numpy as np
+
+    from casimir_impedance import cli
+
+    argv = ("sweep", "--separation", "1e-6", "--temperature", "0,300",
+            "--rel-tol", "1e-4")
+    _, alone, _ = run(capsys, *argv, "--model", "infrared-optics")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.obs, "lifshitz_x_grid",
+                      lambda model, geometry, zeta, y:
+                      (np.full(np.shape(y), np.nan),) * 2)
+        code, out, _ = run(capsys, *argv,
+                           "--model", "infrared-optics,lifshitz-plasma")
+    assert code == 3
+    lines = out.strip().split("\n")
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == 5
+    rows = [dict(zip(CSV_COLUMNS, ln.split(","))) for ln in lines[1:]]
+    kept = [ln for ln, r in zip(lines[1:], rows)
+            if r["model"] == "infrared-optics"]
+    assert kept == alone.strip().split("\n")[1:]
+    for row in rows:
+        if row["model"] == "lifshitz-plasma":
+            assert row["status"].startswith("nonfinite"), row
+            assert all(row[col] == "" for col in CSV_COLUMNS[3:-1]), row
+
+
 def test_byte_identical_output_across_thread_counts():
     # the numerical kernels avoid threaded reductions; CSV bytes must not
     # depend on the ambient thread configuration

@@ -19,6 +19,7 @@ from casimir_impedance.impedance import (
     AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
 )
 from casimir_impedance.reflection import Drude, Plasma
+from casimir_impedance.quadrature import _WEDGE_CHUNK
 from casimir_impedance.observables import (
     ZETA3, Quantity, energy_T0, energy_ideal, entropy, force_sphere_plate,
     free_energy, free_energy_ideal, lowT_asymptotics, pressure_plates,
@@ -364,12 +365,12 @@ def test_quadrature_reached_through_module_globals(monkeypatch):
     # the benchmark's per-layer spans wrap these names in observables, and
     # its smoke check relies on a T = 0 record running no Matsubara sum
     calls = _count_module_global_calls(
-        monkeypatch,
-        ("integrate_interval", "integrate_semiinf", "matsubara_sum"))
+        monkeypatch, ("integrate_interval", "integrate_semiinf",
+                      "integrate_wedge", "matsubara_sum"))
     loose = ToleranceConfig(1e-4, 1e-4, 1e-3)
     geometry = Geometry(1e-6)
     cold, warm = ThermalState(0.0), ThermalState(300.0)
-    zero_t = {"integrate_interval", "integrate_semiinf"}
+    zero_t = {"integrate_wedge"}
     thermal = {"matsubara_sum", "integrate_semiinf"}
     for run, reached in (
             (lambda: energy_T0(GOLD_IR, geometry, loose), zero_t),
@@ -380,3 +381,73 @@ def test_quadrature_reached_through_module_globals(monkeypatch):
         calls.clear()
         run()
         assert set(calls) == reached
+
+
+def test_benchmark_span_names_are_observables_attributes():
+    # perfbench/spans.py wraps these attributes of observables; a name
+    # that is gone makes the traced benchmark and its smoke check crash
+    import casimir_impedance.observables as obs
+
+    for name in ("energy_T0", "free_energy", "pressure_plates", "entropy",
+                 "force_sphere_plate", "integrate_interval",
+                 "integrate_semiinf", "matsubara_sum", "x_factors_grid",
+                 "lifshitz_x_grid"):
+        assert callable(getattr(obs, name, None)), name
+
+
+def test_zero_temperature_rule_matches_ideal_closed_forms():
+    geometry = Geometry(1e-6)
+    e0 = energy_ideal(geometry).value
+    p0 = -math.pi ** 2 * HBAR * C_LIGHT / 240.0 * 1e24
+    for rel_tol in (1e-6, 1e-10):
+        tol = ToleranceConfig(rel_tol, rel_tol, 1e-3)
+        e = energy_T0(IdealMetal(), geometry, tol)
+        p = pressure_plates(IdealMetal(), geometry, ThermalState(0.0), tol)
+        for res, closed in ((e, e0), (p, p0)):
+            assert abs(res.value - closed) <= res.numeric_error, rel_tol
+            assert res.numeric_error <= 2.0 * rel_tol * abs(closed)
+
+
+def test_zero_temperature_rule_matches_nested_quad_oracle():
+    # the skin-effect impedances are non-analytic at zeta = 0 (zeta^(1/2),
+    # zeta^(2/3)), which matters most at small a; Drude dissipation sits at
+    # zeta ~ 4e-6 y^2 at 10 um.  The oracle integrates zeta outside.
+    from oracles import energy_T0_nested_quad
+
+    for model, a in ((NormalSkin(1e17), 0.15e-6), (GOLD_AS, 0.15e-6),
+                     (Drude(GOLD.plasma_frequency, 5.3e13), 10e-6)):
+        geometry = Geometry(a)
+        ref = energy_T0_nested_quad(model, geometry)
+        for rel_tol in (1e-6, 1e-9):
+            res = energy_T0(model, geometry,
+                            ToleranceConfig(rel_tol, rel_tol, 1e-3))
+            assert abs(res.value - ref) <= res.numeric_error, (model, rel_tol)
+            assert res.numeric_error <= 2.0 * rel_tol * abs(ref)
+
+
+def test_zero_temperature_rule_evaluates_kernels_in_chunks(monkeypatch):
+    # at a tight tolerance the rule refines past one chunk; no call of an X
+    # kernel may receive more points than the chunk, and every point of
+    # every level passes through one
+    import casimir_impedance.observables as obs
+
+    sizes = []
+
+    def recording(kernel):
+        def wrapper(model, geometry, zeta, y):
+            sizes.append(np.size(y))
+            return kernel(model, geometry, zeta, y)
+        return wrapper
+
+    for name in ("x_factors_grid", "lifshitz_x_grid"):
+        monkeypatch.setattr(obs, name, recording(getattr(obs, name)))
+    tight = ToleranceConfig(1e-10, 1e-10, 1e-3)
+    for model, a in ((GOLD_IR, 10e-9),
+                     (Drude(GOLD.plasma_frequency, 5.3e13), 0.1e-6)):
+        sizes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 10 nm is below lambda_p
+            res = energy_T0(model, Geometry(a), tight)
+        assert sum(sizes) == res.diagnostics["evaluations"]
+        assert sum(sizes) > 3 * _WEDGE_CHUNK
+        assert max(sizes) <= _WEDGE_CHUNK

@@ -7,7 +7,8 @@ import pytest
 
 from casimir_impedance.quadrature import (
     IntegralResult, NonConvergenceError, SumResult,
-    integrate_interval, integrate_semiinf, matsubara_sum, tail_cutoff,
+    integrate_interval, integrate_semiinf, integrate_wedge, matsubara_sum,
+    tail_cutoff,
 )
 
 
@@ -142,3 +143,40 @@ def test_sum_deterministic():
     a = matsubara_sum(term, 1e-9, 10)
     b = matsubara_sum(term, 1e-9, 10)
     assert a.value == b.value and a.terms_used == b.terms_used
+
+
+def test_wedge_rule_exact_on_polynomial_and_window():
+    # int_0^Y dy int_0^min(y,c) dzeta (zeta + y) e^-y, each piece in closed
+    # form; the window cut at c = 2 is a panel edge of the rule
+    upper = tail_cutoff(0.0, 1e-10)
+
+    def f(zeta, y):
+        return (zeta + y) * np.exp(-y)
+
+    full = integrate_wedge(f, upper, 1e-10)
+    assert full.value == pytest.approx(3.0, rel=1e-12)  # 1.5 * Gamma(3)
+    cut = integrate_wedge(f, upper, 1e-10, 2.0)
+    # y < 2: 1.5 y^2 e^-y; y > 2: (2 + 2 y) e^-y
+    closed = 1.5 * (2.0 - 10.0 * math.exp(-2.0)) + 8.0 * math.exp(-2.0)
+    assert cut.value == pytest.approx(closed, rel=1e-12)
+    assert cut.abs_error_estimate <= 1e-10 * closed
+
+
+def test_wedge_nonconvergence_reports_best_estimate():
+    def ridge(zeta, y):
+        return 1.0 / np.sqrt(np.abs(y - math.pi) + 1e-14)
+
+    with pytest.raises(NonConvergenceError) as excinfo:
+        integrate_wedge(ridge, 40.0, 1e-10)
+    best = excinfo.value.result
+    assert isinstance(best, IntegralResult)
+    assert best.abs_error_estimate > 0.0
+    assert best.evaluations > 0
+
+
+def test_non_finite_integrand_raises_floating_point_error():
+    with pytest.raises(FloatingPointError):
+        integrate_semiinf(lambda y: np.full_like(y, np.nan), 0.0, 1e-6)
+    with pytest.raises(FloatingPointError):
+        integrate_wedge(lambda zeta, y: np.where(y > 1.0, np.inf, 0.0),
+                        40.0, 1e-6)
