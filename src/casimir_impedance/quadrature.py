@@ -1,28 +1,26 @@
-"""Deterministic adaptive quadrature and convergence-controlled summation.
+"""Deterministic graded Gauss-Kronrod rules and convergence-controlled
+summation.
 
-The integrator is an adaptive bisection scheme built on the embedded
-7-point Gauss / 15-point Kronrod pair.  Semi-infinite integrals of
-integrands decaying at least like exp(-y) are truncated at
+Both rules put 15-point Kronrod nodes on graded level-0 panels, estimate
+the error from the embedded 7-point Gauss rule and halve every panel, one
+level at a time, until the error meets rel_tol.  The integrand is called on
+whole panels, at most _WEDGE_CHUNK points at a time, and panel sums are
+added in ascending order by fsum, so identical inputs give bit-identical
+results.  A non-finite integrand value raises FloatingPointError.
 
-    y_max = lower + max(40, ln(1/rel_tol) + 10)
+`integrate_interval` maps [0, 2.5e-5] and 12 geometric panels up to 1 onto
+[lower, upper] (over a length of 40, the wedge's y panels) and sums the
+panels' QUADPACK-rescaled |K15 - G7|.  Its rows (lower limits) share each
+integrand call, and each keeps the first level that meets rel_tol.  For
+integrands decaying like exp(-y), `integrate_semiinf` stops at
+lower + max(40, ln(1/rel_tol) + 10): the tail left out is below ~4e-18.
 
-which bounds the neglected tail below ~4e-18 relative.  Panel refinement
-always splits the panel with the largest error estimate (leftmost on
-ties), and the final value is accumulated over panels in ascending
-coordinate order with exact (fsum) summation, so identical inputs give
-bit-identical results.
-
-Integrands must accept a numpy array of abscissae and return an array of
-the same shape; panels are evaluated in vectorized batches.
-
-Double integrals over the wedge 0 < zeta < min(y, cut) use a tensor rule
-instead: y outside, and zeta = min(y, cut) s^3, a grading that removes the
-zeta^(1/2) and zeta^(2/3) edge behaviour of the skin-effect impedances.
-K15 x K15 nodes fill each pair of a y panel ([0, 1e-3], then 12 geometric
-panels up to the cutoff, cut an extra edge) and an s panel ([0, 1e-2], then
-3 geometric ones up to 1); the error is the summed |K15 x K15 - G7 x G7| of
-every pair, and all panels are halved together until it meets rel_tol.
-Either rule raises FloatingPointError on a non-finite integrand.
+`integrate_wedge` takes int_0^Y dy int_0^min(y, cut) dzeta with zeta =
+min(y, cut) s^3, a grading that removes the zeta^(1/2) and zeta^(2/3) edge
+behaviour of the skin-effect impedances, on K15 x K15 nodes in each pair of
+a y panel ([0, 1e-3], then 12 geometric panels up to Y, cut an extra edge)
+and an s panel ([0, 1e-2], then 3 geometric ones up to 1); the error is the
+summed |K15 x K15 - G7 x G7| of every pair.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ _W_G[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 _EPS = np.finfo(float).eps
 
 # integrate_wedge: level-0 y and s panel edges (y: 12 geometric panels above
-# 1e-3), grading power, level budget, most points per call of the integrand
+# 1e-3), grading power, level budget; both rules: most points per f call
 _WEDGE_Y0 = 1e-3
 _WEDGE_S_EDGES = np.append(0.0, np.geomspace(1e-2, 1.0, 4))
 _WEDGE_GRADING = 3
@@ -74,6 +72,13 @@ _WEDGE_CHUNK = 1 << 16
 # Wedge integrals of the observables are at most 13 (ideal metal): an error
 # below 1e-15 counts as resolved, as rel_tol is out of reach at ~1e-30 (vacuum)
 _WEDGE_ABS_TOL = 1e-15
+
+# integrate_interval: level-0 edges on [0, 1] (the wedge's y edges over a
+# length of 40) and level budget; matsubara_sum: l per call, term budget
+_INTERVAL_EDGES = np.append(0.0, np.geomspace(_WEDGE_Y0 / 40.0, 1.0, 13))
+_INTERVAL_LEVELS = 10
+_MATSUBARA_BLOCK = 32
+_MATSUBARA_MAX_TERMS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -99,134 +104,107 @@ class NonConvergenceError(RuntimeError):
         self.result = result
 
 
-def _qk15_batch(f, lo: np.ndarray, hi: np.ndarray):
-    """Apply the G7/K15 pair to a batch of panels.
-
-    Returns (kronrod, error_estimate, resabs) per panel.  The error
-    estimate is the standard rescaled |K15 - G7| with a floor at
-    50*eps*resabs, so it cannot pretend to beat machine precision.
-    """
-    center = 0.5 * (lo + hi)
-    halfw = 0.5 * (hi - lo)
-    pts = center[:, None] + halfw[:, None] * _NODES[None, :]
-    fx = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+def _qk15_panels(fx: np.ndarray, w_k: np.ndarray, w_g: np.ndarray):
+    """(K15 value, error, resabs) per panel of the values ``fx`` (..., 15)
+    under weights (..., 15); the error is QUADPACK's rescaled |K15 - G7|,
+    floored at 50*eps*resabs so it cannot beat machine precision."""
     if not np.all(np.isfinite(fx)):
         raise FloatingPointError("integrand returned a non-finite value")
     # elementwise-multiply + pairwise sum instead of matmul: never hits a
     # threaded BLAS path, so results are bit-identical for any thread count
-    resk = halfw * (fx * _W_K).sum(axis=1)
-    resg = halfw * (fx * _W_G).sum(axis=1)
-    resabs = halfw * (np.abs(fx) * _W_K).sum(axis=1)
-    reskh = 0.5 * resk
-    resasc = halfw * (np.abs(fx - reskh[:, None] / halfw[:, None])
-                      * _W_K).sum(axis=1)
-    err = np.abs(resk - resg)
-    mask = (resasc != 0.0) & (err != 0.0)
-    scaled = np.ones_like(err)
-    np.divide(200.0 * err, resasc, out=scaled, where=mask)
+    resk = (fx * w_k).sum(axis=-1)
+    resabs = (np.abs(fx) * w_k).sum(axis=-1)
+    mean = (resk / w_k.sum(axis=-1))[..., None]
+    resasc = (np.abs(fx - mean) * w_k).sum(axis=-1)
+    err = np.abs(resk - (fx * w_g).sum(axis=-1))
+    mask = resasc != 0.0
+    scaled = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=mask)
     err = np.where(mask, resasc * np.minimum(1.0, scaled ** 1.5), err)
-    err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk, err, resabs
+    return resk, np.maximum(err, 50.0 * _EPS * resabs), resabs
 
 
 def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
-                       lower: float, upper: float, rel_tol: float,
-                       *, max_panels: int = 4096) -> IntegralResult:
-    """Adaptive integration of ``f`` over the finite interval [lower, upper].
-
-    Deterministic: refinement order and accumulation order are functions of
-    the inputs alone.  Raises NonConvergenceError (with the best estimate
-    attached) when ``max_panels`` panels do not reach the tolerance.
+                       lower, upper, rel_tol: float) -> IntegralResult:
+    """int_lower^upper f(y) dy by the graded rule of the module docstring,
+    for floats or for 1-D arrays of rows (the result then holds arrays);
+    ``f`` maps y of shape (rows, panels, 15) to an array of that shape.
+    Raises NonConvergenceError (with the best estimate attached) when a row
+    misses the tolerance after _INTERVAL_LEVELS levels.
     """
-    if not 0.0 < rel_tol <= 1e-2:
-        raise ValueError("rel_tol must lie in (0, 1e-2]")
-    if not upper > lower:
-        raise ValueError("upper must exceed lower")
+    lo, length = (np.atleast_1d(np.asarray(x, dtype=float))
+                  for x in (lower, upper - lower))
+    if not (0.0 < rel_tol <= 1e-2 and np.all(length > 0.0)):
+        raise ValueError("need rel_tol in (0, 1e-2] and upper > lower")
+    rows, unmet, evaluations = len(lo), list(range(len(lo))), 0
+    value, err = np.zeros(rows), np.zeros(rows)
+    step = max(1, _WEDGE_CHUNK // (15 * rows))
+    for level in range(_INTERVAL_LEVELS):
+        u, w_k, w_g = _gk_panels(_INTERVAL_EDGES, level)
+        parts = []
+        for i in range(0, len(u), step):  # whole panels of every row
+            y = lo[:, None, None] + length[:, None, None] * u[i:i + step]
+            parts.append(_qk15_panels(np.asarray(f(y), dtype=float),
+                                      w_k[i:i + step], w_g[i:i + step]))
+        evaluations += rows * u.size
+        k, e, a = (np.concatenate(p, axis=1).tolist() for p in zip(*parts))
+        for r in unmet:  # sums over the unit-length panels, scaled
+            value[r], err[r] = (length[r] * math.fsum(x[r]) for x in (k, e))
+        unmet = [r for r in unmet if err[r] > max(rel_tol * abs(value[r]),
+                 length[r] * 50.0 * _EPS * math.fsum(a[r]))]
+        if not unmet:
+            break
+    result = IntegralResult(*(v if np.ndim(lower) else float(v[0])
+                              for v in (value, err)), evaluations)
+    if unmet:
+        raise NonConvergenceError(
+            f"no convergence to rel_tol={rel_tol:g} within {_INTERVAL_LEVELS}"
+            f" levels (error estimate {max(err[unmet]):.3g})", result)
+    return result
 
-    edges = np.linspace(lower, upper, 9)  # eight equal starting panels
-    los, his = list(edges[:-1]), list(edges[1:])
-    vals, errs, resabs = map(list, _qk15_batch(f, edges[:-1], edges[1:]))
-    evaluations = 15 * len(vals)
 
-    while True:
-        total = math.fsum(vals)
-        total_err = math.fsum(errs)
-        floor = max(rel_tol * abs(total), 50.0 * _EPS * math.fsum(resabs))
-        if total_err <= floor:
-            return IntegralResult(total, total_err, evaluations)
-        if len(vals) >= max_panels:
-            raise NonConvergenceError(
-                f"no convergence to rel_tol={rel_tol:g} within "
-                f"{max_panels} panels (error estimate {total_err:.3g})",
-                IntegralResult(total, total_err, evaluations))
-        k = int(np.argmax(errs))  # first maximum = leftmost: deterministic
-        mid = 0.5 * (los[k] + his[k])
-        halves = _qk15_batch(f, np.array([los[k], mid]),
-                             np.array([mid, his[k]]))
-        evaluations += 30
-        los[k:k + 1], his[k:k + 1] = [los[k], mid], [mid, his[k]]
-        for kept, half in zip((vals, errs, resabs), halves):
-            kept[k:k + 1] = list(half)
-
-
-def tail_cutoff(lower: float, rel_tol: float) -> float:
+def tail_cutoff(lower, rel_tol: float):
     """Truncation point for integrands decaying at least like exp(-y)."""
     return lower + max(40.0, math.log(1.0 / rel_tol) + 10.0)
 
 
 def integrate_semiinf(f: Callable[[np.ndarray], np.ndarray],
-                      lower: float, rel_tol: float) -> IntegralResult:
-    """Integrate ``f`` over [lower, infinity) assuming exp(-y) decay.
-
-    The interval is truncated at ``tail_cutoff(lower, rel_tol)`` and handled
-    by `integrate_interval`; see the module docstring for the determinism
-    and error-reporting contract.
-    """
-    if lower < 0.0:
+                      lower, rel_tol: float) -> IntegralResult:
+    """Integrate ``f`` over [lower, infinity), rows and all, assuming
+    exp(-y) decay: `integrate_interval` up to ``tail_cutoff``."""
+    if np.any(np.asarray(lower) < 0.0):
         raise ValueError("lower must be non-negative")
     return integrate_interval(f, lower, tail_cutoff(lower, rel_tol), rel_tol)
 
 
-def matsubara_sum(term: Callable[[int], float], rel_tol: float,
-                  l_floor: int, *, max_terms: int = 10 ** 6) -> SumResult:
-    """Primed sum 0.5*term(0) + sum_{l>=1} term(l) with convergence control.
+def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
+                  l_floor: int) -> SumResult:
+    """Primed sum 0.5*t_0 + sum_{l>=1} t_l with convergence control.
 
-    Terms are accumulated in ascending index order with exact summation.
-    The sum stops once l >= l_floor and |term(l)| <= rel_tol * |accumulated|
-    held for three consecutive indices; l_floor guarantees the spectral
-    window that dominates the result is always covered regardless of how
-    quickly the early terms decay.
+    ``terms`` maps an array of indices l to their terms; it is asked for
+    l = 0 alone, then for blocks of _MATSUBARA_BLOCK.  Terms are taken in
+    ascending order and added with exact summation.  The sum stops once
+    l >= l_floor and |t_l| <= rel_tol * |running sum| held for three
+    consecutive indices, leaving out the rest of the block; l_floor
+    guarantees the spectral window that dominates the result is always
+    covered regardless of how quickly the early terms decay.
     """
-    if not 0.0 < rel_tol <= 1e-2:
-        raise ValueError("rel_tol must lie in (0, 1e-2]")
-    if l_floor < 0:
-        raise ValueError("l_floor must be non-negative")
-
-    terms = [0.5 * float(term(0))]
-    running = terms[0]
-    comp = 0.0  # Kahan compensation for the running magnitude test
-    consecutive = 0
-    l = 0
-    while True:
-        if consecutive >= 3 and l >= l_floor:
-            break
-        l += 1
-        if l > max_terms:
+    if not (0.0 < rel_tol <= 1e-2 and l_floor >= 0):
+        raise ValueError("need rel_tol in (0, 1e-2] and l_floor >= 0")
+    kept = [0.5 * float(terms(np.arange(1))[0])]
+    running, consecutive, block = kept[0], 0, []
+    while consecutive < 3 or len(kept) <= l_floor:
+        if len(kept) > _MATSUBARA_MAX_TERMS:
             raise NonConvergenceError(
-                f"Matsubara sum did not converge within {max_terms} terms",
-                SumResult(math.fsum(terms), len(terms), abs(terms[-1])))
-        t = float(term(l))
-        terms.append(t)
-        y = t - comp
-        s = running + y
-        comp = (s - running) - y
-        running = s
-        if abs(t) <= rel_tol * abs(running):
-            consecutive += 1
-        else:
-            consecutive = 0
-
-    return SumResult(math.fsum(terms), len(terms), abs(terms[-1]))
+                f"Matsubara sum did not converge within {_MATSUBARA_MAX_TERMS}"
+                " terms", SumResult(math.fsum(kept), len(kept), abs(kept[-1])))
+        if not block:
+            ls = np.arange(len(kept), len(kept) + _MATSUBARA_BLOCK)
+            block = np.asarray(terms(ls), dtype=float).tolist()[::-1]
+        kept.append(block.pop())
+        running += kept[-1]
+        small = abs(kept[-1]) <= rel_tol * abs(running)
+        consecutive = consecutive + 1 if small else 0
+    return SumResult(math.fsum(kept), len(kept), abs(kept[-1]))
 
 
 def _gk_panels(edges: np.ndarray, level: int):

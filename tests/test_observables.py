@@ -5,8 +5,10 @@ or summation oracles, or from the quoted reference computations for gold;
 each assertion states its tolerance explicitly.
 """
 
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from casimir_impedance.impedance import (
     AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
 )
 from casimir_impedance.reflection import Drude, Plasma
+from casimir_impedance import quadrature
 from casimir_impedance.quadrature import _WEDGE_CHUNK
 from casimir_impedance.observables import (
     ZETA3, Quantity, energy_T0, energy_ideal, entropy, force_sphere_plate,
@@ -451,3 +454,76 @@ def test_zero_temperature_rule_evaluates_kernels_in_chunks(monkeypatch):
         assert sum(sizes) == res.diagnostics["evaluations"]
         assert sum(sizes) > 3 * _WEDGE_CHUNK
         assert max(sizes) <= _WEDGE_CHUNK
+
+
+def test_matsubara_block_size_does_not_change_results(monkeypatch):
+    # a block is cut at the stopping index: the terms and quadrature errors
+    # past it are left out, and no row's value depends on its neighbours
+    cases = ((GOLD_IR, Geometry(1e-6), ThermalState(10.0)),
+             (Drude(GOLD.plasma_frequency, 5.3e13), Geometry(0.3e-6),
+              ThermalState(70.0)))
+    runs = []
+    for block in (quadrature._MATSUBARA_BLOCK, 1):
+        monkeypatch.setattr(quadrature, "_MATSUBARA_BLOCK", block)
+        runs.append([f(model, geometry, state, MED) for model, geometry, state
+                     in cases for f in (free_energy, pressure_plates)])
+    assert max(r.diagnostics["terms_used"] for r in runs[0]) > 64
+    for default, single in zip(*runs):
+        assert single.value == default.value
+        assert single.numeric_error == default.numeric_error
+        assert (single.diagnostics["terms_used"]
+                == default.diagnostics["terms_used"])
+
+
+def test_matsubara_terms_evaluate_kernels_in_chunks(monkeypatch):
+    # at tol 1e-10 a block of Matsubara rows stays below the default chunk
+    # (at most 32 rows x 780 points), so a smaller chunk makes the split
+    # by whole panels visible; every point passes through one call
+    import casimir_impedance.observables as obs
+
+    chunk = 1 << 10
+    monkeypatch.setattr(quadrature, "_WEDGE_CHUNK", chunk)
+    sizes = []
+
+    def recording(kernel):
+        def wrapper(model, geometry, zeta, y):
+            sizes.append(np.size(y))
+            return kernel(model, geometry, zeta, y)
+        return wrapper
+
+    for name in ("x_factors_grid", "lifshitz_x_grid"):
+        monkeypatch.setattr(obs, name, recording(getattr(obs, name)))
+    tight = ToleranceConfig(1e-10, 1e-10, 1e-3)
+    for model in (GOLD_IR, Drude(GOLD.plasma_frequency, 5.3e13)):
+        for f in (free_energy, pressure_plates):
+            sizes.clear()
+            res = f(model, Geometry(1e-6), ThermalState(70.0), tight)
+            assert sum(sizes) == res.diagnostics["evaluations"]
+            assert sum(sizes) > 3 * chunk
+            assert max(sizes) <= chunk
+
+
+def test_benchmark_tracer_runs_records():
+    # perfbench/smoke.py is not collected; this runs one T = 0 and one
+    # T > 0 record under the tracer that `perfbench/run.py --trace 1` uses
+    import casimir_impedance.cli as cli
+    import casimir_impedance.observables as obs
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    with tracer.installed(obs, cli):
+        for record, state in enumerate((ThermalState(0.0),
+                                        ThermalState(300.0))):
+            tracer.record_id = record
+            before = tracer.count["x_points"]
+            res = obs.pressure_plates(GOLD_IR, Geometry(1e-6), state)
+            assert res.value < 0.0
+            assert tracer.count["x_points"] > before
+    metrics, _ = tracer.layer_metrics(2, set(), 0, 0, 0.0)
+    assert set(metrics) == set(spans.LAYER_UNITS)
+    assert all(math.isfinite(v) for v in metrics.values())
+    assert metrics["quadrature.matsubara_sum.calls"] == 0.5
+    assert obs.pressure_plates.__name__ == "pressure_plates"  # restored
