@@ -64,11 +64,7 @@ class ConfigError(Exception):
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return "" if x is None else f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _parse_grid(text: str, *, log: bool, what: str) -> list[float]:
@@ -221,12 +217,9 @@ def _cmd_records(args) -> int:
     if args.command == "sphere-plate" and args.radius is None:
         raise ConfigError("sphere-plate requires --radius")
 
-    records = []
-    for a in seps:
-        for T in temps:
-            for name, model in models:
-                records.append(_compute_record(
-                    args.command, name, model, a, T, args.radius, tol))
+    records = [_compute_record(args.command, name, model, a, T, args.radius,
+                               tol)
+               for a in seps for T in temps for name, model in models]
 
     fmt = args.format or ("csv" if args.command == "sweep" else "human")
     with _open_output(args.output) as stream:
@@ -269,11 +262,8 @@ def _cmd_zero_freq(args) -> int:
     kperps = _parse_grid(args.kperp, log=True, what="--kperp")
     if any(k <= 0.0 for k in kperps):
         raise ConfigError("--kperp values must be positive")
-    rows = []
-    for name, cls in ZERO_FREQ_FORMS:
-        for k in kperps:
-            rows.append((name, k, *cls.zero_freq_r_sq(
-                k, material.plasma_frequency)))
+    rows = [(name, k, *cls.zero_freq_r_sq(k, material.plasma_frequency))
+            for name, cls in ZERO_FREQ_FORMS for k in kperps]
     fmt = args.format or "csv"
     with _open_output(args.output) as stream:
         if fmt == "csv":
@@ -363,9 +353,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

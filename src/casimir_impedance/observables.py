@@ -24,9 +24,10 @@ representation (not by differentiating F numerically):
 
 and the sphere-plate force through the proximity relation F = 2 pi R F_pp.
 One driver, `_spectral`, evaluates both forms for either y-integrand:
-the primed Matsubara sum at T > 0 and, at T = 0, the zeta integral with
-the order swapped, int_0^inf dy int_0^y dzeta, by the graded tensor rule
-`integrate_wedge`.  Every observable reaches the quadrature through it.
+the primed Matsubara sum at T > 0 (its remainder past l = 64 by
+Euler-Maclaurin) and, at T = 0, the zeta integral with the order swapped,
+int_0^inf dy int_0^y dzeta, by the graded tensor rule `integrate_wedge`.
+Every observable reaches the quadrature through it.
 The entropy S = -dF/dT uses a Richardson-extrapolated central difference.
 
 The zero-frequency (l = 0) term always comes from each model's analytic
@@ -52,8 +53,8 @@ from .physcore import (
 from .impedance import ImpedanceModel, InfraredOptics
 from .reflection import DielectricModel, lifshitz_x_grid, x_factors_grid
 from .quadrature import (  # integrate_interval: perfbench/spans.py wraps it
-    IntegralResult, integrate_interval, integrate_semiinf, integrate_wedge,
-    matsubara_sum, tail_cutoff,
+    IntegralResult, euler_maclaurin_ends, integrate_interval,
+    integrate_semiinf, integrate_wedge, matsubara_sum, tail_cutoff,
 )
 
 __all__ = [
@@ -184,31 +185,29 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
               zeta_lo: float = 0.0, zeta_hi: float = math.inf,
               ) -> tuple[float, float, dict]:
     """(value, absolute error, diagnostics) of an observable's spectral
-    form in physical units: (hbar c / 32 pi^2 a^power) times the integral
-    over zeta in (zeta_lo, zeta_hi) of the per-zeta y-integrals at T = 0,
-    and (k_B T / 8 pi a^(power-1)) times their primed Matsubara sum at
-    T > 0, where the window is not used.
-
-    At T = 0, with W(c) = int_0^Y dy int_0^min(y, c) dzeta and Y the
-    tail cutoff, the window is W(zeta_hi) - W(zeta_lo) and its error the
-    sum of the two rules' estimates.  At T > 0 the summation floor
-    ceil(10 omega_c / xi_1) covers the spectral window that dominates the
-    result even when early terms are small, and the error adds the per-term
-    quadrature errors to a geometric bound on the truncated tail: the terms
-    decay at least like exp(-zeta_1 l), so the omitted remainder is at most
-    ~ last_term / (exp(zeta_1) - 1).
+    form in physical units: (hbar c / 32 pi^2 a^power) times the
+    `integrate_wedge` band zeta_lo < zeta < min(y, zeta_hi) at T = 0, and
+    (k_B T / 8 pi a^(power-1)) times the primed Matsubara sum of the
+    y-integrals at T > 0, whose floor ceil(10 omega_c / xi_1) covers the
+    dominant spectral window.  Its error is the per-term quadrature errors
+    (quad_err) plus a remainder bound (tail_err): last_term / (e^zeta_1 - 1)
+    for a ladder that stops before l = L (the terms decay at least like
+    e^(-zeta_1 l)), while one that reaches L adds the Euler-Maclaurin
+    remainder, the band zeta > L zeta_1 over zeta_1 + `euler_maclaurin_ends`.
     """
     a = geometry.separation
-    if state.temperature <= 0.0:
-        rel_tol = tol.quadrature_rel_tol
-        hi, lo = (integrate_wedge(
+    rel_tol = tol.quadrature_rel_tol
+
+    def band(lo: float, hi: float = math.inf) -> IntegralResult:
+        return integrate_wedge(
             lambda zeta, y: integrand_factory(model, geometry, zeta)(y),
-            tail_cutoff(0.0, rel_tol), rel_tol, cut) if cut > 0.0
-            else IntegralResult(0.0, 0.0, 0) for cut in (zeta_hi, zeta_lo))
+            tail_cutoff(lo, rel_tol), rel_tol, hi, lo)
+
+    if state.temperature <= 0.0:
+        w = band(zeta_lo, zeta_hi)
         prefac = HBAR * C_LIGHT / (32.0 * math.pi ** 2 * a ** power)
-        return prefac * (hi.value - lo.value), prefac * (
-            hi.abs_error_estimate + lo.abs_error_estimate), {
-            "evaluations": hi.evaluations + lo.evaluations}
+        return prefac * w.value, prefac * w.abs_error_estimate, {
+            "evaluations": w.evaluations}
 
     xi1 = matsubara_frequency(1, state)
     zeta1 = 2.0 * a * xi1 / C_LIGHT
@@ -222,23 +221,33 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
         zeta = ls * zeta1
         rows, lower = (zeta[:, None, None], zeta) if ls[0] else (0.0, 0.0)
         done.append(integrate_semiinf(integrand_factory(
-            model, geometry, rows), lower, tol.quadrature_rel_tol))
+            model, geometry, rows), lower, rel_tol))
         return np.atleast_1d(done[-1].value)
 
     s = matsubara_sum(terms, tol.sum_rel_tol, l_floor)
-    # capped so that a large a*T cannot overflow expm1; the bound only grows
-    tail_est = s.last_term_magnitude / math.expm1(min(zeta1, 700.0))
+    value, evaluations = s.value, sum(r.evaluations for r in done)
+    quad_err = math.fsum(np.concatenate([np.atleast_1d(
+        r.abs_error_estimate) for r in done])[:s.terms_used])  # no overshoot
+    if not s.edge_terms:
+        # capped so that a large a*T cannot overflow expm1; the bound only grows
+        tail_err = s.last_term_magnitude / math.expm1(min(zeta1, 700.0))
+    else:  # past the cutoff Y the band is below e^-40 of the sum
+        lo = (s.terms_used - 1) * zeta1
+        w = (band(lo) if lo < tail_cutoff(0.0, rel_tol)
+             else IntegralResult(0.0, 0.0, 0))
+        ends, tail_err = euler_maclaurin_ends(s.edge_terms)
+        value += ends + w.value / zeta1
+        tail_err += w.abs_error_estimate / zeta1
+        evaluations += w.evaluations
     # (8 pi a) a, not 8 pi a^2: the free energy's 17-digit CSV shows the ulp
     denom = (8.0 * math.pi * a * a if power == 3
              else 8.0 * math.pi * a ** (power - 1))
     prefac = K_B * state.temperature / denom
-    quad_err = math.fsum(np.concatenate([np.atleast_1d(
-        r.abs_error_estimate) for r in done])[:s.terms_used])  # no overshoot
-    return prefac * s.value, prefac * (quad_err + tail_est), {
-        "terms_used": s.terms_used,
+    return prefac * value, prefac * (quad_err + tail_err), {
+        "terms_used": s.terms_used, "evaluations": evaluations,
         "last_term_magnitude": s.last_term_magnitude,
-        "evaluations": sum(r.evaluations for r in done),
-    }
+        "quad_err": prefac * quad_err, "tail_err": prefac * tail_err,
+        "tail": "euler_maclaurin" if s.edge_terms else "geometric"}
 
 
 def energy_T0(model: Model, geometry: Geometry,
@@ -276,6 +285,7 @@ def thermal_correction(model: Model, geometry: Geometry, state: ThermalState,
 
     E(a) is computed with the same reflection model, so the ratio isolates
     the temperature effect.  Positive in the attractive regime (F below E).
+    The diagnostics include F's, with the split of F's error.
     """
     fe = free_energy(model, geometry, state, tol)
     e0 = energy_T0(model, geometry, tol)
@@ -285,7 +295,7 @@ def thermal_correction(model: Model, geometry: Geometry, state: ThermalState,
         "free_energy": fe.value,
         "energy_T0": e0.value,
         "correction_factor": e0.diagnostics["correction_factor"],
-        "terms_used": fe.diagnostics["terms_used"],
+        **fe.diagnostics,
     })
 
 

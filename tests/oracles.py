@@ -273,3 +273,29 @@ def energy_T0_nested_quad(model, geometry: Geometry,
     outer = integrate.quad(inner, 0.0, 50.0, epsabs=0.0, epsrel=rel_tol,
                            limit=200)[0]
     return HBAR * C_LIGHT / (32.0 * math.pi ** 2 * a ** 3) * outer
+
+
+def free_energy_direct_ladder(model, geometry: Geometry, temperature: float,
+                              rel_tol: float = 1e-11,
+                              block: int = 512) -> float:
+    """Free energy per area as the primed Matsubara sum of the y-integrals
+    taken term by term up to l zeta_1 = 40, where the terms have fallen
+    below e^-40 of the first: no stop rule and no Euler-Maclaurin
+    remainder.  Each block of indices is one `integrate_semiinf` call with
+    a row per l (the package's y-rule; the summation is what it checks),
+    and the terms are added with math.fsum.
+    """
+    from casimir_impedance.observables import _free_energy_integrand
+    from casimir_impedance.physcore import HBAR, K_B
+    from casimir_impedance.quadrature import integrate_semiinf
+
+    a = geometry.separation
+    zeta1 = 4.0 * math.pi * a * K_B * temperature / (HBAR * C_LIGHT)
+    last = math.ceil(40.0 / zeta1)
+    terms = [0.5 * integrate_semiinf(
+        _free_energy_integrand(model, geometry, 0.0), 0.0, rel_tol).value]
+    for start in range(1, last + 1, block):
+        zeta = np.arange(start, min(start + block, last + 1)) * zeta1
+        terms.extend(np.atleast_1d(integrate_semiinf(_free_energy_integrand(
+            model, geometry, zeta[:, None, None]), zeta, rel_tol).value))
+    return K_B * temperature / (8.0 * math.pi * a * a) * math.fsum(terms)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from casimir_impedance import quadrature
 from casimir_impedance.cli import CSV_COLUMNS, main
 
 
@@ -374,3 +375,31 @@ def test_large_separation_temperature_product_exits_0(capsys):
                   if k not in ("model", "status") and v != ""]
         assert len(filled) >= 4
         assert all(math.isfinite(float(v)) for v in filled)
+
+
+def test_csv_bytes_kept_by_the_euler_maclaurin_cap(capsys, monkeypatch):
+    # T = 0 rows and ladders that stop before l = 64 print the same bytes
+    # with the cap lifted; a 10 K row reaches it and prints its error, the
+    # sum of the quadrature and tail parts
+    import casimir_impedance.observables as obs
+    from casimir_impedance.physcore import Geometry, ThermalState
+
+    argv = ("sweep", "--model", "infrared-optics,lifshitz-drude",
+            "--gamma", "5.3e13", "--separation", "1e-6:3e-6:2",
+            "--temperature", "0,300")
+    code, capped, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(quadrature, "_EULER_L", 10 ** 6)
+    code, uncapped, _ = run(capsys, *argv)
+    assert code == 0 and capped == uncapped
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "free-energy", "--separation", "1e-6",
+                       "--temperature", "10", "--format", "csv")
+    assert code == 0
+    row = dict(zip(CSV_COLUMNS, out.strip().split("\n")[1].split(",")))
+    res = obs.free_energy(obs.InfraredOptics(1.37e16), Geometry(1e-6),
+                          ThermalState(10.0))
+    assert row["err_estimate"] == f"{res.numeric_error:.17g}"
+    assert res.diagnostics["tail"] == "euler_maclaurin"
+    assert res.diagnostics["quad_err"] + res.diagnostics["tail_err"] \
+        == pytest.approx(res.numeric_error, rel=1e-14, abs=0.0)

@@ -380,7 +380,10 @@ def test_quadrature_reached_through_module_globals(monkeypatch):
             (lambda: pressure_plates(GOLD_IR, geometry, cold, loose), zero_t),
             (lambda: free_energy(GOLD_IR, geometry, warm, loose), thermal),
             (lambda: pressure_plates(GOLD_IR, geometry, warm, loose),
-             thermal)):
+             thermal),
+            # 10 K: the ladder reaches l = 64 and its remainder is a wedge
+            (lambda: free_energy(GOLD_IR, geometry, ThermalState(10.0),
+                                 loose), thermal | zero_t)):
         calls.clear()
         run()
         assert set(calls) == reached
@@ -501,6 +504,82 @@ def test_matsubara_terms_evaluate_kernels_in_chunks(monkeypatch):
             assert sum(sizes) == res.diagnostics["evaluations"]
             assert sum(sizes) > 3 * chunk
             assert max(sizes) <= chunk
+
+
+def test_long_ladders_match_direct_ladder_oracle():
+    # at 0.15 um the floor asks for 4050 (3 K) and 1216 (10 K) terms; the
+    # ladder stops at l = 64 and adds the Euler-Maclaurin remainder, while
+    # the oracle sums every term up to l zeta_1 = 40
+    from oracles import free_energy_direct_ladder
+
+    geometry = Geometry(0.15e-6)
+    for model in (GOLD_IR, GOLD_AS, Drude(GOLD.plasma_frequency, 5.3e13)):
+        for temperature in (3.0, 10.0):
+            ref = free_energy_direct_ladder(model, geometry, temperature)
+            for rel_tol in (1e-6, 1e-10):
+                res = free_energy(model, geometry, ThermalState(temperature),
+                                  ToleranceConfig(rel_tol, rel_tol, 1e-3))
+                case = (model, temperature, rel_tol)
+                assert res.diagnostics["tail"] == "euler_maclaurin", case
+                assert abs(res.value - ref) <= rel_tol * abs(ref), case
+                assert abs(res.value - ref) <= res.numeric_error, case
+
+
+def test_euler_maclaurin_cap_leaves_short_ladders_alone(monkeypatch):
+    # a 300 K, 1 um ladder stops near l = 20: no cap changes a bit of it;
+    # a 10 K, 0.15 um ladder handed off at l = 128 instead of 64 agrees
+    # with the default within the default's error
+    short = (GOLD_IR, Geometry(1e-6), ThermalState(300.0), MED)
+    long_ = (GOLD_IR, Geometry(0.15e-6), ThermalState(10.0), MED)
+    observables = (free_energy, pressure_plates)
+    default = [(f(*short), f(*long_)) for f in observables]
+    monkeypatch.setattr(quadrature, "_EULER_L", 10 ** 6)
+    for f, (base, _) in zip(observables, default):
+        res = f(*short)
+        assert res.diagnostics["tail"] == base.diagnostics["tail"] \
+            == "geometric"
+        assert res.value == base.value
+        assert res.numeric_error == base.numeric_error
+        assert res.diagnostics["terms_used"] == base.diagnostics["terms_used"]
+    monkeypatch.setattr(quadrature, "_EULER_L", 128)
+    for f, (_, base) in zip(observables, default):
+        res = f(*long_)
+        assert base.diagnostics["terms_used"] == 65
+        assert res.diagnostics["terms_used"] == 129
+        assert abs(res.value - base.value) <= base.numeric_error
+
+
+def test_error_splits_into_quadrature_and_tail_parts(monkeypatch):
+    # both remainders: the parts add up to the reported error, and the
+    # evaluations count every X point, the remainder's wedge included
+    import casimir_impedance.observables as obs
+
+    sizes = []
+
+    def recording(kernel):
+        def wrapper(model, geometry, zeta, y):
+            sizes.append(np.size(y))
+            return kernel(model, geometry, zeta, y)
+        return wrapper
+
+    for name in ("x_factors_grid", "lifshitz_x_grid"):
+        monkeypatch.setattr(obs, name, recording(getattr(obs, name)))
+    geometry = Geometry(1e-6)
+    for temperature, tail in ((300.0, "geometric"),
+                              (10.0, "euler_maclaurin")):
+        for f in (free_energy, pressure_plates):
+            sizes.clear()
+            res = f(GOLD_IR, geometry, ThermalState(temperature), MED)
+            d = res.diagnostics
+            assert d["tail"] == tail
+            assert d["quad_err"] > 0.0 and d["tail_err"] > 0.0
+            assert d["quad_err"] + d["tail_err"] == pytest.approx(
+                res.numeric_error, rel=1e-14, abs=0.0)
+            assert sum(sizes) == d["evaluations"]
+    fe = free_energy(GOLD_IR, geometry, ThermalState(10.0), MED)
+    tc = thermal_correction(GOLD_IR, geometry, ThermalState(10.0), MED)
+    for key in ("terms_used", "quad_err", "tail_err", "tail", "evaluations"):
+        assert tc.diagnostics[key] == fe.diagnostics[key], key
 
 
 def test_benchmark_tracer_runs_records():

@@ -7,7 +7,7 @@ import pytest
 
 from casimir_impedance import quadrature
 from casimir_impedance.quadrature import (
-    IntegralResult, NonConvergenceError, SumResult,
+    IntegralResult, NonConvergenceError, SumResult, euler_maclaurin_ends,
     integrate_interval, integrate_semiinf, integrate_wedge, matsubara_sum,
     tail_cutoff,
 )
@@ -128,15 +128,22 @@ def test_geometric_series():
 
 
 def test_sum_floor_is_respected():
+    res = matsubara_sum(lambda l: 0.5 ** l, 1e-6, 40)
+    assert res.terms_used >= 41 and res.edge_terms == ()
+    # a floor above L: the ladder hands off at L with t_{L-6}, ..., t_L
+    big_l = quadrature._EULER_L
     res = matsubara_sum(lambda l: 0.5 ** l, 1e-6, 80)
-    assert res.terms_used >= 81
+    assert res.terms_used == big_l + 1
+    assert res.edge_terms == tuple(0.5 ** np.arange(big_l - 6, big_l + 1))
+    assert res.value == 0.5 + math.fsum(0.5 ** np.arange(1, big_l))
 
 
-def test_sum_nonconvergence_budget(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MATSUBARA_MAX_TERMS", 500)
-    with pytest.raises(NonConvergenceError) as excinfo:
-        matsubara_sum(lambda ls: np.ones(len(ls)), 1e-6, 0)
-    assert isinstance(excinfo.value.result, SumResult)
+def test_sum_of_ones_hands_off_at_euler_l():
+    res = matsubara_sum(lambda ls: np.ones(len(ls)), 1e-6, 0)
+    assert isinstance(res, SumResult)
+    assert res.terms_used == quadrature._EULER_L + 1
+    assert res.value == quadrature._EULER_L - 0.5
+    assert res.edge_terms == (1.0,) * 7
 
 
 def test_sum_deterministic():
@@ -163,6 +170,42 @@ def test_wedge_rule_exact_on_polynomial_and_window():
     closed = 1.5 * (2.0 - 10.0 * math.exp(-2.0)) + 8.0 * math.exp(-2.0)
     assert cut.value == pytest.approx(closed, rel=1e-12)
     assert cut.abs_error_estimate <= 1e-10 * closed
+
+
+def test_wedge_band_above_lo_is_the_difference_of_wedges():
+    # int_lo^inf dy int_lo^y dzeta (zeta + y) e^-y = (2 lo + 3) e^-lo, the
+    # Matsubara remainder's form; lo = 0 is the wedge, bit for bit
+    def f(zeta, y):
+        return (zeta + y) * np.exp(-y)
+
+    upper = tail_cutoff(0.0, 1e-10)
+    full = integrate_wedge(f, upper, 1e-10)
+    assert integrate_wedge(f, upper, 1e-10, lo=0.0) == full
+    for lo in (0.3, 2.5, 9.0):
+        band = integrate_wedge(f, tail_cutoff(lo, 1e-10), 1e-10, lo=lo)
+        below = integrate_wedge(f, upper, 1e-10, lo)
+        assert abs(band.value - (full.value - below.value)) <= (
+            band.abs_error_estimate + full.abs_error_estimate
+            + below.abs_error_estimate)
+        closed = (2.0 * lo + 3.0) * math.exp(-lo)
+        assert abs(band.value - closed) <= band.abs_error_estimate + 1e-15
+        assert band.abs_error_estimate <= 1e-10 * closed
+    with pytest.raises(ValueError):
+        integrate_wedge(f, 40.0, 1e-6, cut=1.0, lo=1.0)
+
+
+def test_euler_maclaurin_ends_on_geometric_terms():
+    # sum_{l>=L} e^-al - int_L^inf e^-al dl = e^-aL (1/(1 - e^-a) - 1/a)
+    from mpmath import exp, mp, mpf
+
+    mp.dps = 40
+    big_l = 64
+    for a in (0.02, 0.1, 0.3):
+        ends, bound = euler_maclaurin_ends(
+            np.exp(-a * np.arange(big_l - 6, big_l + 1)))
+        x = mpf(a)
+        exact = float(exp(-x * big_l) * (1 / (1 - exp(-x)) - 1 / x))
+        assert abs(ends - exact) <= bound <= 1e-4 * exact, a
 
 
 def test_wedge_nonconvergence_reports_best_estimate():
