@@ -282,10 +282,10 @@ def _make_tol(args) -> ToleranceConfig:
     if args.rel_tol is None:
         return ToleranceConfig()
     try:
-        return ToleranceConfig(quadrature_rel_tol=args.rel_tol,
-                               sum_rel_tol=args.rel_tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        return ToleranceConfig(args.rel_tol)
+    except ValueError:
+        raise ConfigError(f"--rel-tol must lie in (0, 1e-2], got "
+                          f"{args.rel_tol!r}") from None
 
 
 @contextlib.contextmanager
@@ -333,8 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float,
                        help="relaxation frequency in rad/s (lifshitz-drude)")
         p.add_argument("--rel-tol", type=float, dest="rel_tol",
-                       help="relative tolerance for quadrature and summation "
-                            "(default 1e-6)")
+                       help="relative tolerance of every integral and of "
+                            "the Matsubara sum (default 1e-6)")
         p.add_argument("--kperp", default="1e5:1e8:7",
                        help="transverse wavenumber grid in rad/m (zero-freq)")
         p.add_argument("--output", help="output path (default: stdout)")

@@ -47,8 +47,7 @@ import numpy as np
 
 from .physcore import (
     C_LIGHT, HBAR, K_B, Geometry, MaterialParams, ThermalState,
-    ToleranceConfig, characteristic_frequency, effective_temperature,
-    matsubara_frequency,
+    ToleranceConfig, effective_temperature, matsubara_frequency,
 )
 from .impedance import ImpedanceModel, InfraredOptics
 from .reflection import DielectricModel, lifshitz_x_grid, x_factors_grid
@@ -69,6 +68,7 @@ Model = Union[ImpedanceModel, DielectricModel]
 ZETA3 = 1.2020569031595943  # Riemann zeta(3)
 
 DEFAULT_TOL = ToleranceConfig()
+_ENTROPY_STEP = 1e-3  # entropy's difference step h over T
 
 
 class Quantity(Enum):
@@ -188,8 +188,9 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     form in physical units: (hbar c / 32 pi^2 a^power) times the
     `integrate_wedge` band zeta_lo < zeta < min(y, zeta_hi) at T = 0, and
     (k_B T / 8 pi a^(power-1)) times the primed Matsubara sum of the
-    y-integrals at T > 0, whose floor ceil(10 omega_c / xi_1) covers the
-    dominant spectral window.  Its error is the per-term quadrature errors
+    y-integrals at T > 0, whose floor ceil(10 / zeta_1) covers the dominant
+    spectral window zeta <= 10; every integral and the sum's stop rule use
+    tol.quadrature_rel_tol.  Its error is the per-term quadrature errors
     (quad_err) plus a remainder bound (tail_err): last_term / (e^zeta_1 - 1)
     for a ladder that stops before l = L (the terms decay at least like
     e^(-zeta_1 l)), while one that reaches L adds the Euler-Maclaurin
@@ -209,10 +210,8 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
         return prefac * w.value, prefac * w.abs_error_estimate, {
             "evaluations": w.evaluations}
 
-    xi1 = matsubara_frequency(1, state)
-    zeta1 = 2.0 * a * xi1 / C_LIGHT
-    omega_c = characteristic_frequency(geometry)
-    l_floor = max(1, math.ceil(10.0 * omega_c / xi1))
+    zeta1 = 2.0 * a * matsubara_frequency(1, state) / C_LIGHT
+    l_floor = math.ceil(10.0 / zeta1)
     done: list[IntegralResult] = []
 
     def terms(ls: np.ndarray) -> np.ndarray:
@@ -224,7 +223,7 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
             model, geometry, rows), lower, rel_tol))
         return np.atleast_1d(done[-1].value)
 
-    s = matsubara_sum(terms, tol.sum_rel_tol, l_floor)
+    s = matsubara_sum(terms, rel_tol, l_floor)
     value, evaluations = s.value, sum(r.evaluations for r in done)
     quad_err = math.fsum(np.concatenate([np.atleast_1d(
         r.abs_error_estimate) for r in done])[:s.terms_used])  # no overshoot
@@ -332,7 +331,7 @@ def entropy(model: Model, geometry: Geometry, state: ThermalState,
     """Entropy per unit area S = -dF/dT (J/(m^2 K)).
 
     One Richardson extrapolation level over central differences with steps
-    h and h/2, h = entropy_step_fraction * T.  The reported numeric_error
+    h and h/2, h = 1e-3 T (_ENTROPY_STEP).  The reported numeric_error
     combines the Richardson correction with the propagated free-energy
     errors; an entropy indistinguishable from zero (error >= |value|) is a
     valid outcome near T = 0 and is flagged in the diagnostics.
@@ -340,7 +339,7 @@ def entropy(model: Model, geometry: Geometry, state: ThermalState,
     temp = state.temperature
     if temp <= 0.0:
         raise ValueError("entropy requires T > 0")
-    h = tol.entropy_step_fraction * temp
+    h = _ENTROPY_STEP * temp
 
     def diff(step: float) -> tuple[float, float]:
         lo = free_energy(model, geometry, ThermalState(temp - step), tol)

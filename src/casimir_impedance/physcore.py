@@ -165,18 +165,14 @@ class Geometry:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Relative tolerances for quadrature and Matsubara summation, and the
-    fractional temperature step of the entropy finite difference."""
+    """The relative tolerance of every integral and of the Matsubara sum's
+    stop rule."""
 
     quadrature_rel_tol: float = 1e-6
-    sum_rel_tol: float = 1e-6
-    entropy_step_fraction: float = 1e-3
 
     def __post_init__(self) -> None:
-        for name in ("quadrature_rel_tol", "sum_rel_tol", "entropy_step_fraction"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1e-2:
-                raise ValueError(f"{name} must lie in (0, 1e-2]")
+        if not 0.0 < self.quadrature_rel_tol <= 1e-2:
+            raise ValueError("quadrature_rel_tol must lie in (0, 1e-2]")
 
 
 class Regime(Enum):

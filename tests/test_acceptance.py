@@ -55,8 +55,8 @@ GOLD_CA = derive_anomalous_constant(GOLD)
 GOLD_IR = InfraredOptics(GOLD.plasma_frequency)
 GOLD_AS = AnomalousSkin(GOLD_CA)
 
-TIGHT = ToleranceConfig(1e-10, 1e-9, 1e-3)
-MED = ToleranceConfig(1e-8, 1e-8, 1e-3)
+TIGHT = ToleranceConfig(1e-10)
+MED = ToleranceConfig(1e-8)
 
 
 def report(criterion, ok, detail):
@@ -203,7 +203,7 @@ def test_criterion_8_matsubara_truncation():
     # a) the self-truncating sum stops after about 41 terms once the
     #    tolerance matches the ~1e-5 relative weight of the omitted tail
     res = free_energy(GOLD_IR, geometry, state,
-                      ToleranceConfig(1e-8, 1e-5, 1e-3))
+                      ToleranceConfig(1e-5))
     terms = res.diagnostics["terms_used"]
     # b) hard truncation at the first 41 frequencies changes the result by
     #    less than 0.1% against a 200-term sum
@@ -288,7 +288,7 @@ def test_criterion_10_identities_bulk():
 
 def test_criterion_10_entropy_grid_nonnegative():
     a_tr = C_LIGHT / (2.0 * transition_frequency(GOLD))
-    tol = ToleranceConfig(1e-8, 1e-8, 1e-3)
+    tol = ToleranceConfig(1e-8)
     grid_a = np.geomspace(0.2e-6, 5e-6, 10)
     grid_t = (10.0, 50.0, 110.0, 200.0, 300.0)
     failures = []

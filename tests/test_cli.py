@@ -22,7 +22,7 @@ def test_energy_ideal_single_point(capsys):
     assert lines[0] == ",".join(CSV_COLUMNS)
     row = dict(zip(CSV_COLUMNS, lines[1].split(",")))
     assert float(row["energy_J_per_m2"]) == pytest.approx(-4.33e-10,
-                                               rel=2e-3)
+                                               rel=2e-3, abs=0.0)
     assert row["free_energy_J_per_m2"] == ""
     assert row["status"] == "ok"
 
@@ -131,15 +131,15 @@ def test_pressure_and_sphere_plate_records(capsys):
                        "--format", "csv")
     assert code == 0
     row = dict(zip(CSV_COLUMNS, out.strip().split("\n")[1].split(",")))
-    assert float(row["pressure_N_per_m2"]) == pytest.approx(-1.30e-3,
-                                                            rel=1e-3)
+    assert float(row["pressure_N_per_m2"]) == pytest.approx(
+        -1.30e-3, rel=1e-3, abs=0.0)
     code, out, _ = run(capsys, "sphere-plate", "--model", "ideal",
                        "--separation", "1e-6", "--radius", "1e-4",
                        "--format", "csv")
     assert code == 0
     row = dict(zip(CSV_COLUMNS, out.strip().split("\n")[1].split(",")))
-    assert float(row["force_sphere_plate_N"]) == pytest.approx(-2.72e-13,
-                                                               rel=2e-3)
+    assert float(row["force_sphere_plate_N"]) == pytest.approx(
+        -2.72e-13, rel=2e-3, abs=0.0)
 
 
 def test_sphere_plate_requires_radius(capsys):
@@ -221,6 +221,11 @@ def test_output_file_and_grid_validation(tmp_path, capsys):
                        "--separation", "2e-6:1e-6:5", "--temperature", "0")
     assert code == 2
     assert "start < stop" in err
+    for rel_tol in ("0", "0.5"):
+        code, out, err = run(capsys, "energy", "--model", "ideal",
+                             "--separation", "1e-6", "--rel-tol", rel_tol)
+        assert code == 2 and out == ""
+        assert "--rel-tol" in err
 
 
 def test_human_format_default(capsys):

@@ -29,8 +29,8 @@ from casimir_impedance.observables import (
     spectral_contribution, thermal_correction,
 )
 
-TIGHT = ToleranceConfig(1e-9, 1e-9, 1e-3)
-MED = ToleranceConfig(1e-8, 1e-8, 1e-3)
+TIGHT = ToleranceConfig(1e-9)
+MED = ToleranceConfig(1e-8)
 
 GOLD_IR = InfraredOptics(GOLD.plasma_frequency)
 GOLD_AS = AnomalousSkin(derive_anomalous_constant(GOLD))
@@ -39,21 +39,22 @@ GOLD_AS = AnomalousSkin(derive_anomalous_constant(GOLD))
 def test_energy_ideal_reference_value():
     res = energy_ideal(Geometry(1e-6))
     assert res.quantity is Quantity.ENERGY_PER_AREA
-    assert res.value == pytest.approx(-4.33e-10, rel=1e-3)
+    assert res.value == pytest.approx(-4.33e-10, rel=1e-3, abs=0.0)
     assert res.value == pytest.approx(
-        -math.pi ** 2 * HBAR * C_LIGHT / 720.0 * 1e18, rel=1e-15)
+        -math.pi ** 2 * HBAR * C_LIGHT / 720.0 * 1e18, rel=1e-15, abs=0.0)
 
 
 def test_energy_ideal_cubic_scaling():
     e1 = energy_ideal(Geometry(0.73e-6)).value
     e2 = energy_ideal(Geometry(1.46e-6)).value
-    assert e1 == pytest.approx(8.0 * e2, rel=1e-15)
+    assert e1 == pytest.approx(8.0 * e2, rel=1e-15, abs=0.0)
 
 
 def test_ideal_numeric_integral_matches_closed_form():
     geometry = Geometry(1e-6)
     res = energy_T0(IdealMetal(), geometry, MED)
-    assert res.value == pytest.approx(energy_ideal(geometry).value, rel=1e-6)
+    assert res.value == pytest.approx(energy_ideal(geometry).value,
+                                      rel=1e-6, abs=0.0)
     assert res.diagnostics["correction_factor"] == pytest.approx(1.0,
                                                                  abs=1e-7)
 
@@ -73,14 +74,14 @@ def test_free_energy_ideal_closed_series_vs_numeric_sum():
     state = ThermalState(300.0)
     closed = free_energy_ideal(geometry, state)
     numeric = free_energy(IdealMetal(), geometry, state, TIGHT)
-    assert numeric.value == pytest.approx(closed.value, rel=1e-6)
+    assert numeric.value == pytest.approx(closed.value, rel=1e-6, abs=0.0)
 
 
 def test_free_energy_ideal_zero_T_limit():
     geometry = Geometry(1e-6)
     e0 = energy_ideal(geometry).value
     low = free_energy_ideal(geometry, ThermalState(1e-4))
-    assert low.value == pytest.approx(e0, rel=1e-12)
+    assert low.value == pytest.approx(e0, rel=1e-12, abs=0.0)
     assert free_energy_ideal(geometry, ThermalState(0.0)).value == e0
 
 
@@ -90,9 +91,9 @@ def test_free_energy_ideal_classical_limit():
     temp = 20.0 * effective_temperature(geometry)
     closed = free_energy_ideal(geometry, ThermalState(temp))
     classical = -K_B * temp * ZETA3 / (8.0 * math.pi * 1e-12)
-    assert closed.value == pytest.approx(classical, rel=1e-2)
+    assert closed.value == pytest.approx(classical, rel=1e-2, abs=0.0)
     numeric = free_energy(IdealMetal(), geometry, ThermalState(temp), TIGHT)
-    assert numeric.value == pytest.approx(closed.value, rel=1e-9)
+    assert numeric.value == pytest.approx(closed.value, rel=1e-9, abs=0.0)
 
 
 def test_free_energy_ideal_error_covers_high_temperature_limit():
@@ -121,7 +122,7 @@ def test_free_energy_requires_positive_temperature():
 def test_free_energy_to_zero_T_consistency():
     geometry = Geometry(1e-6)
     temp = effective_temperature(geometry) / 1000.0
-    tol = ToleranceConfig(1e-8, 1e-7, 1e-3)
+    tol = ToleranceConfig(1e-8)
     fe = free_energy(GOLD_IR, geometry, ThermalState(temp), tol)
     e0 = energy_T0(GOLD_IR, geometry, tol)
     assert abs(fe.value / e0.value - 1.0) < 1e-3
@@ -138,16 +139,29 @@ def test_monotone_plasma_frequency_ordering():
         assert abs(val) < abs(ideal) * (1.0 + 1e-9)
         last = val
     big = free_energy(InfraredOptics(1e20), geometry, state, MED).value
-    assert big == pytest.approx(ideal, rel=1e-3)
+    assert big == pytest.approx(ideal, rel=1e-3, abs=0.0)
 
 
 def test_free_energy_term_count_tracks_dominant_window():
-    # at 0.15 um / 300 K the sum is forced through l = ceil(10 omega_c/xi_1)
-    # = 41 and self-truncates right after once the tolerance matches the
-    # ~1e-5 relative weight of the omitted tail
+    # at 0.15 um / 300 K the floor ceil(10 / zeta_1) = 41 takes the ladder
+    # through l = 41 (42 terms); with no floor it stops there by itself, as
+    # the terms fall below 1e-5 of the sum only at the edge of the window
     res = free_energy(GOLD_IR, Geometry(0.15e-6), ThermalState(300.0),
-                      ToleranceConfig(1e-8, 1e-5, 1e-3))
+                      ToleranceConfig(1e-5))
     assert 36 <= res.diagnostics["terms_used"] <= 46
+
+
+def test_floor_keeps_loose_tolerance_ladders_within_tol():
+    # at 1.92 um the terms fall below 1e-2 (3 K) or 1e-3 (10 K) of the
+    # running sum after 58-59 terms, while the remainder is still 27% (0.8%)
+    # of it; the floor ceil(10 / zeta_1) takes both ladders to the hand-off
+    geometry = Geometry(1.92e-6)
+    for temperature, rel_tol in ((3.0, 1e-2), (10.0, 1e-3)):
+        state = ThermalState(temperature)
+        ref = free_energy(GOLD_IR, geometry, state, MED).value
+        res = free_energy(GOLD_IR, geometry, state, ToleranceConfig(rel_tol))
+        assert res.diagnostics["tail"] == "euler_maclaurin"
+        assert abs(res.value - ref) <= rel_tol * abs(ref)
 
 
 def test_thermal_correction_sign_and_magnitude():
@@ -172,8 +186,8 @@ def test_pressure_ideal_zero_temperature():
     geometry = Geometry(1e-6)
     res = pressure_plates(IdealMetal(), geometry, ThermalState(0.0), MED)
     closed = -math.pi ** 2 * HBAR * C_LIGHT / 240.0 * 1e24
-    assert res.value == pytest.approx(closed, rel=1e-6)
-    assert res.value == pytest.approx(-1.30e-3, rel=1e-3)
+    assert res.value == pytest.approx(closed, rel=1e-6, abs=0.0)
+    assert res.value == pytest.approx(-1.30e-3, rel=1e-3, abs=0.0)
 
 
 def test_pressure_ideal_low_temperature_limit():
@@ -181,7 +195,7 @@ def test_pressure_ideal_low_temperature_limit():
     temp = effective_temperature(geometry) / 10000.0
     res = pressure_plates(IdealMetal(), geometry, ThermalState(temp), MED)
     closed = -math.pi ** 2 * HBAR * C_LIGHT / 240.0 * 1e24
-    assert res.value == pytest.approx(closed, rel=1e-3)
+    assert res.value == pytest.approx(closed, rel=1e-3, abs=0.0)
 
 
 def test_pressure_matches_free_energy_derivative():
@@ -194,7 +208,7 @@ def test_pressure_matches_free_energy_derivative():
     f_lo = free_energy(GOLD_IR, Geometry(geometry.separation - h), state,
                        TIGHT)
     fd = -(f_hi.value - f_lo.value) / (2.0 * h)
-    assert p.value == pytest.approx(fd, rel=1e-4)
+    assert p.value == pytest.approx(fd, rel=1e-4, abs=0.0)
 
 
 def test_pressure_vacuum_limit():
@@ -213,11 +227,11 @@ def test_sphere_plate_reference_and_linearity():
         geometry = Geometry(1e-6, sphere_radius=100e-6)
         res = force_sphere_plate(IdealMetal(), geometry, ThermalState(0.0),
                                  MED)
-        assert res.value == pytest.approx(-2.72e-13, rel=2e-3)
+        assert res.value == pytest.approx(-2.72e-13, rel=2e-3, abs=0.0)
         doubled = force_sphere_plate(
             IdealMetal(), Geometry(1e-6, sphere_radius=200e-6),
             ThermalState(0.0), MED)
-    assert doubled.value == pytest.approx(2.0 * res.value, rel=1e-12)
+    assert doubled.value == pytest.approx(2.0 * res.value, rel=1e-12, abs=0.0)
 
 
 def test_sphere_plate_correction_transfers():
@@ -247,12 +261,12 @@ def test_entropy_matches_low_T_expansion():
     numeric = entropy(GOLD_IR, geometry, state, TIGHT)
     _, analytic = lowT_asymptotics(GOLD, geometry, state, TIGHT)
     assert analytic.value > 10.0 * numeric.numeric_error
-    assert numeric.value == pytest.approx(analytic.value, rel=5e-2)
+    assert numeric.value == pytest.approx(analytic.value, rel=5e-2, abs=0.0)
 
 
 def test_entropy_vanishes_toward_zero_temperature():
     geometry = Geometry(1e-6)
-    tol = ToleranceConfig(1e-11, 1e-10, 1e-3)
+    tol = ToleranceConfig(1e-11)
     s_room = entropy(GOLD_IR, geometry, ThermalState(300.0), MED)
     s_cold = entropy(GOLD_IR, geometry, ThermalState(1.0), tol)
     assert abs(s_cold.value) < 1e-3 * s_room.value
@@ -265,7 +279,7 @@ def test_low_T_asymptotics_against_full_pipeline():
     fe = free_energy(GOLD_IR, geometry, state, TIGHT)
     e0 = energy_T0(GOLD_IR, geometry, TIGHT)
     assert (fe.value - e0.value) == pytest.approx(
-        f_est.value - e0.value, rel=0.1)
+        f_est.value - e0.value, rel=0.1, abs=0.0)
     assert s_est.value > 0.0
 
 
@@ -276,7 +290,7 @@ def test_low_T_asymptotics_ideal_limit():
     huge = type(GOLD)(plasma_frequency=1e22, fermi_velocity=1.4e6)
     f_est, _ = lowT_asymptotics(huge, geometry, state, MED)
     ideal = free_energy_ideal(geometry, state)
-    assert f_est.value == pytest.approx(ideal.value, rel=1e-6)
+    assert f_est.value == pytest.approx(ideal.value, rel=1e-6, abs=0.0)
 
 
 def test_low_T_asymptotics_entropy_positive_grid():
@@ -350,7 +364,7 @@ def test_x_factor_kernels_reached_through_module_globals(monkeypatch):
     # in observables; every model must reach exactly its family's kernel
     calls = _count_module_global_calls(
         monkeypatch, ("x_factors_grid", "lifshitz_x_grid"))
-    loose = ToleranceConfig(1e-4, 1e-4, 1e-3)
+    loose = ToleranceConfig(1e-4)
     geometry = Geometry(1e-6)
     for model, name in ((GOLD_IR, "x_factors_grid"),
                         (Plasma(GOLD.plasma_frequency), "lifshitz_x_grid"),
@@ -370,7 +384,7 @@ def test_quadrature_reached_through_module_globals(monkeypatch):
     calls = _count_module_global_calls(
         monkeypatch, ("integrate_interval", "integrate_semiinf",
                       "integrate_wedge", "matsubara_sum"))
-    loose = ToleranceConfig(1e-4, 1e-4, 1e-3)
+    loose = ToleranceConfig(1e-4)
     geometry = Geometry(1e-6)
     cold, warm = ThermalState(0.0), ThermalState(300.0)
     zero_t = {"integrate_wedge"}
@@ -406,7 +420,7 @@ def test_zero_temperature_rule_matches_ideal_closed_forms():
     e0 = energy_ideal(geometry).value
     p0 = -math.pi ** 2 * HBAR * C_LIGHT / 240.0 * 1e24
     for rel_tol in (1e-6, 1e-10):
-        tol = ToleranceConfig(rel_tol, rel_tol, 1e-3)
+        tol = ToleranceConfig(rel_tol)
         e = energy_T0(IdealMetal(), geometry, tol)
         p = pressure_plates(IdealMetal(), geometry, ThermalState(0.0), tol)
         for res, closed in ((e, e0), (p, p0)):
@@ -426,7 +440,7 @@ def test_zero_temperature_rule_matches_nested_quad_oracle():
         ref = energy_T0_nested_quad(model, geometry)
         for rel_tol in (1e-6, 1e-9):
             res = energy_T0(model, geometry,
-                            ToleranceConfig(rel_tol, rel_tol, 1e-3))
+                            ToleranceConfig(rel_tol))
             assert abs(res.value - ref) <= res.numeric_error, (model, rel_tol)
             assert res.numeric_error <= 2.0 * rel_tol * abs(ref)
 
@@ -447,7 +461,7 @@ def test_zero_temperature_rule_evaluates_kernels_in_chunks(monkeypatch):
 
     for name in ("x_factors_grid", "lifshitz_x_grid"):
         monkeypatch.setattr(obs, name, recording(getattr(obs, name)))
-    tight = ToleranceConfig(1e-10, 1e-10, 1e-3)
+    tight = ToleranceConfig(1e-10)
     for model, a in ((GOLD_IR, 10e-9),
                      (Drude(GOLD.plasma_frequency, 5.3e13), 0.1e-6)):
         sizes.clear()
@@ -460,22 +474,26 @@ def test_zero_temperature_rule_evaluates_kernels_in_chunks(monkeypatch):
 
 
 def test_matsubara_block_size_does_not_change_results(monkeypatch):
-    # a block is cut at the stopping index: the terms and quadrature errors
-    # past it are left out, and no row's value depends on its neighbours
-    cases = ((GOLD_IR, Geometry(1e-6), ThermalState(10.0)),
-             (Drude(GOLD.plasma_frequency, 5.3e13), Geometry(0.3e-6),
-              ThermalState(70.0)))
+    # a block is cut at the stopping index or at the hand-off l = 64 (5
+    # does not divide 64): the terms and quadrature errors past it are left
+    # out, and no row's value depends on its neighbours
+    cases = ((GOLD_IR, Geometry(1e-6), ThermalState(300.0)),
+             (Drude(GOLD.plasma_frequency, 5.3e13), Geometry(0.15e-6),
+              ThermalState(10.0)))
     runs = []
-    for block in (quadrature._MATSUBARA_BLOCK, 1):
+    for block in (1, 5, 32):
         monkeypatch.setattr(quadrature, "_MATSUBARA_BLOCK", block)
         runs.append([f(model, geometry, state, MED) for model, geometry, state
                      in cases for f in (free_energy, pressure_plates)])
-    assert max(r.diagnostics["terms_used"] for r in runs[0]) > 64
-    for default, single in zip(*runs):
-        assert single.value == default.value
-        assert single.numeric_error == default.numeric_error
-        assert (single.diagnostics["terms_used"]
-                == default.diagnostics["terms_used"])
+    kinds = {(r.diagnostics["tail"], r.diagnostics["terms_used"] < 33)
+             for r in runs[0]}
+    assert kinds == {("geometric", True), ("euler_maclaurin", False)}
+    for res in zip(*runs):
+        for r in res[1:]:
+            assert r.value == res[0].value
+            assert r.numeric_error == res[0].numeric_error
+            assert r.diagnostics["terms_used"] == res[0].diagnostics[
+                "terms_used"]
 
 
 def test_matsubara_terms_evaluate_kernels_in_chunks(monkeypatch):
@@ -496,7 +514,7 @@ def test_matsubara_terms_evaluate_kernels_in_chunks(monkeypatch):
 
     for name in ("x_factors_grid", "lifshitz_x_grid"):
         monkeypatch.setattr(obs, name, recording(getattr(obs, name)))
-    tight = ToleranceConfig(1e-10, 1e-10, 1e-3)
+    tight = ToleranceConfig(1e-10)
     for model in (GOLD_IR, Drude(GOLD.plasma_frequency, 5.3e13)):
         for f in (free_energy, pressure_plates):
             sizes.clear()
@@ -518,7 +536,7 @@ def test_long_ladders_match_direct_ladder_oracle():
             ref = free_energy_direct_ladder(model, geometry, temperature)
             for rel_tol in (1e-6, 1e-10):
                 res = free_energy(model, geometry, ThermalState(temperature),
-                                  ToleranceConfig(rel_tol, rel_tol, 1e-3))
+                                  ToleranceConfig(rel_tol))
                 case = (model, temperature, rel_tol)
                 assert res.diagnostics["tail"] == "euler_maclaurin", case
                 assert abs(res.value - ref) <= rel_tol * abs(ref), case

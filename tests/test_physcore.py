@@ -204,8 +204,8 @@ def test_geometry_and_state_validation():
 
 
 def test_tolerance_config_bounds():
-    ToleranceConfig(1e-10, 1e-9, 1e-3)
+    ToleranceConfig(1e-10)
     with pytest.raises(ValueError):
         ToleranceConfig(quadrature_rel_tol=0.5)
     with pytest.raises(ValueError):
-        ToleranceConfig(sum_rel_tol=0.0)
+        ToleranceConfig(quadrature_rel_tol=0.0)

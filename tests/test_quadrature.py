@@ -112,6 +112,9 @@ def test_rejects_bad_tolerance_and_bounds():
         integrate_semiinf(lambda y: np.exp(-y), -1.0, 1e-6)
     with pytest.raises(ValueError):
         integrate_interval(lambda y: np.exp(-y), 1.0, 1.0, 1e-6)
+    for rel_tol, l_floor in ((0.0, 0), (0.5, 0), (1e-6, -1)):
+        with pytest.raises(ValueError):
+            matsubara_sum(lambda ls: 0.5 ** ls, rel_tol, l_floor)
 
 
 def test_half_weight_convention():
