@@ -21,11 +21,14 @@ the zeta^(1/2) and zeta^(2/3) edge behaviour of the skin-effect impedances,
 on K15 x K15 nodes in each pair of a y panel ([lo, lo + 1e-3], then 12
 geometric panels up to Y, cut an extra edge) and an s panel ([0, 1e-2],
 then 3 geometric ones up to 1); the error is the summed |K15 x K15 -
-G7 x G7| of every pair.
+G7 x G7| of every pair.  Its f maps (zeta, y) that broadcast, y one value
+per y node, to an array of their broadcast shape: factors of y alone cost
+one evaluation per y node.  Rule tables are built lazily, read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -73,6 +76,9 @@ _WEDGE_CHUNK = 1 << 16
 # Wedge integrals of the observables are at most 13 (ideal metal): an error
 # below 1e-15 counts as resolved, as rel_tol is out of reach at ~1e-30 (vacuum)
 _WEDGE_ABS_TOL = 1e-15
+# An integrate_interval row error below 1e-300 counts as resolved: rows near
+# underflow (far past a ladder's stop) meet neither rel_tol nor 50 eps resabs
+_INTERVAL_ABS_TOL = 1e-300
 
 # integrate_interval: level-0 edges on [0, 1] (the wedge's y edges over a
 # length of 40) and level budget; matsubara_sum: l per call, last l = L
@@ -148,7 +154,7 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
     value, err = np.zeros(rows), np.zeros(rows)
     step = max(1, _WEDGE_CHUNK // (15 * rows))
     for level in range(_INTERVAL_LEVELS):
-        u, w_k, w_g = _gk_panels(_INTERVAL_EDGES, level)
+        u, w_k, w_g = _u_rule(level)
         parts = []
         for i in range(0, len(u), step):  # whole panels of every row
             y = lo[:, None, None] + length[:, None, None] * u[i:i + step]
@@ -159,7 +165,7 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
         for r in unmet:  # sums over the unit-length panels, scaled
             value[r], err[r] = (length[r] * math.fsum(x[r]) for x in (k, e))
         unmet = [r for r in unmet if err[r] > max(rel_tol * abs(value[r]),
-                 length[r] * 50.0 * _EPS * math.fsum(a[r]))]
+                 length[r] * 50.0 * _EPS * math.fsum(a[r]), _INTERVAL_ABS_TOL)]
         if not unmet:
             break
     result = IntegralResult(*(v if np.ndim(lower) else float(v[0])
@@ -228,43 +234,61 @@ def euler_maclaurin_ends(edge_terms) -> tuple[float, float]:
     return math.fsum(t * _EM_WEIGHTS), abs(np.diff(t, 6)[0]) / 50.0
 
 
-def _gk_panels(edges: np.ndarray, level: int):
+def _gk_panels(edges: np.ndarray, level: int, power: int = 0):
     """K15 nodes and K15 and G7 weights, each (panels, 15), on the panels
-    of ``edges`` each split into 2**level equal parts."""
+    of ``edges`` each split into 2**level equal parts, read-only; with a
+    power p, then the grading s^p and p s^(p-1) on the flattened nodes."""
     fine = np.append(np.linspace(edges[:-1], edges[1:], 2 ** level + 1)[:-1].T,
                      edges[-1])
     halfw = 0.5 * np.diff(fine)[:, None]
-    return fine[:-1, None] + halfw * (1.0 + _NODES), halfw * _W_K, halfw * _W_G
+    s = fine[:-1, None] + halfw * (1.0 + _NODES)
+    rule = [s, halfw * _W_K, halfw * _W_G]
+    if power:
+        rule += [s.ravel() ** power, power * s.ravel() ** (power - 1)]
+    for a in rule:
+        a.flags.writeable = False
+    return tuple(rule)
+
+
+# the fixed panels once per level; the wedge's y panels per (upper, cut, lo)
+_u_rule = functools.cache(lambda level: _gk_panels(_INTERVAL_EDGES, level))
+_s_rule = functools.cache(
+    lambda level: _gk_panels(_WEDGE_S_EDGES, level, _WEDGE_GRADING))
+
+
+@functools.lru_cache(maxsize=16)
+def _y_rule(upper: float, cut: float, lo: float, level: int):
+    y_edges = lo + np.append(0.0, np.geomspace(_WEDGE_Y0, upper - lo, 13))
+    if cut < upper:
+        y_edges = np.unique(np.append(y_edges, cut))
+    return _gk_panels(y_edges, level)
 
 
 def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     upper: float, rel_tol: float, cut: float = math.inf,
                     lo: float = 0.0) -> IntegralResult:
     """int_lo^upper dy int_lo^min(y, cut) dzeta f(zeta, y) by the graded
-    tensor rule of the module docstring; ``f`` maps arrays (zeta, y) of one
-    shape to an array of that shape.  Raises NonConvergenceError (with the
-    best estimate attached) when _WEDGE_LEVELS levels miss the tolerance.
+    tensor rule of the module docstring; ``f`` maps zeta (panels, 15, nodes)
+    and y (panels, 15, 1) to an array of their broadcast shape.  Raises
+    NonConvergenceError (with the best estimate attached) when
+    _WEDGE_LEVELS levels miss the tolerance.
     """
     if not (0.0 < rel_tol <= 1e-2 and 0.0 <= lo < cut
             and upper > lo + _WEDGE_Y0):
         raise ValueError("need rel_tol in (0, 1e-2], 0 <= lo < cut and "
                          "upper > lo + 1e-3")
-    y_edges = lo + np.append(0.0, np.geomspace(_WEDGE_Y0, upper - lo, 13))
-    if cut < upper:
-        y_edges = np.unique(np.append(y_edges, cut))
-    p, evaluations = _WEDGE_GRADING, 0
+    evaluations = 0
     for level in range(_WEDGE_LEVELS):
-        s, ws_k, ws_g = _gk_panels(_WEDGE_S_EDGES, level)
-        y, wy_k, wy_g = _gk_panels(y_edges, level)
-        grade, dgrade = s.ravel() ** p, p * s.ravel() ** (p - 1)
+        s, ws_k, ws_g, grade, dgrade = _s_rule(level)
+        y, wy_k, wy_g = _y_rule(upper, cut, lo, level)
         step = max(1, _WEDGE_CHUNK // (15 * s.size))
         cells, diffs, resabs = [], [], []
         for i in range(0, len(y), step):  # whole y panels at a time
             yc = y[i:i + step, :, None]
             m = np.minimum(yc, cut) - lo  # zeta = lo + m s^p, dzeta = m ds^p
             zeta = lo + m * grade if lo else m * grade  # lo = 0: no array add
-            fx = np.asarray(f(zeta, np.broadcast_to(
-                yc, m.shape[:2] + grade.shape)), dtype=float)
+            fx = np.broadcast_to(np.asarray(f(zeta, yc), dtype=float),
+                                 zeta.shape)
             if not np.all(np.isfinite(fx)):
                 raise FloatingPointError("integrand returned a non-finite "
                                          "value")

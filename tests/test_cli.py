@@ -228,6 +228,34 @@ def test_output_file_and_grid_validation(tmp_path, capsys):
         assert "--rel-tol" in err
 
 
+def test_parser_reused_after_a_failed_call(capsys):
+    # the parser is built once per process: a call that exits 2 on a bad
+    # --rel-tol leaves it as a fresh one, for the CSV and for --help
+    from casimir_impedance import cli
+
+    good = ("sweep", "--model", "ideal,infrared-optics",
+            "--separation", "1e-6,2e-6", "--temperature", "0,300")
+
+    def help_text(*argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--help"])
+        assert excinfo.value.code == 0
+        return capsys.readouterr().out
+
+    cli._build_parser.cache_clear()
+    fresh = run(capsys, *good)
+    fresh_help = [help_text(), help_text("sweep")]
+    assert fresh[0] == 0
+    code, out, err = run(capsys, *good, "--rel-tol", "0")
+    assert code == 2 and out == "" and "--rel-tol" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main([*good, "--rel-tol", "abc"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *good) == fresh
+    assert [help_text(), help_text("sweep")] == fresh_help
+
+
 def test_human_format_default(capsys):
     code, out, _ = run(capsys, "energy", "--model", "ideal",
                        "--separation", "1e-6")
@@ -380,6 +408,17 @@ def test_large_separation_temperature_product_exits_0(capsys):
                   if k not in ("model", "status") and v != ""]
         assert len(filled) >= 4
         assert all(math.isfinite(float(v)) for v in filled)
+
+
+def test_sweep_with_underflowing_matsubara_rows_exits_0(capsys):
+    # 5 of these 44 rows failed on Matsubara rows near the underflow limit
+    code, out, _ = run(capsys, "sweep", "--model", "infrared-optics",
+                       "--separation", "5e-6:15e-6:11",
+                       "--temperature", "280,285,290,1000")
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 44
+    assert all(row.endswith(",ok") for row in rows)
 
 
 def test_csv_bytes_kept_by_the_euler_maclaurin_cap(capsys, monkeypatch):

@@ -455,7 +455,7 @@ def test_zero_temperature_rule_evaluates_kernels_in_chunks(monkeypatch):
 
     def recording(kernel):
         def wrapper(model, geometry, zeta, y):
-            sizes.append(np.size(y))
+            sizes.append(np.broadcast(zeta, y).size)
             return kernel(model, geometry, zeta, y)
         return wrapper
 
@@ -508,7 +508,7 @@ def test_matsubara_terms_evaluate_kernels_in_chunks(monkeypatch):
 
     def recording(kernel):
         def wrapper(model, geometry, zeta, y):
-            sizes.append(np.size(y))
+            sizes.append(np.broadcast(zeta, y).size)
             return kernel(model, geometry, zeta, y)
         return wrapper
 
@@ -541,6 +541,20 @@ def test_long_ladders_match_direct_ladder_oracle():
                 assert res.diagnostics["tail"] == "euler_maclaurin", case
                 assert abs(res.value - ref) <= rel_tol * abs(ref), case
                 assert abs(res.value - ref) <= res.numeric_error, case
+
+
+def test_underflowing_matsubara_rows_do_not_fail_the_sum():
+    # at 15 um and 284.8 K the ladder stops after 4 terms, while the rows
+    # further down its first block have values near 1e-308 and errors
+    # below 3e-308 that neither rel_tol nor the underflowed eps floor meet
+    from oracles import free_energy_direct_ladder
+
+    geometry, temperature = Geometry(15e-6), 284.8035868435802
+    res = free_energy(GOLD_IR, geometry, ThermalState(temperature))
+    ref = free_energy_direct_ladder(GOLD_IR, geometry, temperature)
+    assert res.diagnostics["terms_used"] == 4
+    assert abs(res.value - ref) <= res.numeric_error
+    assert abs(res.value - ref) <= 1e-6 * abs(ref)
 
 
 def test_euler_maclaurin_cap_leaves_short_ladders_alone(monkeypatch):
@@ -576,7 +590,7 @@ def test_error_splits_into_quadrature_and_tail_parts(monkeypatch):
 
     def recording(kernel):
         def wrapper(model, geometry, zeta, y):
-            sizes.append(np.size(y))
+            sizes.append(np.broadcast(zeta, y).size)
             return kernel(model, geometry, zeta, y)
         return wrapper
 

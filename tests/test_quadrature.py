@@ -253,3 +253,54 @@ def test_singular_zero_frequency_integrand_from_zero():
     res = integrate_semiinf(lambda y: y * np.log1p(-np.exp(-y)), 0.0, 1e-10)
     assert abs(res.value + 1.2020569031595943) <= res.abs_error_estimate
     assert res.abs_error_estimate <= 1e-10 * 1.2020569031595943
+
+
+def test_wedge_integrand_sees_compact_y(monkeypatch):
+    # the integrand gets one y per y node, shape (panels, 15, 1); handing
+    # it y broadcast to zeta's shape instead changes no bit of any T = 0
+    # record of the benchmark models, nor of a Euler-Maclaurin band
+    import casimir_impedance.observables as obs
+    from casimir_impedance.physcore import (
+        GOLD, Geometry, ThermalState, derive_anomalous_constant,
+        sigma_gaussian_from_si,
+    )
+    from casimir_impedance.impedance import (
+        AnomalousSkin, InfraredOptics, NormalSkin,
+    )
+    from casimir_impedance.reflection import Drude, Plasma
+
+    drude = Drude(GOLD.plasma_frequency, 5.3e13)
+    models = (InfraredOptics(GOLD.plasma_frequency),
+              AnomalousSkin(derive_anomalous_constant(GOLD)),
+              NormalSkin(sigma_gaussian_from_si(4.1e7)),
+              Plasma(GOLD.plasma_frequency), drude)
+    cases = [(f, model, Geometry(a), ThermalState(0.0))
+             for f in (obs.energy_T0, obs.pressure_plates)
+             for model in models for a in (0.3e-6, 3e-6)]
+    cases.append((obs.free_energy, drude, Geometry(0.15e-6),
+                  ThermalState(10.0)))
+    y_shapes = []
+
+    def compact(f):
+        def g(zeta, y):
+            y_shapes.append(y.shape)
+            return f(zeta, y)
+        return g
+
+    def full_y(f):
+        return lambda zeta, y: f(zeta, np.broadcast_to(y, zeta.shape))
+
+    def run(wrap):
+        monkeypatch.setattr(obs, "integrate_wedge",
+                            lambda f, *args: integrate_wedge(wrap(f), *args))
+        return [f(model, geometry, *(() if f is obs.energy_T0 else (state,)))
+                for f, model, geometry, state in cases]
+
+    expected = run(full_y)
+    got = run(compact)
+    assert y_shapes and all(s[-1] == 1 and len(s) == 3 for s in y_shapes)
+    assert got[-1].diagnostics["tail"] == "euler_maclaurin"
+    for res, ref in zip(got, expected):
+        assert res.value == ref.value
+        assert res.numeric_error == ref.numeric_error
+        assert res.diagnostics["evaluations"] == ref.diagnostics["evaluations"]
