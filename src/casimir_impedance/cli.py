@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -261,8 +262,8 @@ def _cmd_regime(args) -> int:
 def _cmd_zero_freq(args) -> int:
     material = _load_material(args.material)
     kperps = _parse_grid(args.kperp, log=True, what="--kperp")
-    if any(k <= 0.0 for k in kperps):
-        raise ConfigError("--kperp values must be positive")
+    if any(not 0.0 < k < math.inf for k in kperps):
+        raise ConfigError("--kperp values must be positive and finite")
     rows = [(name, k, *cls.zero_freq_r_sq(k, material.plasma_frequency))
             for name, cls in ZERO_FREQ_FORMS for k in kperps]
     fmt = args.format or "csv"

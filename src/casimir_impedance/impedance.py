@@ -23,14 +23,14 @@ pins the branch choice; the test suite checks the closed forms against
 direct complex evaluation.
 
 Each model derives from `ImpedanceModel` and defines ``z(xi)``, Z(i xi)
-vectorized over xi >= 0.  Its zero-frequency limit, where the reflection
-formulas are 0/0, is written once per class in two forms: ``x_zero`` gives
-the transparency factors that the l = 0 Matsubara term uses, and the static
-``zero_freq_r_sq`` the squared reflection coefficients that the CLI
-``zero-freq`` table prints.  The base class holds the ideal-metal limits,
-which the skin-effect models share since their Z vanishes at xi = 0.
-``check_separation`` warns where a model stops applying: infrared optics
-at separations below its plasma wavelength.
+vectorized over xi >= 0.  The reflection kernel sees it only through
+``fresnel_inputs``, the metal-side wavenumbers (zeta Z, zeta/Z) of
+`reflection`, with zeta/Z = 0 where Z = 0, so zeta = 0 is an ordinary
+argument.  Infrared optics writes zeta/Z = hypot(w_p, zeta), w_p =
+2 a omega_p / c: its r_perp^2(0) keeps a material dependence.  The static
+``zero_freq_r_sq`` states each limit as (r_par^2, r_perp^2) for the CLI
+``zero-freq`` table.  ``check_separation`` warns where a model stops
+applying: infrared optics at separations below its plasma wavelength.
 
 Whichever model is chosen for a computation is used at *all* Matsubara
 frequencies of that computation; the result is insensitive to the impedance
@@ -56,16 +56,17 @@ _ANOM_PREFACTOR = 4.0 / (3.0 * math.sqrt(3.0))
 
 
 def _check_k_perp(k_perp: float) -> None:
-    if k_perp <= 0.0:
-        raise ValueError("k_perp must be positive")
+    if not 0.0 < k_perp < math.inf:
+        raise ValueError("k_perp must be positive and finite")
 
 
 class ImpedanceModel:
     """Base class of the impedance models; subclasses define z(xi)."""
 
-    def x_zero(self, geometry: Geometry, y: np.ndarray):
-        """(X_par, X_perp) at zeta = 0 on an array of y > 0."""
-        return np.zeros_like(y), np.zeros_like(y)
+    def fresnel_inputs(self, geometry: Geometry, zeta, y):
+        """(zeta Z, zeta/Z) at zeta >= 0, with zeta/Z = 0 where Z = 0."""
+        z = self.z(np.asarray(zeta * C_LIGHT / (2.0 * geometry.separation)))
+        return zeta * z, np.divide(zeta, z, out=np.zeros_like(z), where=z > 0)
 
     @staticmethod
     def zero_freq_r_sq(k_perp: float, omega_p: float) -> tuple[float, float]:
@@ -93,8 +94,8 @@ class NormalSkin(ImpedanceModel):
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
     def z(self, xi):
         return np.sqrt(xi / (4.0 * math.pi * self.sigma))
@@ -108,8 +109,8 @@ class AnomalousSkin(ImpedanceModel):
     c_a: float
 
     def __post_init__(self) -> None:
-        if self.c_a <= 0.0:
-            raise ValueError("c_a must be positive")
+        if not 0.0 < self.c_a < math.inf:
+            raise ValueError("c_a must be positive and finite")
 
     def z(self, xi):
         return _ANOM_PREFACTOR * self.c_a * xi ** (2.0 / 3.0) / C_LIGHT
@@ -123,15 +124,15 @@ class InfraredOptics(ImpedanceModel):
     omega_p: float
 
     def __post_init__(self) -> None:
-        if self.omega_p <= 0.0:
-            raise ValueError("omega_p must be positive")
+        if not 0.0 < self.omega_p < math.inf:
+            raise ValueError("omega_p must be positive and finite")
 
     def z(self, xi):
         return xi / np.hypot(self.omega_p, xi)
 
-    def x_zero(self, geometry, y):
-        alpha = C_LIGHT / (2.0 * geometry.separation * self.omega_p)
-        return np.zeros_like(y), 4.0 * alpha * y / (1.0 + alpha * y) ** 2
+    def fresnel_inputs(self, geometry, zeta, y):
+        h = np.hypot(2.0 * geometry.separation * self.omega_p / C_LIGHT, zeta)
+        return zeta * zeta / h, h  # zeta Z and zeta/Z
 
     @staticmethod
     def zero_freq_r_sq(k_perp, omega_p):

@@ -30,10 +30,10 @@ int_0^inf dy int_0^y dzeta, by the graded tensor rule `integrate_wedge`.
 Every observable reaches the quadrature through it.
 The entropy S = -dF/dT uses a Richardson-extrapolated central difference.
 
-The zero-frequency (l = 0) term always comes from each model's analytic
-limit: impedance models state it explicitly (the finite-frequency formulas
-are 0/0 there), and the scaled Fresnel inputs of the dielectric models are
-finite at zeta = 0 and equal to it.
+Every reflection model reaches the integrands through one kernel,
+`x_factors_grid`, whose inputs are finite at zeta = 0: the zero-frequency
+(l = 0) term is a one-row block at zeta = 0 with the same arithmetic as
+every other Matsubara term, and its value is the model's analytic limit.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -49,12 +49,14 @@ from .physcore import (
     C_LIGHT, HBAR, K_B, Geometry, MaterialParams, ThermalState,
     ToleranceConfig, effective_temperature, matsubara_frequency,
 )
-from .impedance import ImpedanceModel, InfraredOptics
-from .reflection import DielectricModel, lifshitz_x_grid, x_factors_grid
+from .impedance import InfraredOptics
+from .reflection import Model, x_factors_grid
 from .quadrature import (  # integrate_interval: perfbench/spans.py wraps it
     IntegralResult, euler_maclaurin_ends, integrate_interval,
     integrate_semiinf, integrate_wedge, matsubara_sum, tail_cutoff,
 )
+
+lifshitz_x_grid = x_factors_grid  # perfbench/spans.py wraps it
 
 __all__ = [
     "Quantity", "ResultValue", "Model", "ZETA3",
@@ -62,8 +64,6 @@ __all__ = [
     "thermal_correction", "pressure_plates", "force_sphere_plate",
     "entropy", "lowT_asymptotics", "spectral_contribution",
 ]
-
-Model = Union[ImpedanceModel, DielectricModel]
 
 ZETA3 = 1.2020569031595943  # Riemann zeta(3)
 
@@ -91,20 +91,12 @@ class ResultValue:
     diagnostics: Mapping[str, object]
 
 
-def _x_grid(model: Model, geometry: Geometry, zeta: float, y: np.ndarray):
-    """(X_par, X_perp) arrays for any reflection model, zeta = 0 included.
-    The kernels stay module globals so perfbench/spans.py can wrap them."""
-    kernel = (x_factors_grid if isinstance(model, ImpedanceModel)
-              else lifshitz_x_grid)
-    return kernel(model, geometry, zeta, y)
-
-
-def _free_energy_integrand(model: Model, geometry: Geometry, zeta: float):
+def _free_energy_integrand(model: Model, geometry: Geometry, zeta):
     """y * [2 ln(1-e^-y) + sum_p ln(1 + X_p/(e^y - 1))] as a vectorized
     function of y."""
 
     def f(y: np.ndarray) -> np.ndarray:
-        xpar, xperp = _x_grid(model, geometry, zeta, y)
+        xpar, xperp = x_factors_grid(model, geometry, zeta, y)
         em = np.exp(-y)
         with np.errstate(over="ignore"):  # y > 709: 1/inf = 0 is right
             t = 1.0 / np.expm1(y)
@@ -114,13 +106,13 @@ def _free_energy_integrand(model: Model, geometry: Geometry, zeta: float):
     return f
 
 
-def _pressure_integrand(model: Model, geometry: Geometry, zeta: float):
+def _pressure_integrand(model: Model, geometry: Geometry, zeta):
     """y^2 * sum_p r_p^2 e^-y / (1 - r_p^2 e^-y), written through
     X = 1 - r^2 so the denominator 1 - r^2 e^-y = (1-e^-y) + X e^-y is
     cancellation-free."""
 
     def f(y: np.ndarray) -> np.ndarray:
-        xpar, xperp = _x_grid(model, geometry, zeta, y)
+        xpar, xperp = x_factors_grid(model, geometry, zeta, y)
         em = np.exp(-y)
         one_minus_em = -np.expm1(-y)
         par = (1.0 - xpar) * em / (one_minus_em + xpar * em)
@@ -215,18 +207,17 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     done: list[IntegralResult] = []
 
     def terms(ls: np.ndarray) -> np.ndarray:
-        # one call per block of l >= 1, a zeta row per l; l = 0 comes alone
-        # and takes the model's zeta = 0 limit (matsubara_sum halves it)
+        # one call per block, a zeta row per l; l = 0 comes alone, a block
+        # of one row at zeta = 0 (matsubara_sum halves it)
         zeta = ls * zeta1
-        rows, lower = (zeta[:, None, None], zeta) if ls[0] else (0.0, 0.0)
         done.append(integrate_semiinf(integrand_factory(
-            model, geometry, rows), lower, rel_tol))
-        return np.atleast_1d(done[-1].value)
+            model, geometry, zeta[:, None, None]), zeta, rel_tol))
+        return done[-1].value
 
     s = matsubara_sum(terms, rel_tol, l_floor)
     value, evaluations = s.value, sum(r.evaluations for r in done)
-    quad_err = math.fsum(np.concatenate([np.atleast_1d(
-        r.abs_error_estimate) for r in done])[:s.terms_used])  # no overshoot
+    quad_err = math.fsum(np.concatenate(
+        [r.abs_error_estimate for r in done])[:s.terms_used])  # no overshoot
     if not s.edge_terms:
         # capped so that a large a*T cannot overflow expm1; the bound only grows
         tail_err = s.last_term_magnitude / math.expm1(min(zeta1, 700.0))
@@ -268,8 +259,8 @@ def free_energy(model: Model, geometry: Geometry, state: ThermalState,
                 tol: ToleranceConfig = DEFAULT_TOL) -> ResultValue:
     """Free energy per unit area at T > 0 (J/m^2, negative = attraction).
 
-    The l = 0 term uses the analytic zero-frequency limits of the model.
-    At T = 0 use `energy_T0` (continuous spectrum) instead.
+    The l = 0 term is the model's zero-frequency limit.  At T = 0 use
+    `energy_T0` (continuous spectrum) instead.
     """
     if state.temperature <= 0.0:
         raise ValueError("free_energy requires T > 0; use energy_T0 at T = 0")

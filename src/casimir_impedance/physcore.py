@@ -73,14 +73,14 @@ class MaterialParams:
     anomalous_constant: float | None = None
 
     def __post_init__(self) -> None:
-        if self.plasma_frequency <= 0.0:
-            raise ValueError("plasma_frequency must be positive")
+        if not 0.0 < self.plasma_frequency < math.inf:
+            raise ValueError("plasma_frequency must be positive and finite")
         if not 0.0 < self.fermi_velocity < C_LIGHT:
             raise ValueError("fermi_velocity must lie in (0, c)")
-        if self.conductivity is not None and self.conductivity <= 0.0:
-            raise ValueError("conductivity must be positive when given")
-        if self.anomalous_constant is not None and self.anomalous_constant <= 0.0:
-            raise ValueError("anomalous_constant must be positive when given")
+        for name in ("conductivity", "anomalous_constant"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def plasma_wavelength(self) -> float:
@@ -136,8 +136,8 @@ class ThermalState:
     temperature: float
 
     def __post_init__(self) -> None:
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be non-negative")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,11 @@ class Geometry:
     sphere_radius: float | None = None
 
     def __post_init__(self) -> None:
-        if self.separation <= 0.0:
-            raise ValueError("separation must be positive")
+        if not 0.0 < self.separation < math.inf:
+            raise ValueError("separation must be positive and finite")
         if self.sphere_radius is not None:
-            if self.sphere_radius <= 0.0:
-                raise ValueError("sphere_radius must be positive")
+            if not 0.0 < self.sphere_radius < math.inf:
+                raise ValueError("sphere_radius must be positive and finite")
             if self.sphere_radius < 100.0 * self.separation:
                 warnings.warn(
                     "sphere radius below 100*separation: proximity-force "

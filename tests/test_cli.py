@@ -256,6 +256,32 @@ def test_parser_reused_after_a_failed_call(capsys):
     assert [help_text(), help_text("sweep")] == fresh_help
 
 
+@pytest.mark.parametrize("argv", [
+    ("energy", "--separation", "inf"),
+    ("energy", "--separation", "1e-6,inf"),
+    ("energy", "--separation", "nan"),
+    ("free-energy", "--separation", "1e-6", "--temperature", "nan"),
+    ("free-energy", "--separation", "1e-6", "--temperature", "inf"),
+    ("sphere-plate", "--separation", "1e-6", "--radius", "nan"),
+    ("zero-freq", "--kperp", "nan"),
+    ("energy", "--model", "normal-skin", "--sigma", "nan",
+     "--separation", "1e-6"),
+    ("energy", "--model", "lifshitz-drude", "--gamma", "inf",
+     "--separation", "1e-6"),
+    ("energy", "--material", "NAN_FILE", "--separation", "1e-6"),
+])
+def test_nonfinite_physical_inputs_exit_2(argv, tmp_path, capsys):
+    # NaN passes a `<= 0` test and inf is positive: each is a
+    # configuration error, caught before any output
+    nan_file = tmp_path / "nan.txt"
+    nan_file.write_text("omega_p=nan\nv_f=1.4e6\n")
+    code, out, err = run(capsys, *(str(nan_file) if a == "NAN_FILE" else a
+                                   for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_human_format_default(capsys):
     code, out, _ = run(capsys, "energy", "--model", "ideal",
                        "--separation", "1e-6")
@@ -311,18 +337,18 @@ def test_nonconvergent_row_keeps_schema_and_exits_3(capsys, monkeypatch):
 
 
 def test_nonfinite_integrand_fails_its_rows_only(capsys, monkeypatch):
-    # a NaN from one model's X kernel fails that model's rows; the other
+    # NaN Fresnel inputs of one model fail that model's rows; the other
     # model's rows are the bytes of a sweep of that model alone
     import numpy as np
 
-    from casimir_impedance import cli
+    from casimir_impedance.reflection import Plasma
 
     argv = ("sweep", "--separation", "1e-6", "--temperature", "0,300",
             "--rel-tol", "1e-4")
     _, alone, _ = run(capsys, *argv, "--model", "infrared-optics")
     with monkeypatch.context() as patch:
-        patch.setattr(cli.obs, "lifshitz_x_grid",
-                      lambda model, geometry, zeta, y:
+        patch.setattr(Plasma, "fresnel_inputs",
+                      lambda self, geometry, zeta, y:
                       (np.full(np.shape(y), np.nan),) * 2)
         code, out, _ = run(capsys, *argv,
                            "--model", "infrared-optics,lifshitz-plasma")

@@ -361,21 +361,21 @@ def _count_module_global_calls(monkeypatch, names):
 
 def test_x_factor_kernels_reached_through_module_globals(monkeypatch):
     # the benchmark times the X-factor layer by wrapping these two names
-    # in observables; every model must reach exactly its family's kernel
+    # in observables; every model must reach exactly the one kernel
     calls = _count_module_global_calls(
         monkeypatch, ("x_factors_grid", "lifshitz_x_grid"))
     loose = ToleranceConfig(1e-4)
     geometry = Geometry(1e-6)
-    for model, name in ((GOLD_IR, "x_factors_grid"),
-                        (Plasma(GOLD.plasma_frequency), "lifshitz_x_grid"),
-                        (Drude(GOLD.plasma_frequency, 5.3e13),
-                         "lifshitz_x_grid")):
+    for model in (IdealMetal(), NormalSkin(1e17), GOLD_AS, GOLD_IR,
+                  Plasma(GOLD.plasma_frequency),
+                  Drude(GOLD.plasma_frequency, 5.3e13)):
         for run in (lambda: energy_T0(model, geometry, loose),
                     lambda: free_energy(model, geometry, ThermalState(300.0),
                                         loose)):
             calls.clear()
             run()
-            assert set(calls) == {name} and calls[name] > 0
+            assert set(calls) == {"x_factors_grid"}, model
+            assert calls["x_factors_grid"] > 0
 
 
 def test_quadrature_reached_through_module_globals(monkeypatch):
@@ -625,16 +625,18 @@ def test_benchmark_tracer_runs_records():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     tracer = spans.Tracer()
+    plasma = Plasma(GOLD.plasma_frequency)
     with tracer.installed(obs, cli):
-        for record, state in enumerate((ThermalState(0.0),
-                                        ThermalState(300.0))):
+        for record, (model, state) in enumerate((
+                (GOLD_IR, ThermalState(0.0)), (GOLD_IR, ThermalState(300.0)),
+                (plasma, ThermalState(300.0)))):
             tracer.record_id = record
             before = tracer.count["x_points"]
-            res = obs.pressure_plates(GOLD_IR, Geometry(1e-6), state)
+            res = obs.pressure_plates(model, Geometry(1e-6), state)
             assert res.value < 0.0
             assert tracer.count["x_points"] > before
-    metrics, _ = tracer.layer_metrics(2, set(), 0, 0, 0.0)
+    metrics, _ = tracer.layer_metrics(3, set(), 0, 0, 0.0)
     assert set(metrics) == set(spans.LAYER_UNITS)
     assert all(math.isfinite(v) for v in metrics.values())
-    assert metrics["quadrature.matsubara_sum.calls"] == 0.5
+    assert metrics["quadrature.matsubara_sum.calls"] == 2 / 3
     assert obs.pressure_plates.__name__ == "pressure_plates"  # restored

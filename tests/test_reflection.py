@@ -1,8 +1,10 @@
 """Tests for reflection coefficients, transparency factors and dispersion
 functions, including the analytic zero-frequency limits."""
 
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +14,7 @@ from casimir_impedance.physcore import C_LIGHT, GOLD, Geometry, \
 from casimir_impedance.impedance import (
     AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
 )
-from casimir_impedance.reflection import (
-    Drude, Plasma, lifshitz_x_grid, x_factors_grid,
-)
+from casimir_impedance.reflection import Drude, Plasma, x_factors_grid
 from oracles import (
     ReflectionPair, SpectralPoint, dispersion_functions, eps_imag_axis,
     impedance_imag_axis, refl_impedance, refl_lifshitz, x_factors,
@@ -173,7 +173,7 @@ def test_lifshitz_x_grid_matches_scalar_coefficients():
     for model in (Plasma(GOLD.plasma_frequency),
                   Drude(GOLD.plasma_frequency, 5e13)):
         for zeta in (0.05, 0.8, 3.0):
-            xpar, xperp = lifshitz_x_grid(model, geometry, zeta, y)
+            xpar, xperp = x_factors_grid(model, geometry, zeta, y)
             for i, yi in enumerate(y):
                 if yi < zeta:
                     continue
@@ -183,6 +183,49 @@ def test_lifshitz_x_grid_matches_scalar_coefficients():
                                                       rel=1e-11, abs=1e-13)
                 assert 1.0 - xperp[i] == pytest.approx(pair.r_perp_sq,
                                                        rel=1e-11, abs=1e-13)
+
+
+def test_zero_frequency_is_an_ordinary_argument():
+    # every model's Fresnel inputs are finite at zeta = 0: a zeta row of 0
+    # in an array is the scalar zeta = 0 call, and 1 - X(0, y) is the
+    # model's zero-frequency table at k_perp = y / 2a
+    geometry = Geometry(0.5e-6)
+    y = np.array([1e-3, 0.3, 1.0, 4.0, 11.0, 40.0])
+    wp = GOLD.plasma_frequency
+    for model in (IdealMetal(), NormalSkin(1e17), AnomalousSkin(GOLD_CA),
+                  InfraredOptics(wp), Plasma(wp), Drude(wp, 5e13)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = x_factors_grid(model, geometry, np.array([[0.0], [0.5]]),
+                                  y)
+            alone = x_factors_grid(model, geometry, 0.0, y)
+        table = np.array([model.zero_freq_r_sq(k, wp)
+                          for k in y / (2.0 * geometry.separation)])
+        for p in range(2):
+            row0 = np.broadcast_to(rows[p], (2, len(y)))[0]
+            assert np.all(np.isfinite(row0)), model
+            assert np.array_equal(row0, alone[p]), model
+            assert np.max(np.abs(1.0 - alone[p] - table[:, p])) <= 1e-15, \
+                model
+
+
+def test_no_model_type_tests_in_src():
+    # every model meets the code through fresnel_inputs and its own
+    # methods: no isinstance test in src/ may name a reflection model
+    models = {"ImpedanceModel", "DielectricModel", "IdealMetal",
+              "NormalSkin", "AnomalousSkin", "InfraredOptics", "Plasma",
+              "Drude"}
+    src = Path(__file__).resolve().parents[1] / "src"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "isinstance"):
+                named = {getattr(n, "id", getattr(n, "attr", None))
+                         for n in ast.walk(node.args[1])}
+                if named & models:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_zero_frequency_table():
