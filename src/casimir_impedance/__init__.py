@@ -26,8 +26,8 @@ from .quadrature import (
 from .observables import (
     Model, Quantity, ResultValue, ZETA3,
     energy_T0, energy_ideal, entropy, force_sphere_plate, free_energy,
-    free_energy_ideal, lowT_asymptotics, pressure_plates,
-    spectral_contribution, thermal_correction,
+    lowT_asymptotics, pressure_plates, spectral_contribution,
+    thermal_correction,
 )
 
 __version__ = "0.1.0"

@@ -82,8 +82,8 @@ def _parse_grid(text: str, *, log: bool, what: str) -> list[float]:
             raise ConfigError(f"{what}: bad grid {text!r}") from None
         if count < 2:
             raise ConfigError(f"{what}: grid count must be >= 2")
-        if not start < stop:
-            raise ConfigError(f"{what}: grid requires start < stop")
+        if not -math.inf < start < stop < math.inf:
+            raise ConfigError(f"{what}: grid requires finite start < stop")
         if log:
             if start <= 0.0:
                 raise ConfigError(f"{what}: log grid requires start > 0")
@@ -168,7 +168,10 @@ def _emit(records: list[Record], fmt: str, stream) -> None:
 
 
 def _compute_record(command: str, model_name: str, model, a: float, T: float,
-                    radius: float | None, tol: ToleranceConfig) -> Record:
+                    radius: float | None, tol: ToleranceConfig,
+                    energies: dict) -> Record:
+    """One row.  E(a) is computed on the first row of each (a, model) and
+    kept in `energies`, keyed (a, model name), for the pair's other rows."""
     geometry = Geometry(a, radius)
     state = ThermalState(T)
     rec = Record(a, T, model_name)
@@ -179,7 +182,10 @@ def _compute_record(command: str, model_name: str, model, a: float, T: float,
             result = getattr(obs, name)(model, geometry, state, tol)
             vals[column] = result.value
         else:  # energy, free-energy and sweep
-            result = e = obs.energy_T0(model, geometry, tol)
+            result = e = energies.get((a, model_name))
+            if e is None:
+                result = e = obs.energy_T0(model, geometry, tol)
+                energies[a, model_name] = e
             vals["energy_J_per_m2"] = e.value
             vals["correction_factor"] = e.diagnostics["correction_factor"]
             if T > 0.0:
@@ -219,8 +225,9 @@ def _cmd_records(args) -> int:
     if args.command == "sphere-plate" and args.radius is None:
         raise ConfigError("sphere-plate requires --radius")
 
+    energies: dict = {}  # E(a) per (a, model name), for this call only
     records = [_compute_record(args.command, name, model, a, T, args.radius,
-                               tol)
+                               tol, energies)
                for a in seps for T in temps for name, model in models]
 
     fmt = args.format or ("csv" if args.command == "sweep" else "human")

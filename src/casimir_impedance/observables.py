@@ -60,7 +60,7 @@ lifshitz_x_grid = x_factors_grid  # perfbench/spans.py wraps it
 
 __all__ = [
     "Quantity", "ResultValue", "Model", "ZETA3",
-    "energy_ideal", "free_energy_ideal", "energy_T0", "free_energy",
+    "energy_ideal", "energy_T0", "free_energy",
     "thermal_correction", "pressure_plates", "force_sphere_plate",
     "entropy", "lowT_asymptotics", "spectral_contribution",
 ]
@@ -130,48 +130,6 @@ def energy_ideal(geometry: Geometry) -> ResultValue:
                        {"closed_form": True})
 
 
-def free_energy_ideal(geometry: Geometry, state: ThermalState) -> ResultValue:
-    """Ideal-metal free energy per area from its closed series.
-
-    With t = T/T_eff (k_B T_eff = hbar c / 2a) and K = 45/pi^3,
-
-        F = E0 { 1 + K sum_{l>=1} [ t^3 coth(pi l/t)/l^3
-                 + pi t^2 sinh^-2(pi l/t)/l^2 ] - t^4 }
-          = E0 K t { zeta(3) + 2 sum_{l>=1} [ 1/(l^3 (e^{b l} - 1))
-                 + b e^{b l}/(l^2 (e^{b l} - 1)^2) ] },   b = 2 pi t,
-
-    the second form being the Matsubara sum.  For t <= 1 the first is
-    summed, with coth split as 1 + 2/(e^{2x} - 1) to pull its slowly
-    decaying part into an exact zeta(3) term; its terms decay like
-    exp(-2 pi l/t).  Above t = 1 it would cancel t^4 against its sum
-    (losing ~t^3 ulps), so the second, decaying like exp(-2 pi l t), is
-    summed.  Terms are accumulated until below 1e-17 of the total.
-    """
-    e0 = energy_ideal(geometry).value
-    t = state.temperature / effective_temperature(geometry)
-    if t == 0.0:
-        return ResultValue(Quantity.FREE_ENERGY_PER_AREA, e0, 0.0,
-                           {"closed_form": True, "terms_used": 0})
-    k = 45.0 / math.pi ** 3
-    if t <= 1.0:
-        b, c3 = 2.0 * math.pi / t, 2.0 * k * t ** 3
-        braces = 1.0 + k * ZETA3 * t ** 3 - t ** 4
-    else:
-        b, c3, braces = 2.0 * math.pi * t, 2.0 * k * t, k * ZETA3 * t
-    c2 = 4.0 * math.pi * k * t * t
-    l = 0
-    while b * (l + 1) <= 700.0:  # exp(-b l) below 1e-304: nothing left
-        l += 1
-        d = math.expm1(b * l)
-        term = (c3 / l + c2 * (1.0 + 1.0 / d)) / (l * l * d)
-        braces += term
-        if term < 1e-17 * abs(braces):
-            break
-    return ResultValue(Quantity.FREE_ENERGY_PER_AREA, e0 * braces,
-                       abs(e0 * braces) * 1e-15,
-                       {"closed_form": True, "terms_used": l})
-
-
 def _spectral(model: Model, geometry: Geometry, state: ThermalState,
               tol: ToleranceConfig, integrand_factory, power: int,
               zeta_lo: float = 0.0, zeta_hi: float = math.inf,
@@ -187,8 +145,13 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     for a ladder that stops before l = L (the terms decay at least like
     e^(-zeta_1 l)), while one that reaches L adds the Euler-Maclaurin
     remainder, the band zeta > L zeta_1 over zeta_1 + `euler_maclaurin_ends`.
+    Outside 1e-12 m <= a <= 1 m, or at T > 0 outside 1e-100 <= zeta_1 <= 1e12,
+    it raises ValueError: there the prefactors under- or overflow, or
+    l zeta_1 plus the y-integrals' tail length rounds to l zeta_1.
     """
     a = geometry.separation
+    if not 1e-12 <= a <= 1.0:
+        raise ValueError(f"separation {a:.6g} m is outside [1e-12, 1] m")
     rel_tol = tol.quadrature_rel_tol
 
     def band(lo: float, hi: float = math.inf) -> IntegralResult:
@@ -203,6 +166,11 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
             "evaluations": w.evaluations}
 
     zeta1 = 2.0 * a * matsubara_frequency(1, state) / C_LIGHT
+    if not 1e-100 <= zeta1 <= 1e12:
+        raise ValueError(
+            f"temperature {state.temperature:.6g} K is outside the Matsubara "
+            f"ladder's range at separation {a:.6g} m: zeta_1 = {zeta1:.3g} "
+            "must lie in [1e-100, 1e12]")
     l_floor = math.ceil(10.0 / zeta1)
     done: list[IntegralResult] = []
 
@@ -247,9 +215,9 @@ def energy_T0(model: Model, geometry: Geometry,
     Also reports the correction factor E/E0 relative to the ideal metal in
     the diagnostics.
     """
-    model.check_separation(geometry)
     value, err, diag = _spectral(model, geometry, ThermalState(0.0), tol,
                                  _free_energy_integrand, 3)
+    model.check_separation(geometry)  # after _spectral's range check
     e0 = energy_ideal(geometry).value
     return ResultValue(Quantity.ENERGY_PER_AREA, value, err,
                        {"correction_factor": value / e0, **diag})
@@ -264,9 +232,10 @@ def free_energy(model: Model, geometry: Geometry, state: ThermalState,
     """
     if state.temperature <= 0.0:
         raise ValueError("free_energy requires T > 0; use energy_T0 at T = 0")
+    value, err, diag = _spectral(model, geometry, state, tol,
+                                 _free_energy_integrand, 3)
     model.check_separation(geometry)
-    return ResultValue(Quantity.FREE_ENERGY_PER_AREA, *_spectral(
-        model, geometry, state, tol, _free_energy_integrand, 3))
+    return ResultValue(Quantity.FREE_ENERGY_PER_AREA, value, err, diag)
 
 
 def thermal_correction(model: Model, geometry: Geometry, state: ThermalState,
@@ -297,9 +266,9 @@ def pressure_plates(model: Model, geometry: Geometry, state: ThermalState,
     numerically differentiating the free energy.  T = 0 is accepted and
     handled by the continuous-spectrum double integral.
     """
-    model.check_separation(geometry)
     value, err, diag = _spectral(model, geometry, state, tol,
                                  _pressure_integrand, 4)
+    model.check_separation(geometry)
     return ResultValue(Quantity.PRESSURE_PLATES, -value, err, diag)
 
 

@@ -2,7 +2,9 @@
 coefficients, dielectric and dispersion functions in physical (not scaled)
 variables, computed independently of the package's vectorized kernels.
 `impedance_imag_axis` and `x_factors` are scalar wrappers of `model.z` and
-`x_factors_grid`.
+`x_factors_grid`.  `free_energy_ideal` is the ideal metal's closed-form
+free energy; `energy_T0_nested_quad` and `free_energy_direct_ladder` are
+independent numeric references for the two spectral forms.
 """
 
 from __future__ import annotations
@@ -13,10 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from casimir_impedance.physcore import C_LIGHT, Geometry
+from casimir_impedance.physcore import (
+    C_LIGHT, Geometry, ThermalState, effective_temperature,
+)
 from casimir_impedance.impedance import ImpedanceModel
 from casimir_impedance.reflection import (
     DielectricModel, Drude, Plasma, x_factors_grid,
+)
+from casimir_impedance.observables import (
+    ZETA3, Quantity, ResultValue, energy_ideal,
 )
 
 
@@ -170,6 +177,48 @@ def x_factors(model: ImpedanceModel, geometry: Geometry,
         raise ValueError("y must be positive")
     xpar, xperp = x_factors_grid(model, geometry, zeta, np.array([y]))
     return float(xpar[0]), float(xperp[0])
+
+
+def free_energy_ideal(geometry: Geometry, state: ThermalState) -> ResultValue:
+    """Ideal-metal free energy per area from its closed series.
+
+    With t = T/T_eff (k_B T_eff = hbar c / 2a) and K = 45/pi^3,
+
+        F = E0 { 1 + K sum_{l>=1} [ t^3 coth(pi l/t)/l^3
+                 + pi t^2 sinh^-2(pi l/t)/l^2 ] - t^4 }
+          = E0 K t { zeta(3) + 2 sum_{l>=1} [ 1/(l^3 (e^{b l} - 1))
+                 + b e^{b l}/(l^2 (e^{b l} - 1)^2) ] },   b = 2 pi t,
+
+    the second form being the Matsubara sum.  For t <= 1 the first is
+    summed, with coth split as 1 + 2/(e^{2x} - 1) to pull its slowly
+    decaying part into an exact zeta(3) term; its terms decay like
+    exp(-2 pi l/t).  Above t = 1 it would cancel t^4 against its sum
+    (losing ~t^3 ulps), so the second, decaying like exp(-2 pi l t), is
+    summed.  Terms are accumulated until below 1e-17 of the total.
+    """
+    e0 = energy_ideal(geometry).value
+    t = state.temperature / effective_temperature(geometry)
+    if t == 0.0:
+        return ResultValue(Quantity.FREE_ENERGY_PER_AREA, e0, 0.0,
+                           {"closed_form": True, "terms_used": 0})
+    k = 45.0 / math.pi ** 3
+    if t <= 1.0:
+        b, c3 = 2.0 * math.pi / t, 2.0 * k * t ** 3
+        braces = 1.0 + k * ZETA3 * t ** 3 - t ** 4
+    else:
+        b, c3, braces = 2.0 * math.pi * t, 2.0 * k * t, k * ZETA3 * t
+    c2 = 4.0 * math.pi * k * t * t
+    l = 0
+    while b * (l + 1) <= 700.0:  # exp(-b l) below 1e-304: nothing left
+        l += 1
+        d = math.expm1(b * l)
+        term = (c3 / l + c2 * (1.0 + 1.0 / d)) / (l * l * d)
+        braces += term
+        if term < 1e-17 * abs(braces):
+            break
+    return ResultValue(Quantity.FREE_ENERGY_PER_AREA, e0 * braces,
+                       abs(e0 * braces) * 1e-15,
+                       {"closed_form": True, "terms_used": l})
 
 
 def dispersion_functions(z: ImpedanceValue | float, point: SpectralPoint,

@@ -42,13 +42,13 @@ from casimir_impedance.impedance import (
 from casimir_impedance.reflection import Drude, Plasma
 from casimir_impedance.quadrature import integrate_semiinf
 from casimir_impedance.observables import (
-    ZETA3, energy_T0, energy_ideal, entropy, free_energy, free_energy_ideal,
-    lowT_asymptotics, pressure_plates, spectral_contribution,
-    thermal_correction, _free_energy_integrand,
+    ZETA3, energy_T0, energy_ideal, entropy, free_energy, lowT_asymptotics,
+    pressure_plates, spectral_contribution, thermal_correction,
+    _free_energy_integrand,
 )
 from oracles import (
-    ReflectionPair, SpectralPoint, dispersion_functions, impedance_imag_axis,
-    refl_impedance, x_factors,
+    ReflectionPair, SpectralPoint, dispersion_functions, free_energy_ideal,
+    impedance_imag_axis, refl_impedance, x_factors,
 )
 
 GOLD_CA = derive_anomalous_constant(GOLD)

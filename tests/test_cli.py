@@ -473,3 +473,101 @@ def test_csv_bytes_kept_by_the_euler_maclaurin_cap(capsys, monkeypatch):
     assert res.diagnostics["tail"] == "euler_maclaurin"
     assert res.diagnostics["quad_err"] + res.diagnostics["tail_err"] \
         == pytest.approx(res.numeric_error, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("energy", "--separation", "1e-300"),
+    ("pressure", "--separation", "1e-300", "--temperature", "0"),
+    ("free-energy", "--separation", "1e-6", "--temperature", "1e300"),
+    ("energy", "--separation", "1e300"),
+    ("energy", "--separation", "1e-6:inf:3"),
+    ("free-energy", "--separation", "1e-6", "--temperature", "0:inf:3"),
+    ("free-energy", "--separation", "1e-6", "--temperature", "1e-300"),
+    ("free-energy", "--separation", "1e-6", "--temperature", "5e-324"),
+])
+def test_extreme_finite_inputs_exit_2(argv, capsys):
+    # finite values whose prefactors or zeta_1 under- or overflow are
+    # configuration errors, named as such, with no output and no warning
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "outside" in err or "finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert caught == []
+
+
+def _count_energy_calls(monkeypatch, fail_at=None):
+    # wraps the module attribute, as the benchmark tracer does; a call at
+    # a separation inside fail_at = (lo, hi) raises NonConvergenceError
+    from casimir_impedance import cli
+    from casimir_impedance.quadrature import IntegralResult, \
+        NonConvergenceError
+
+    calls = []
+    real = cli.obs.energy_T0
+
+    def counting(model, geometry, tol):
+        calls.append((geometry.separation, type(model).__name__))
+        if fail_at and fail_at[0] < geometry.separation < fail_at[1]:
+            raise NonConvergenceError("synthetic failure",
+                                      IntegralResult(0.0, 1.0, 1))
+        return real(model, geometry, tol)
+
+    monkeypatch.setattr(cli.obs, "energy_T0", counting)
+    return calls
+
+
+SWEEP_3X3X2 = ("sweep", "--model", "infrared-optics,lifshitz-plasma",
+               "--separation", "1e-6:3e-6:3", "--rel-tol", "1e-4")
+
+
+def test_sweep_computes_energy_once_per_separation_and_model(
+        capsys, monkeypatch):
+    calls = _count_energy_calls(monkeypatch)
+    code, first, _ = run(capsys, *SWEEP_3X3X2, "--temperature", "0,70,300")
+    assert code == 0
+    assert len(first.strip().split("\n")) == 1 + 18
+    assert len(calls) == 6 and len(set(calls)) == 6
+    # nothing outlives one main() call: the same run recomputes every E
+    code, again, _ = run(capsys, *SWEEP_3X3X2, "--temperature", "0,70,300")
+    assert code == 0 and again == first
+    assert len(calls) == 12 and calls[6:] == calls[:6]
+
+
+def test_multi_temperature_sweep_equals_one_temperature_runs(capsys):
+    code, merged, _ = run(capsys, *SWEEP_3X3X2, "--temperature", "0,70,300")
+    assert code == 0
+    header, *rows = merged.strip().split("\n")
+    single = {}
+    for T in ("0", "70", "300"):
+        code, out, _ = run(capsys, *SWEEP_3X3X2, "--temperature", T)
+        assert code == 0 and out.split("\n")[0] == header
+        single[T] = out.strip().split("\n")[1:]
+    # (a, T, model) order: for each separation, the 2 model rows of each T
+    expected = [row for i in range(3) for T in ("0", "70", "300")
+                for row in single[T][2 * i:2 * i + 2]]
+    assert rows == expected
+
+
+def test_failing_energy_fails_every_row_of_its_pair(capsys, monkeypatch):
+    code, clean, _ = run(capsys, *SWEEP_3X3X2, "--temperature", "0,70,300")
+    assert code == 0
+    _count_energy_calls(monkeypatch, fail_at=(1.5e-6, 2.5e-6))
+    code, out, _ = run(capsys, *SWEEP_3X3X2, "--temperature", "0,70,300")
+    assert code == 3
+    lines, clean_lines = out.strip().split("\n"), clean.strip().split("\n")
+    assert len(lines) == len(clean_lines) == 19
+    failed = []
+    for line, clean_line in zip(lines[1:], clean_lines[1:]):
+        row = dict(zip(CSV_COLUMNS, line.split(",")))
+        if 1.5e-6 < float(row["a_m"]) < 2.5e-6:
+            assert all(row[col] == "" for col in CSV_COLUMNS[3:-1]), row
+            failed.append(row["status"])
+        else:
+            assert line == clean_line
+    assert failed == ["nonconvergence: synthetic failure"] * 6

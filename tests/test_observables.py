@@ -25,9 +25,10 @@ from casimir_impedance import quadrature
 from casimir_impedance.quadrature import _WEDGE_CHUNK
 from casimir_impedance.observables import (
     ZETA3, Quantity, energy_T0, energy_ideal, entropy, force_sphere_plate,
-    free_energy, free_energy_ideal, lowT_asymptotics, pressure_plates,
-    spectral_contribution, thermal_correction,
+    free_energy, lowT_asymptotics, pressure_plates, spectral_contribution,
+    thermal_correction,
 )
+from oracles import free_energy_ideal
 
 TIGHT = ToleranceConfig(1e-9)
 MED = ToleranceConfig(1e-8)
