@@ -9,7 +9,9 @@ as a fixed-schema CSV (17 significant digits, '.' decimal separator,
 LF line endings; byte-identical for identical configurations) or as
 aligned human-readable blocks.  Non-convergence or a non-finite integrand
 in a single row leaves its value fields empty, is noted in the status
-column, and turns the exit status to 3; configuration errors exit with 2.
+column, and turns the exit status to 3; configuration errors, the grid's
+ranges included, exit with 2 before any record.  A model's validity
+warnings go to stderr once each, as 'warning: <message>'.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import contextlib
 import functools
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,11 +227,16 @@ def _cmd_records(args) -> int:
         raise ConfigError("entropy requires --temperature > 0")
     if args.command == "sphere-plate" and args.radius is None:
         raise ConfigError("sphere-plate requires --radius")
+    for a, T in ((a, T) for a in seps for T in temps):  # before any record
+        obs.check_range(Geometry(a), ThermalState(T))
 
     energies: dict = {}  # E(a) per (a, model name), for this call only
-    records = [_compute_record(args.command, name, model, a, T, args.radius,
-                               tol, energies)
-               for a in seps for T in temps for name, model in models]
+    with warnings.catch_warnings(record=True) as caught:
+        records = [_compute_record(args.command, name, model, a, T,
+                                   args.radius, tol, energies)
+                   for a in seps for T in temps for name, model in models]
+    for message in dict.fromkeys(str(w.message) for w in caught):  # in order
+        print(f"warning: {message}", file=sys.stderr)
 
     fmt = args.format or ("csv" if args.command == "sweep" else "human")
     with _open_output(args.output) as stream:

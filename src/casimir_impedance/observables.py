@@ -62,7 +62,7 @@ __all__ = [
     "Quantity", "ResultValue", "Model", "ZETA3",
     "energy_ideal", "energy_T0", "free_energy",
     "thermal_correction", "pressure_plates", "force_sphere_plate",
-    "entropy", "lowT_asymptotics", "spectral_contribution",
+    "entropy", "lowT_asymptotics", "spectral_contribution", "check_range",
 ]
 
 ZETA3 = 1.2020569031595943  # Riemann zeta(3)
@@ -130,6 +130,24 @@ def energy_ideal(geometry: Geometry) -> ResultValue:
                        {"closed_form": True})
 
 
+def check_range(geometry: Geometry, state: ThermalState) -> float:
+    """zeta_1 = 2 a xi_1 / c (0 at T = 0); ValueError outside 1e-12 <= a <=
+    1 m or, at T > 0, 1e-100 <= zeta_1 <= 1e12, where a prefactor under- or
+    overflows or l zeta_1 + the y-integrals' tail rounds to l zeta_1."""
+    a = geometry.separation
+    if not 1e-12 <= a <= 1.0:
+        raise ValueError(f"separation {a:.6g} m is outside [1e-12, 1] m")
+    if state.temperature <= 0.0:
+        return 0.0
+    zeta1 = 2.0 * a * matsubara_frequency(1, state) / C_LIGHT
+    if not 1e-100 <= zeta1 <= 1e12:
+        raise ValueError(
+            f"temperature {state.temperature:.6g} K is outside the Matsubara "
+            f"ladder's range at separation {a:.6g} m: zeta_1 = {zeta1:.3g} "
+            "must lie in [1e-100, 1e12]")
+    return zeta1
+
+
 def _spectral(model: Model, geometry: Geometry, state: ThermalState,
               tol: ToleranceConfig, integrand_factory, power: int,
               zeta_lo: float = 0.0, zeta_hi: float = math.inf,
@@ -145,13 +163,8 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     for a ladder that stops before l = L (the terms decay at least like
     e^(-zeta_1 l)), while one that reaches L adds the Euler-Maclaurin
     remainder, the band zeta > L zeta_1 over zeta_1 + `euler_maclaurin_ends`.
-    Outside 1e-12 m <= a <= 1 m, or at T > 0 outside 1e-100 <= zeta_1 <= 1e12,
-    it raises ValueError: there the prefactors under- or overflow, or
-    l zeta_1 plus the y-integrals' tail length rounds to l zeta_1.
     """
-    a = geometry.separation
-    if not 1e-12 <= a <= 1.0:
-        raise ValueError(f"separation {a:.6g} m is outside [1e-12, 1] m")
+    a, zeta1 = geometry.separation, check_range(geometry, state)
     rel_tol = tol.quadrature_rel_tol
 
     def band(lo: float, hi: float = math.inf) -> IntegralResult:
@@ -165,12 +178,6 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
         return prefac * w.value, prefac * w.abs_error_estimate, {
             "evaluations": w.evaluations}
 
-    zeta1 = 2.0 * a * matsubara_frequency(1, state) / C_LIGHT
-    if not 1e-100 <= zeta1 <= 1e12:
-        raise ValueError(
-            f"temperature {state.temperature:.6g} K is outside the Matsubara "
-            f"ladder's range at separation {a:.6g} m: zeta_1 = {zeta1:.3g} "
-            "must lie in [1e-100, 1e12]")
     l_floor = math.ceil(10.0 / zeta1)
     done: list[IntegralResult] = []
 

@@ -4,9 +4,11 @@ summation.
 Both rules put 15-point Kronrod nodes on graded level-0 panels, estimate
 the error from the embedded 7-point Gauss rule and halve every panel, one
 level at a time, until the error meets rel_tol.  The integrand is called on
-whole panels, at most _WEDGE_CHUNK points at a time, and panel sums are
-added in ascending order by fsum, so identical inputs give bit-identical
-results.  A non-finite integrand value raises FloatingPointError.
+whole panels, at most _WEDGE_CHUNK points at a time.  Each panel sum is one
+np.einsum contraction of aligned values (numpy's own loops, never BLAS),
+and panel values are added in ascending order by fsum, so identical inputs
+give bit-identical results.  A non-finite integrand value raises
+FloatingPointError from its panel's K15 sum: every K15 weight is positive.
 
 `integrate_interval` maps [0, 2.5e-5] and 12 geometric panels up to 1 onto
 [lower, upper] (over a length of 40, the wedge's y panels) and sums the
@@ -61,8 +63,7 @@ _WG = np.array([
 # full 15-node arrays, ascending
 _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # (15,)
 _W_K = np.concatenate([_WGK[:-1], _WGK[::-1]])             # (15,)
-_W_G = np.zeros(15)                                        # (15,)
-_W_G[1::2] = np.concatenate([_WG, _WG[-2::-1]])
+_W_G = np.concatenate([_WG, _WG[-2::-1]])                  # (7,) on [1::2]
 
 _EPS = np.finfo(float).eps
 
@@ -120,18 +121,16 @@ class NonConvergenceError(RuntimeError):
 
 
 def _qk15_panels(fx: np.ndarray, w_k: np.ndarray, w_g: np.ndarray):
-    """(K15 value, error, resabs) per panel of the values ``fx`` (..., 15)
-    under weights (..., 15); the error is QUADPACK's rescaled |K15 - G7|,
-    floored at 50*eps*resabs so it cannot beat machine precision."""
-    if not np.all(np.isfinite(fx)):
+    """(K15 value, error, resabs) per panel of ``fx`` (rows, panels, 15)
+    under K15 and G7 weights (panels, 15) and (panels, 7); the error is
+    QUADPACK's rescaled |K15 - G7|, floored at 50*eps*resabs (rounding)."""
+    resk = np.einsum("rpn,pn->rp", fx, w_k)
+    if not np.all(np.isfinite(resk)):  # every K15 weight is positive
         raise FloatingPointError("integrand returned a non-finite value")
-    # elementwise-multiply + pairwise sum instead of matmul: never hits a
-    # threaded BLAS path, so results are bit-identical for any thread count
-    resk = (fx * w_k).sum(axis=-1)
-    resabs = (np.abs(fx) * w_k).sum(axis=-1)
+    resabs = np.einsum("rpn,pn->rp", np.abs(fx), w_k)
     mean = (resk / w_k.sum(axis=-1))[..., None]
-    resasc = (np.abs(fx - mean) * w_k).sum(axis=-1)
-    err = np.abs(resk - (fx * w_g).sum(axis=-1))
+    resasc = np.einsum("rpn,pn->rp", np.abs(fx - mean), w_k)
+    err = np.abs(resk - np.einsum("rpn,pn->rp", fx[..., 1::2], w_g))
     mask = resasc != 0.0
     scaled = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=mask)
     err = np.where(mask, resasc * np.minimum(1.0, scaled ** 1.5), err)
@@ -150,27 +149,28 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
                   for x in (lower, upper - lower))
     if not (0.0 < rel_tol <= 1e-2 and np.all(length > 0.0)):
         raise ValueError("need rel_tol in (0, 1e-2] and upper > lower")
-    rows, unmet, evaluations = len(lo), list(range(len(lo))), 0
-    value, err = np.zeros(rows), np.zeros(rows)
+    rows, evaluations = len(lo), 0
+    value, err, unmet = np.zeros(rows), np.zeros(rows), np.ones(rows, bool)
     step = max(1, _WEDGE_CHUNK // (15 * rows))
     for level in range(_INTERVAL_LEVELS):
         u, w_k, w_g = _u_rule(level)
         parts = []
         for i in range(0, len(u), step):  # whole panels of every row
             y = lo[:, None, None] + length[:, None, None] * u[i:i + step]
-            parts.append(_qk15_panels(np.asarray(f(y), dtype=float),
+            parts.append(_qk15_panels(np.require(f(y), float, "A"),
                                       w_k[i:i + step], w_g[i:i + step]))
         evaluations += rows * u.size
-        k, e, a = (np.concatenate(p, axis=1).tolist() for p in zip(*parts))
-        for r in unmet:  # sums over the unit-length panels, scaled
-            value[r], err[r] = (length[r] * math.fsum(x[r]) for x in (k, e))
-        unmet = [r for r in unmet if err[r] > max(rel_tol * abs(value[r]),
-                 length[r] * 50.0 * _EPS * math.fsum(a[r]), _INTERVAL_ABS_TOL)]
-        if not unmet:
+        k, e, a = (np.concatenate(p, axis=1) for p in zip(*parts))
+        # sums over the unit-length panels, scaled; values by fsum
+        value[unmet] = length[unmet] * list(map(math.fsum, k[unmet].tolist()))
+        err[unmet] = length[unmet] * e[unmet].sum(axis=1)
+        bound = np.maximum(rel_tol * np.abs(value), _INTERVAL_ABS_TOL)
+        unmet &= err > np.maximum(bound, length * 50.0 * _EPS * a.sum(axis=1))
+        if not unmet.any():
             break
     result = IntegralResult(*(v if np.ndim(lower) else float(v[0])
                               for v in (value, err)), evaluations)
-    if unmet:
+    if unmet.any():
         raise NonConvergenceError(
             f"no convergence to rel_tol={rel_tol:g} within {_INTERVAL_LEVELS}"
             f" levels (error estimate {max(err[unmet]):.3g})", result)
@@ -234,26 +234,26 @@ def euler_maclaurin_ends(edge_terms) -> tuple[float, float]:
     return math.fsum(t * _EM_WEIGHTS), abs(np.diff(t, 6)[0]) / 50.0
 
 
-def _gk_panels(edges: np.ndarray, level: int, power: int = 0):
-    """K15 nodes and K15 and G7 weights, each (panels, 15), on the panels
-    of ``edges`` each split into 2**level equal parts, read-only; with a
-    power p, then the grading s^p and p s^(p-1) on the flattened nodes."""
+def _gk_panels(edges: np.ndarray, level: int, jacobian=np.ones_like):
+    """K15 nodes and K15 and G7 weights, (panels, 15), (panels, 15) and
+    (panels, 7), on the panels of ``edges`` each split into 2**level equal
+    parts, read-only; each weight includes ``jacobian`` at its node."""
     fine = np.append(np.linspace(edges[:-1], edges[1:], 2 ** level + 1)[:-1].T,
                      edges[-1])
     halfw = 0.5 * np.diff(fine)[:, None]
     s = fine[:-1, None] + halfw * (1.0 + _NODES)
-    rule = [s, halfw * _W_K, halfw * _W_G]
-    if power:
-        rule += [s.ravel() ** power, power * s.ravel() ** (power - 1)]
+    jac = jacobian(s)
+    rule = (s, halfw * _W_K * jac, halfw * _W_G * jac[:, 1::2])
     for a in rule:
         a.flags.writeable = False
-    return tuple(rule)
+    return rule
 
 
-# the fixed panels once per level; the wedge's y panels per (upper, cut, lo)
+# the fixed panels once per level; the wedge's s panels with dzeta/(m ds) =
+# p s^(p-1), its y panels per (upper, cut, lo) with m = min(y, cut) - lo
 _u_rule = functools.cache(lambda level: _gk_panels(_INTERVAL_EDGES, level))
-_s_rule = functools.cache(
-    lambda level: _gk_panels(_WEDGE_S_EDGES, level, _WEDGE_GRADING))
+_s_rule = functools.cache(lambda level, p=_WEDGE_GRADING: _gk_panels(
+    _WEDGE_S_EDGES, level, lambda s: p * s ** (p - 1)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -261,7 +261,7 @@ def _y_rule(upper: float, cut: float, lo: float, level: int):
     y_edges = lo + np.append(0.0, np.geomspace(_WEDGE_Y0, upper - lo, 13))
     if cut < upper:
         y_edges = np.unique(np.append(y_edges, cut))
-    return _gk_panels(y_edges, level)
+    return _gk_panels(y_edges, level, lambda y: np.minimum(y, cut) - lo)
 
 
 def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -279,27 +279,27 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                          "upper > lo + 1e-3")
     evaluations = 0
     for level in range(_WEDGE_LEVELS):
-        s, ws_k, ws_g, grade, dgrade = _s_rule(level)
+        s, ws_k, ws_g = _s_rule(level)
         y, wy_k, wy_g = _y_rule(upper, cut, lo, level)
+        grade = s.ravel() ** _WEDGE_GRADING
         step = max(1, _WEDGE_CHUNK // (15 * s.size))
         cells, diffs, resabs = [], [], []
         for i in range(0, len(y), step):  # whole y panels at a time
             yc = y[i:i + step, :, None]
             m = np.minimum(yc, cut) - lo  # zeta = lo + m s^p, dzeta = m ds^p
             zeta = lo + m * grade if lo else m * grade  # lo = 0: no array add
-            fx = np.broadcast_to(np.asarray(f(zeta, yc), dtype=float),
-                                 zeta.shape)
-            if not np.all(np.isfinite(fx)):
+            fx = np.broadcast_to(np.require(f(zeta, yc), float, "A"),
+                                 zeta.shape).reshape(len(yc), 15, *s.shape)
+            # one K15 and one G7 sum per pair of a y panel and an s panel
+            wk, wg = wy_k[i:i + step], wy_g[i:i + step]
+            k = np.einsum("yiSj,yi,Sj->yS", fx, wk, ws_k)
+            if not np.all(np.isfinite(k)):  # every K15 weight is positive
                 raise FloatingPointError("integrand returned a non-finite "
                                          "value")
-            fx = (fx * (m * dgrade)).reshape(len(yc), 15, *s.shape)
-            w_k, w_g = (wy[i:i + step, :, None, None] * ws
-                        for wy, ws in ((wy_k, ws_k), (wy_g, ws_g)))
-            # one value per pair of a y panel and an s panel
-            k, g = ((fx * w).sum(axis=(1, 3)) for w in (w_k, w_g))
-            cells.extend(k.ravel())
-            diffs.extend(np.abs(k - g).ravel())
-            resabs.append((np.abs(fx) * w_k).sum())
+            g = np.einsum("yiSj,yi,Sj->yS", fx[:, 1::2, :, 1::2], wg, ws_g)
+            cells.extend(k.ravel().tolist())
+            diffs.extend(np.abs(k - g).ravel().tolist())
+            resabs.append(np.einsum("yiSj,yi,Sj->", np.abs(fx), wk, ws_k))
         evaluations += y.size * s.size
         value = math.fsum(cells)
         err = max(math.fsum(diffs), 50.0 * _EPS * math.fsum(resabs))

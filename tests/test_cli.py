@@ -571,3 +571,38 @@ def test_failing_energy_fails_every_row_of_its_pair(capsys, monkeypatch):
         else:
             assert line == clean_line
     assert failed == ["nonconvergence: synthetic failure"] * 6
+
+
+def test_out_of_range_grid_fails_before_the_first_record(capsys,
+                                                         monkeypatch):
+    # the grid reaches 2 m; no record is computed before the exit
+    from casimir_impedance import cli
+
+    calls = []
+    for name in ("energy_T0", "free_energy"):
+        def counting(*args, _real=getattr(cli.obs, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(cli.obs, name, counting)
+    code, out, err = run(capsys, "sweep", "--separation", "1e-7:2:30",
+                         "--temperature", "0,3,70", "--model",
+                         "infrared-optics,anomalous-skin")
+    assert code == 2
+    assert out == ""
+    assert err == "error: separation 1.12013 m is outside [1e-12, 1] m\n"
+    assert calls == []
+
+
+def test_validity_warnings_once_each_without_source_location(capsys):
+    # two separations below the plasma wavelength (1.37e-7 m), each warned
+    # by E and by F at two temperatures: one line per distinct message
+    code, out, err = run(capsys, "sweep", "--separation", "1e-7,1.2e-7,2e-7",
+                         "--temperature", "0,3,70", "--model",
+                         "infrared-optics,anomalous-skin", "--rel-tol", "1e-4")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 18
+    lines = err.strip().split("\n")
+    assert [line.split(" m is not above")[0] for line in lines] == [
+        "warning: separation 1e-07", "warning: separation 1.2e-07"]
+    assert all("plasma wavelength 1.37e-07 m" in line for line in lines)
+    assert ".py:" not in err and "UserWarning" not in err

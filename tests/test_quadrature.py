@@ -1,6 +1,8 @@
 """Tests for the adaptive integrator and the Matsubara summation."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +231,76 @@ def test_non_finite_integrand_raises_floating_point_error():
     with pytest.raises(FloatingPointError):
         integrate_wedge(lambda zeta, y: np.where(y > 1.0, np.inf, 0.0),
                         40.0, 1e-6)
+
+    # one bad value at one node, on a Gauss node and on a Kronrod-only node
+    # (G7 weight zero), in a row other than the first: it still raises
+    def one_bad(shape, index, bad):
+        out = np.zeros(shape)
+        out[index] = bad
+        return out
+
+    for bad in (np.nan, np.inf, -np.inf):
+        for node in (1, 2):  # odd: Gauss node; even: G7 weight zero
+            with pytest.raises(FloatingPointError):
+                integrate_semiinf(lambda y: one_bad(y.shape, (1, 4, node),
+                                                    bad),
+                                  np.array([0.0, 1.0]), 1e-6)
+            with pytest.raises(FloatingPointError):  # y node, s node
+                integrate_wedge(lambda zeta, y: one_bad(
+                    zeta.shape, (2, node, 15 + node), bad), 40.0, 1e-6)
+
+
+def _placed(values, elements, misalign_bytes):
+    """A copy of ``values`` inside a larger buffer, starting ``elements``
+    float64 elements plus ``misalign_bytes`` bytes past its start."""
+    start = 8 * elements + misalign_bytes
+    raw = np.zeros(values.nbytes + start + 8, dtype=np.uint8)
+    out = raw[start:start + values.nbytes].view(float).reshape(values.shape)
+    out[...] = values
+    return out
+
+
+def test_rules_do_not_depend_on_where_the_integrand_array_sits():
+    # the panel sums are contractions whose loops must not change with
+    # the memory offset or the alignment of the integrand's array
+    def f(y):
+        return y * np.log1p(-np.exp(-y)) + np.sin(3.0 * y) * np.exp(-y)
+
+    def g(zeta, y):
+        return np.exp(-y) * np.sqrt(zeta) * np.cos(zeta)
+
+    lowers = np.array([0.0, 0.3, 2.0])
+    rows, wedge = integrate_semiinf(f, lowers, 1e-10), integrate_wedge(
+        g, 40.0, 1e-10)
+    layouts = [(k, 0) for k in range(1, 8)] + [(0, b) for b in range(1, 8)]
+    for elements, misalign in layouts:
+        moved = integrate_semiinf(
+            lambda y: _placed(f(y), elements, misalign), lowers, 1e-10)
+        assert np.array_equal(moved.value, rows.value)
+        assert np.array_equal(moved.abs_error_estimate,
+                              rows.abs_error_estimate)
+        assert integrate_wedge(
+            lambda zeta, y: _placed(g(zeta, y), elements, misalign),
+            40.0, 1e-10) == wedge
+
+
+def test_no_blas_or_optimized_contractions_in_src():
+    # @, dot, matmul, inner, vdot and tensordot may reach a threaded BLAS,
+    # and einsum's optimize= may too: results would depend on the threads
+    banned = {"dot", "matmul", "inner", "vdot", "tensordot"}
+    src = Path(__file__).resolve().parents[1] / "src"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Attribute) and node.attr in banned
+                    or isinstance(node, ast.Name) and node.id in banned
+                    or isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "einsum"
+                    and any(k.arg == "optimize" for k in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_array_lower_equals_scalar_calls_row_for_row():
