@@ -18,7 +18,7 @@ from .physcore import (
 from .impedance import (
     AnomalousSkin, IdealMetal, ImpedanceModel, InfraredOptics, NormalSkin,
 )
-from .reflection import DielectricModel, Drude, Plasma
+from .reflection import DielectricModel, Drude, Plasma, zero_freq_r_sq
 from .quadrature import (
     IntegralResult, NonConvergenceError, SumResult, integrate_interval,
     integrate_semiinf, integrate_wedge, matsubara_sum,

@@ -10,8 +10,8 @@ LF line endings; byte-identical for identical configurations) or as
 aligned human-readable blocks.  Non-convergence or a non-finite integrand
 in a single row leaves its value fields empty, is noted in the status
 column, and turns the exit status to 3; configuration errors, the grid's
-ranges included, exit with 2 before any record.  A model's validity
-warnings go to stderr once each, as 'warning: <message>'.
+ranges included, exit with 2 before any record.  Validity warnings, of
+a model or of `regime`, go to stderr once each, as 'warning: <message>'.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .physcore import (
     classify_regime, derive_anomalous_constant,
 )
 from .impedance import AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin
-from .reflection import Drude, Plasma
+from .reflection import Drude, Plasma, zero_freq_r_sq
 from .quadrature import NonConvergenceError
 from . import observables as obs
 
@@ -55,13 +55,12 @@ OBSERVABLE_COMMANDS = {
     "entropy": ("entropy_J_per_m2_K", "entropy"),
 }
 
-ZERO_FREQ_FORMS = (
-    ("impedance-normal", NormalSkin),
-    ("impedance-anomalous", AnomalousSkin),
-    ("impedance-infrared", InfraredOptics),
-    ("lifshitz-plasma", Plasma),
-    ("lifshitz-drude", Drude),
-)
+# zero-freq formulation -> model name
+ZERO_FREQ_FORMS = {"impedance-normal": "normal-skin",
+                   "impedance-anomalous": "anomalous-skin",
+                   "impedance-infrared": "infrared-optics",
+                   "lifshitz-plasma": "lifshitz-plasma",
+                   "lifshitz-drude": "lifshitz-drude"}
 
 
 class ConfigError(Exception):
@@ -231,12 +230,10 @@ def _cmd_records(args) -> int:
         obs.check_range(Geometry(a), ThermalState(T))
 
     energies: dict = {}  # E(a) per (a, model name), for this call only
-    with warnings.catch_warnings(record=True) as caught:
+    with _warnings_once():
         records = [_compute_record(args.command, name, model, a, T,
                                    args.radius, tol, energies)
                    for a in seps for T in temps for name, model in models]
-    for message in dict.fromkeys(str(w.message) for w in caught):  # in order
-        print(f"warning: {message}", file=sys.stderr)
 
     fmt = args.format or ("csv" if args.command == "sweep" else "human")
     with _open_output(args.output) as stream:
@@ -251,7 +248,7 @@ def _cmd_regime(args) -> int:
     seps = sorted(_parse_grid(args.separation, log=True, what="--separation"))
     T = (_parse_grid(args.temperature, log=False, what="--temperature")[0]
          if args.temperature is not None else 300.0)
-    with _open_output(args.output) as stream:
+    with _warnings_once(), _open_output(args.output) as stream:
         for a in seps:
             report = classify_regime(material, Geometry(a), ThermalState(T))
             stream.write(f"a = {_fmt(a)} m:\n")
@@ -277,21 +274,19 @@ def _cmd_regime(args) -> int:
 def _cmd_zero_freq(args) -> int:
     material = _load_material(args.material)
     kperps = _parse_grid(args.kperp, log=True, what="--kperp")
-    if any(not 0.0 < k < math.inf for k in kperps):
-        raise ConfigError("--kperp values must be positive and finite")
-    rows = [(name, k, *cls.zero_freq_r_sq(k, material.plasma_frequency))
-            for name, cls in ZERO_FREQ_FORMS for k in kperps]
+    # the zeta = 0 limit depends on neither sigma, C_a nor gamma
+    tables = {form: zero_freq_r_sq(_build_model(name, material, 1.0, 1.0),
+                                   kperps)
+              for form, name in ZERO_FREQ_FORMS.items()}
     fmt = args.format or "csv"
+    row = ("{},{},{},{}\n" if fmt == "csv" else
+           "{:22s} k_perp = {:24s} r_par_sq = {:24s} r_perp_sq = {}\n")
     with _open_output(args.output) as stream:
         if fmt == "csv":
             stream.write("formulation,k_perp_rad_m,r_par_sq,r_perp_sq\n")
-            for name, k, rp, rt in rows:
-                stream.write(f"{name},{_fmt(k)},{_fmt(rp)},{_fmt(rt)}\n")
-        else:
-            for name, k, rp, rt in rows:
-                stream.write(f"{name:22s} k_perp = {_fmt(k):24s} "
-                             f"r_par_sq = {_fmt(rp):24s} "
-                             f"r_perp_sq = {_fmt(rt)}\n")
+        for form, (r_par, r_perp) in tables.items():
+            for k, rp, rt in zip(kperps, r_par.tolist(), r_perp.tolist()):
+                stream.write(row.format(form, _fmt(k), _fmt(rp), _fmt(rt)))
     return 0
 
 
@@ -303,6 +298,15 @@ def _make_tol(args) -> ToleranceConfig:
     except ValueError:
         raise ConfigError(f"--rel-tol must lie in (0, 1e-2], got "
                           f"{args.rel_tol!r}") from None
+
+
+@contextlib.contextmanager
+def _warnings_once():
+    """Print each distinct warning raised inside once, as 'warning: ...'."""
+    with warnings.catch_warnings(record=True) as caught:
+        yield
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
 
 
 @contextlib.contextmanager

@@ -26,10 +26,10 @@ Each model derives from `ImpedanceModel` and defines ``z(xi)``, Z(i xi)
 vectorized over xi >= 0.  The reflection kernel sees it only through
 ``fresnel_inputs``, the metal-side wavenumbers (zeta Z, zeta/Z) of
 `reflection`, with zeta/Z = 0 where Z = 0, so zeta = 0 is an ordinary
-argument.  Infrared optics writes zeta/Z = hypot(w_p, zeta), w_p =
-2 a omega_p / c: its r_perp^2(0) keeps a material dependence.  The static
-``zero_freq_r_sq`` states each limit as (r_par^2, r_perp^2) for the CLI
-``zero-freq`` table.  ``check_separation`` warns where a model stops
+argument and gives the model's zero-frequency limit, the l = 0 Matsubara
+term and the CLI ``zero-freq`` table alike.  Infrared optics writes zeta/Z
+= hypot(w_p, zeta), w_p = 2 a omega_p / c: its r_perp^2(0) keeps a
+material dependence.  ``check_separation`` warns where a model stops
 applying: infrared optics at separations below its plasma wavelength.
 
 Whichever model is chosen for a computation is used at *all* Matsubara
@@ -55,11 +55,6 @@ __all__ = [
 _ANOM_PREFACTOR = 4.0 / (3.0 * math.sqrt(3.0))
 
 
-def _check_k_perp(k_perp: float) -> None:
-    if not 0.0 < k_perp < math.inf:
-        raise ValueError("k_perp must be positive and finite")
-
-
 class ImpedanceModel:
     """Base class of the impedance models; subclasses define z(xi)."""
 
@@ -67,12 +62,6 @@ class ImpedanceModel:
         """(zeta Z, zeta/Z) at zeta >= 0, with zeta/Z = 0 where Z = 0."""
         z = self.z(np.asarray(zeta * C_LIGHT / (2.0 * geometry.separation)))
         return zeta * z, np.divide(zeta, z, out=np.zeros_like(z), where=z > 0)
-
-    @staticmethod
-    def zero_freq_r_sq(k_perp: float, omega_p: float) -> tuple[float, float]:
-        """(r_par^2, r_perp^2) at xi = 0 for k_perp > 0 (rad/m)."""
-        _check_k_perp(k_perp)
-        return 1.0, 1.0
 
     def check_separation(self, geometry: Geometry) -> None:
         """Warn when the separation is outside the model's validity range."""
@@ -133,12 +122,6 @@ class InfraredOptics(ImpedanceModel):
     def fresnel_inputs(self, geometry, zeta, y):
         h = np.hypot(2.0 * geometry.separation * self.omega_p / C_LIGHT, zeta)
         return zeta * zeta / h, h  # zeta Z and zeta/Z
-
-    @staticmethod
-    def zero_freq_r_sq(k_perp, omega_p):
-        _check_k_perp(k_perp)
-        ck = C_LIGHT * k_perp
-        return 1.0, ((omega_p - ck) / (omega_p + ck)) ** 2
 
     def check_separation(self, geometry):
         lam_p = 2.0 * math.pi * C_LIGHT / self.omega_p

@@ -28,8 +28,8 @@ finite at zeta >= 0, so zeta = 0 is an ordinary argument and gives the
 model's limit: zero for the ideal metal and the skin-effect impedances,
 r_perp^2(0) > 0 for infrared optics and the plasma dielectric, and exactly
 (X_par, X_perp) = (0, 1) for the Drude dielectric, which collapses to
-r_perp^2(0) = 0 discontinuously.  Every model also states its limit as
-(r_par^2, r_perp^2), ``zero_freq_r_sq``.
+r_perp^2(0) = 0 discontinuously.  `zero_freq_r_sq` prints that limit as
+(r_par^2, r_perp^2) against k_perp from the same ``fresnel_inputs``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from typing import Union
 import numpy as np
 
 from .physcore import C_LIGHT, Geometry
-from .impedance import ImpedanceModel, _check_k_perp
+from .impedance import ImpedanceModel
 
 __all__ = [
-    "DielectricModel", "Plasma", "Drude", "x_factors_grid",
+    "DielectricModel", "Plasma", "Drude", "x_factors_grid", "zero_freq_r_sq",
 ]
 
 
@@ -75,12 +75,6 @@ class Plasma(DielectricModel):
         w = np.hypot(y, wp_t)
         return w * (zeta * zeta / (zeta * zeta + wp_t * wp_t)), w
 
-    @staticmethod
-    def zero_freq_r_sq(k_perp, omega_p):
-        _check_k_perp(k_perp)
-        k0 = math.hypot(k_perp, omega_p / C_LIGHT)
-        return 1.0, ((k_perp - k0) / (k_perp + k0)) ** 2
-
 
 @dataclass(frozen=True)
 class Drude(DielectricModel):
@@ -103,11 +97,6 @@ class Drude(DielectricModel):
         w = np.sqrt(y * y + wp_t * wp_t * xi / (xi + self.gamma))
         return w * (denom / (denom + self.omega_p ** 2)), w
 
-    @staticmethod
-    def zero_freq_r_sq(k_perp, omega_p):
-        _check_k_perp(k_perp)
-        return 1.0, 0.0
-
 
 def x_factors_grid(model: Model, geometry: Geometry, zeta, y):
     """Transparency factors (X_par, X_perp) = (1 - r_par^2, 1 - r_perp^2)
@@ -122,3 +111,15 @@ def x_factors_grid(model: Model, geometry: Geometry, zeta, y):
     u_par, u_perp = model.fresnel_inputs(geometry, zeta, y)
     return (4.0 * y * u_par / (y + u_par) ** 2,
             4.0 * y * u_perp / (y + u_perp) ** 2)
+
+
+def zero_freq_r_sq(model: Model, k_perp):
+    """(r_par^2, r_perp^2) = ((y - u)/(y + u))^2 of ``fresnel_inputs`` at
+    zeta = 0 for k_perp (float or array) in [1e-100, 1e100] rad/m, where y^2
+    neither under- nor overflows; u/y is independent of a, and a = 1/2 m
+    makes y = k_perp."""
+    y = np.asarray(k_perp, dtype=float)
+    if not np.all((1e-100 <= y) & (y <= 1e100)):
+        raise ValueError("k_perp is outside [1e-100, 1e100] rad/m")
+    return tuple(((y - u) / (y + u)) ** 2
+                 for u in model.fresnel_inputs(Geometry(0.5), 0.0, y))

@@ -2,8 +2,9 @@
 coefficients, dielectric and dispersion functions in physical (not scaled)
 variables, computed independently of the package's vectorized kernels.
 `impedance_imag_axis` and `x_factors` are scalar wrappers of `model.z` and
-`x_factors_grid`.  `free_energy_ideal` is the ideal metal's closed-form
-free energy; `energy_T0_nested_quad` and `free_energy_direct_ladder` are
+`x_factors_grid`.  `zero_freq_closed_form` states each model's
+zero-frequency limit in closed form.  `free_energy_ideal` is the ideal
+metal's closed-form free energy; `energy_T0_nested_quad` and `free_energy_direct_ladder` are
 independent numeric references for the two spectral forms.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from casimir_impedance.physcore import (
     C_LIGHT, Geometry, ThermalState, effective_temperature,
 )
-from casimir_impedance.impedance import ImpedanceModel
+from casimir_impedance.impedance import ImpedanceModel, InfraredOptics
 from casimir_impedance.reflection import (
     DielectricModel, Drude, Plasma, x_factors_grid,
 )
@@ -114,7 +115,7 @@ def eps_imag_axis(model: DielectricModel, xi: float) -> float:
     if isinstance(model, Drude):
         if xi <= 0.0:
             raise ValueError("Drude eps(i xi) diverges at xi = 0; "
-                             "use Drude.zero_freq_r_sq for the limit")
+                             "use zero_freq_closed_form for the limit")
         return 1.0 + model.omega_p ** 2 / (xi * (xi + model.gamma))
     raise TypeError(f"not a dielectric model: {model!r}")
 
@@ -123,13 +124,13 @@ def refl_impedance(z: ImpedanceValue | float,
                    point: SpectralPoint) -> ReflectionPair:
     """Impedance squared reflection coefficients at xi > 0.
 
-    Zero frequency is a 0/0 limit of the perpendicular coefficient; the
-    models' `zero_freq_r_sq` give it.
+    Zero frequency is a 0/0 limit of the perpendicular coefficient;
+    `zero_freq_closed_form` gives it.
     """
     zv = z.z if isinstance(z, ImpedanceValue) else float(z)
     if point.xi <= 0.0:
         raise ValueError("refl_impedance requires xi > 0; "
-                         "zero frequency is handled by zero_freq_r_sq")
+                         "zero frequency is handled by zero_freq_closed_form")
     cq = C_LIGHT * point.q
     xi = point.xi
     r_par = (cq - zv * xi) / (cq + zv * xi)
@@ -143,7 +144,7 @@ def refl_lifshitz(model: DielectricModel,
 
     The plasma model is continuous down to xi = 0 (eps xi^2 -> omega_p^2),
     so xi = 0 is allowed there; the Drude model must go through
-    `Drude.zero_freq_r_sq` instead.
+    `zero_freq_closed_form` instead.
     """
     xi = point.xi
     q = point.q
@@ -158,7 +159,7 @@ def refl_lifshitz(model: DielectricModel,
     elif isinstance(model, Drude):
         if xi <= 0.0:
             raise ValueError("Drude reflection at xi = 0 is defined only as "
-                             "a limit; use Drude.zero_freq_r_sq")
+                             "a limit; use zero_freq_closed_form")
         denom = xi * (xi + model.gamma)
         eps_xi2 = xi * xi + model.omega_p ** 2 * xi / (xi + model.gamma)
         inv_eps = denom / (denom + model.omega_p ** 2)
@@ -168,6 +169,27 @@ def refl_lifshitz(model: DielectricModel,
     r_par = (q - k * inv_eps) / (q + k * inv_eps)
     r_perp = (q - k) / (q + k)
     return ReflectionPair(r_par * r_par, r_perp * r_perp)
+
+
+def zero_freq_closed_form(model, k_perp: float) -> ReflectionPair:
+    """(r_par^2, r_perp^2) at xi = 0 and k_perp > 0 (rad/m), written out per
+    model: Z(0) = 0 reflects fully for the ideal metal and the skin
+    effects; infrared optics keeps r_perp = (omega_p - c k)/(omega_p + c k);
+    the plasma dielectric r_perp = (k - k0)/(k + k0) with k0^2 = k^2 +
+    omega_p^2/c^2; the Drude dielectric turns transparent to TE, r_perp = 0.
+    """
+    if isinstance(model, InfraredOptics):
+        ck = C_LIGHT * k_perp
+        return ReflectionPair(
+            1.0, ((model.omega_p - ck) / (model.omega_p + ck)) ** 2)
+    if isinstance(model, Plasma):
+        k0 = math.hypot(k_perp, model.omega_p / C_LIGHT)
+        return ReflectionPair(1.0, ((k_perp - k0) / (k_perp + k0)) ** 2)
+    if isinstance(model, Drude):
+        return ReflectionPair(1.0, 0.0)
+    if isinstance(model, ImpedanceModel):
+        return ReflectionPair(1.0, 1.0)
+    raise TypeError(f"not a reflection model: {model!r}")
 
 
 def x_factors(model: ImpedanceModel, geometry: Geometry,

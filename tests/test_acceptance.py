@@ -39,7 +39,7 @@ from casimir_impedance.physcore import (
 from casimir_impedance.impedance import (
     AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
 )
-from casimir_impedance.reflection import Drude, Plasma
+from casimir_impedance.reflection import Drude, Plasma, zero_freq_r_sq
 from casimir_impedance.quadrature import integrate_semiinf
 from casimir_impedance.observables import (
     ZETA3, energy_T0, energy_ideal, entropy, free_energy, lowT_asymptotics,
@@ -226,11 +226,11 @@ def test_criterion_8_matsubara_truncation():
 def test_criterion_9_zero_frequency_table():
     k_perp = 2.0e7
     wp = GOLD.plasma_frequency
-    normal = ReflectionPair(*NormalSkin.zero_freq_r_sq(k_perp, wp))
-    anomalous = ReflectionPair(*AnomalousSkin.zero_freq_r_sq(k_perp, wp))
-    infrared = ReflectionPair(*InfraredOptics.zero_freq_r_sq(k_perp, wp))
-    plasma = ReflectionPair(*Plasma.zero_freq_r_sq(k_perp, wp))
-    drude = ReflectionPair(*Drude.zero_freq_r_sq(k_perp, wp))
+    normal = ReflectionPair(*zero_freq_r_sq(NormalSkin(1e17), k_perp))
+    anomalous = ReflectionPair(*zero_freq_r_sq(GOLD_AS, k_perp))
+    infrared = ReflectionPair(*zero_freq_r_sq(GOLD_IR, k_perp))
+    plasma = ReflectionPair(*zero_freq_r_sq(Plasma(wp), k_perp))
+    drude = ReflectionPair(*zero_freq_r_sq(Drude(wp, 5.3e13), k_perp))
     ck = C_LIGHT * k_perp
     ir_expected = ((wp - ck) / (wp + ck)) ** 2
     ok = (normal.r_par_sq == 1.0 and normal.r_perp_sq == 1.0

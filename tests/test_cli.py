@@ -169,9 +169,9 @@ def test_regime_report(capsys):
 
 
 def test_regime_warns_below_plasma_wavelength(capsys):
-    with pytest.warns(UserWarning, match="plasma wavelength"):
-        code, out, _ = run(capsys, "regime", "--separation", "0.1e-6")
+    code, out, err = run(capsys, "regime", "--separation", "0.1e-6")
     assert code == 0
+    assert err.startswith("warning: ") and "plasma wavelength" in err
 
 
 def test_zero_freq_table(capsys):
@@ -484,10 +484,12 @@ def test_csv_bytes_kept_by_the_euler_maclaurin_cap(capsys, monkeypatch):
     ("free-energy", "--separation", "1e-6", "--temperature", "0:inf:3"),
     ("free-energy", "--separation", "1e-6", "--temperature", "1e-300"),
     ("free-energy", "--separation", "1e-6", "--temperature", "5e-324"),
+    ("zero-freq", "--kperp", "1e300"),
+    ("zero-freq", "--kperp", "1e-170"),
 ])
 def test_extreme_finite_inputs_exit_2(argv, capsys):
-    # finite values whose prefactors or zeta_1 under- or overflow are
-    # configuration errors, named as such, with no output and no warning
+    # finite values whose prefactors, zeta_1 or k_perp^2 under- or overflow
+    # are configuration errors, named as such, with no output and no warning
     import warnings
 
     with warnings.catch_warnings(record=True) as caught:
@@ -595,14 +597,18 @@ def test_out_of_range_grid_fails_before_the_first_record(capsys,
 
 def test_validity_warnings_once_each_without_source_location(capsys):
     # two separations below the plasma wavelength (1.37e-7 m), each warned
-    # by E and by F at two temperatures: one line per distinct message
-    code, out, err = run(capsys, "sweep", "--separation", "1e-7,1.2e-7,2e-7",
-                         "--temperature", "0,3,70", "--model",
-                         "infrared-optics,anomalous-skin", "--rel-tol", "1e-4")
-    assert code == 0
-    assert len(out.strip().split("\n")) == 1 + 18
-    lines = err.strip().split("\n")
-    assert [line.split(" m is not above")[0] for line in lines] == [
-        "warning: separation 1e-07", "warning: separation 1.2e-07"]
-    assert all("plasma wavelength 1.37e-07 m" in line for line in lines)
-    assert ".py:" not in err and "UserWarning" not in err
+    # by E and by F at two temperatures, or once by regime: one line per
+    # distinct message
+    seps = ("--separation", "1e-7,1.2e-7,2e-7")
+    for argv, out_lines in (
+            (("sweep", *seps, "--temperature", "0,3,70", "--model",
+              "infrared-optics,anomalous-skin", "--rel-tol", "1e-4"), 1 + 18),
+            (("regime", *seps), 3 * 13 - 1)):
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert len(out.strip().split("\n")) == out_lines
+        lines = err.strip().split("\n")
+        assert [line.split(" m is not above")[0] for line in lines] == [
+            "warning: separation 1e-07", "warning: separation 1.2e-07"]
+        assert all("plasma wavelength 1.37e-07 m" in line for line in lines)
+        assert ".py:" not in err and "UserWarning" not in err

@@ -2,6 +2,7 @@
 functions, including the analytic zero-frequency limits."""
 
 import ast
+import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -14,10 +15,13 @@ from casimir_impedance.physcore import C_LIGHT, GOLD, Geometry, \
 from casimir_impedance.impedance import (
     AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
 )
-from casimir_impedance.reflection import Drude, Plasma, x_factors_grid
+from casimir_impedance.reflection import (
+    Drude, Plasma, x_factors_grid, zero_freq_r_sq,
+)
 from oracles import (
     ReflectionPair, SpectralPoint, dispersion_functions, eps_imag_axis,
     impedance_imag_axis, refl_impedance, refl_lifshitz, x_factors,
+    zero_freq_closed_form,
 )
 
 GOLD_CA = derive_anomalous_constant(GOLD)
@@ -88,8 +92,8 @@ def test_plasma_zero_frequency_limit():
     expected = ((k_perp - k0) / (k_perp + k0)) ** 2
     assert pair.r_par_sq == pytest.approx(1.0, abs=1e-15)
     assert pair.r_perp_sq == pytest.approx(expected, rel=1e-12)
-    table = ReflectionPair(*Plasma.zero_freq_r_sq(k_perp,
-                                                  GOLD.plasma_frequency))
+    table = ReflectionPair(*zero_freq_r_sq(Plasma(GOLD.plasma_frequency),
+                                           k_perp))
     assert pair.r_perp_sq == pytest.approx(table.r_perp_sq, rel=1e-13)
 
 
@@ -188,7 +192,7 @@ def test_lifshitz_x_grid_matches_scalar_coefficients():
 def test_zero_frequency_is_an_ordinary_argument():
     # every model's Fresnel inputs are finite at zeta = 0: a zeta row of 0
     # in an array is the scalar zeta = 0 call, and 1 - X(0, y) is the
-    # model's zero-frequency table at k_perp = y / 2a
+    # model's closed-form zero-frequency limit at k_perp = y / 2a
     geometry = Geometry(0.5e-6)
     y = np.array([1e-3, 0.3, 1.0, 4.0, 11.0, 40.0])
     wp = GOLD.plasma_frequency
@@ -199,7 +203,7 @@ def test_zero_frequency_is_an_ordinary_argument():
             rows = x_factors_grid(model, geometry, np.array([[0.0], [0.5]]),
                                   y)
             alone = x_factors_grid(model, geometry, 0.0, y)
-        table = np.array([model.zero_freq_r_sq(k, wp)
+        table = np.array([dataclasses.astuple(zero_freq_closed_form(model, k))
                           for k in y / (2.0 * geometry.separation)])
         for p in range(2):
             row0 = np.broadcast_to(rows[p], (2, len(y)))[0]
@@ -209,46 +213,95 @@ def test_zero_frequency_is_an_ordinary_argument():
                 model
 
 
+def test_zero_frequency_limit_matches_closed_forms():
+    # the zero-freq table and the kernel's 1 - X(0, y) against the limits
+    # written out per model, over 1e3-1e12 rad/m (across the
+    # impedance-match point c k = omega_p)
+    geometry = Geometry(0.5e-6)
+    k = np.geomspace(1e3, 1e12, 2001)
+    wp = GOLD.plasma_frequency
+    for model in (IdealMetal(), NormalSkin(1e17), AnomalousSkin(GOLD_CA),
+                  InfraredOptics(wp), Plasma(wp), Drude(wp, 5.3e13)):
+        ref = np.array([dataclasses.astuple(zero_freq_closed_form(model, kk))
+                        for kk in k]).T
+        table = np.array(zero_freq_r_sq(model, k))
+        assert np.all(np.abs(table - ref) <= 1e-13 * ref + 1e-17), model
+        x = x_factors_grid(model, geometry, 0.0, 2.0 * geometry.separation * k)
+        assert np.max(np.abs(1.0 - np.array(x) - ref)) <= 1e-15, model
+
+
+def test_zero_frequency_limit_independent_of_dissipation():
+    # the limit is fixed by the form of the impedance or dielectric
+    # function: sigma, C_a and gamma do not enter it
+    k = np.geomspace(1e3, 1e12, 201)
+    wp = GOLD.plasma_frequency
+    for models in ((NormalSkin(1.0), NormalSkin(1e17)),
+                   (AnomalousSkin(1.0), AnomalousSkin(GOLD_CA)),
+                   (Drude(wp, 1.0), Drude(wp, 5.3e13))):
+        tables = [zero_freq_r_sq(model, k) for model in models]
+        assert np.array_equal(tables[0], tables[1]), models
+
+
 def test_no_model_type_tests_in_src():
     # every model meets the code through fresnel_inputs and its own
-    # methods: no isinstance test in src/ may name a reflection model
+    # methods: no isinstance test in src/ may name a reflection model, and
+    # the zero-frequency limit has one home, reflection.zero_freq_r_sq
     models = {"ImpedanceModel", "DielectricModel", "IdealMetal",
               "NormalSkin", "AnomalousSkin", "InfraredOptics", "Plasma",
               "Drude"}
     src = Path(__file__).resolve().parents[1] / "src"
-    found = []
+    found, limits = [], []
     for path in sorted(src.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "isinstance"):
                 named = {getattr(n, "id", getattr(n, "attr", None))
                          for n in ast.walk(node.args[1])}
                 if named & models:
                     found.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name == "zero_freq_r_sq"):
+                limits.append((path.name, node in tree.body))
     assert found == []
+    assert limits == [("reflection.py", True)]
 
 
 def test_zero_frequency_table():
     k_perp = 3e7
     wp = GOLD.plasma_frequency
-    for form in (NormalSkin, AnomalousSkin):
-        pair = ReflectionPair(*form.zero_freq_r_sq(k_perp, wp))
+    for model in (NormalSkin(1e17), AnomalousSkin(GOLD_CA)):
+        pair = ReflectionPair(*zero_freq_r_sq(model, k_perp))
         assert pair == ReflectionPair(1.0, 1.0)
-    pair = ReflectionPair(*InfraredOptics.zero_freq_r_sq(k_perp, wp))
+    pair = ReflectionPair(*zero_freq_r_sq(InfraredOptics(wp), k_perp))
     ck = C_LIGHT * k_perp
     assert pair.r_par_sq == 1.0
     assert pair.r_perp_sq == pytest.approx(((wp - ck) / (wp + ck)) ** 2,
                                            rel=1e-14)
-    assert ReflectionPair(*Drude.zero_freq_r_sq(k_perp, wp)) \
+    drude = Drude(wp, 5.3e13)
+    assert ReflectionPair(*zero_freq_r_sq(drude, k_perp)) \
         == ReflectionPair(1.0, 0.0)
-    assert Plasma.zero_freq_r_sq(k_perp, wp)[1] > 0.0
+    assert zero_freq_r_sq(Plasma(wp), k_perp)[1] > 0.0
     with pytest.raises(ValueError):
-        Drude.zero_freq_r_sq(0.0, wp)
+        zero_freq_r_sq(drude, 0.0)
+
+
+def test_zero_frequency_table_rejects_k_perp_outside_its_range():
+    # y^2 must neither underflow nor overflow: Drude would give r_perp^2 =
+    # 1 instead of 0 at 1e-170, and nan at 1e300
+    drude = Drude(GOLD.plasma_frequency, 5.3e13)
+    for k_perp in (1e-170, 1e300, math.inf, math.nan,
+                   np.array([1e5, 1e101])):
+        with pytest.raises(ValueError,
+                           match=r"outside \[1e-100, 1e100\] rad/m"):
+            zero_freq_r_sq(drude, k_perp)
+    assert zero_freq_r_sq(drude, np.array([1e-100, 1e100]))[1].tolist() \
+        == [0.0, 0.0]
 
 
 def test_zero_frequency_infrared_ideal_limit():
     # omega_p -> infinity reproduces the ideal metal
-    big = ReflectionPair(*InfraredOptics.zero_freq_r_sq(1e7, 1e30))
+    big = ReflectionPair(*zero_freq_r_sq(InfraredOptics(1e30), 1e7))
     assert big.r_perp_sq > 1.0 - 1e-12
 
 
