@@ -22,7 +22,6 @@ from casimir_impedance.impedance import (
 )
 from casimir_impedance.reflection import Drude, Plasma
 from casimir_impedance import quadrature
-from casimir_impedance.quadrature import _WEDGE_CHUNK
 from casimir_impedance.observables import (
     ZETA3, Quantity, energy_T0, energy_ideal, entropy, force_sphere_plate,
     free_energy, lowT_asymptotics, pressure_plates, spectral_contribution,
@@ -446,12 +445,101 @@ def test_zero_temperature_rule_matches_nested_quad_oracle():
             assert res.numeric_error <= 2.0 * rel_tol * abs(ref)
 
 
+def test_zero_temperature_error_estimate_covers_and_is_sharp():
+    # six models x E, P over 1 nm - 1 mm: at tol 1e-6 and 1e-9 the
+    # estimate is never below the true error, and at 1e-6 it overstates it
+    # by a median of at most 1e5.  The reference is the rule at tol 1e-13;
+    # the scipy oracle (off by up to ~1e-11 of E for anomalous skin at
+    # 1 mm) checks E at 1e-6 at the two ends
+    from oracles import energy_T0_nested_quad
+
+    cold = ThermalState(0.0)
+    observables = (energy_T0,
+                   lambda m, g, tol: pressure_plates(m, g, cold, tol))
+    ratios = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 1 nm and 0.1 um are below lambda_p
+        for model in (IdealMetal(), NormalSkin(1e17), GOLD_AS, GOLD_IR,
+                      Plasma(GOLD.plasma_frequency),
+                      Drude(GOLD.plasma_frequency, 5.3e13)):
+            for a in (1e-9, 1e-7, 1e-5, 1e-3):
+                geometry = Geometry(a)
+                for f in observables:
+                    ref = f(model, geometry, ToleranceConfig(1e-13)).value
+                    for rel_tol in (1e-6, 1e-9):
+                        res = f(model, geometry, ToleranceConfig(rel_tol))
+                        true = abs(res.value - ref)
+                        assert true <= res.numeric_error, (model, a, rel_tol)
+                        if rel_tol == 1e-6:  # bit-equal to ref: no ratio
+                            ratios.append(res.numeric_error / true if true
+                                          else math.inf)
+                if a in (1e-9, 1e-3):
+                    res = energy_T0(model, geometry, ToleranceConfig(1e-6))
+                    oracle = energy_T0_nested_quad(model, geometry)
+                    assert abs(res.value - oracle) <= res.numeric_error, \
+                        (model, a)
+    assert np.median(ratios) <= 1e5
+
+
+def test_default_tolerance_wedge_uses_the_level_zero_layout(monkeypatch):
+    # the level-0 layout, 135 y x 45 s nodes = 6,075 X points, meets the
+    # default tol for every benchmark T = 0 model at 0.1, 1 and 10 um, and
+    # for the Euler-Maclaurin band of a 3 K ladder at 0.15 um
+    import casimir_impedance.observables as obs
+    from casimir_impedance.physcore import sigma_gaussian_from_si
+
+    bands = []
+
+    def recording(*args):
+        bands.append(quadrature.integrate_wedge(*args))
+        return bands[-1]
+
+    monkeypatch.setattr(obs, "integrate_wedge", recording)
+    models = (GOLD_IR, GOLD_AS, NormalSkin(sigma_gaussian_from_si(4.1e7)),
+              Plasma(GOLD.plasma_frequency),
+              Drude(GOLD.plasma_frequency, 5.3e13))
+    cold = ThermalState(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 0.1 um is below lambda_p
+        for model in models:
+            for a in (0.1e-6, 1e-6, 10e-6):
+                for res in (energy_T0(model, Geometry(a)),
+                            pressure_plates(model, Geometry(a), cold)):
+                    assert res.diagnostics["evaluations"] <= 6100, (model, a)
+    bands.clear()
+    for model in models:
+        for f in (free_energy, pressure_plates):
+            res = f(model, Geometry(0.15e-6), ThermalState(3.0))
+            assert res.diagnostics["tail"] == "euler_maclaurin", model
+    assert len(bands) == 2 * len(models)
+    assert max(band.evaluations for band in bands) <= 6100
+
+
+def test_low_temperature_correction_keeps_its_cancellation():
+    # F - E is 2e-10 to 1e-8 of E here: F's Euler-Maclaurin band and E use
+    # the same wedge rule, so their quadrature errors cancel, and at the
+    # default tol the correction matches the closed expansion within
+    # 1e-12 of |E| (the expansion's own O(t^5) term is below that)
+    for a, temperature in ((0.15e-6, 3.0), (0.15e-6, 10.0), (1e-6, 1.0)):
+        geometry, state = Geometry(a), ThermalState(temperature)
+        e0 = energy_T0(GOLD_IR, geometry)
+        fe = free_energy(GOLD_IR, geometry, state)
+        f_est, _ = lowT_asymptotics(GOLD, geometry, state)
+        assert fe.diagnostics["tail"] == "euler_maclaurin"
+        assert abs((fe.value - e0.value) - (f_est.value - e0.value)) \
+            <= 1e-12 * abs(e0.value), (a, temperature)
+
+
 def test_zero_temperature_rule_evaluates_kernels_in_chunks(monkeypatch):
     # at a tight tolerance the rule refines past one chunk; no call of an X
     # kernel may receive more points than the chunk, and every point of
-    # every level passes through one
+    # every level passes through one.  Levels 0 and 1 (30,375 points) stay
+    # below the default chunk, so a smaller one (still above the 1,350
+    # points of one level-1 y panel) makes the split visible
     import casimir_impedance.observables as obs
 
+    chunk = 1 << 12
+    monkeypatch.setattr(quadrature, "_WEDGE_CHUNK", chunk)
     sizes = []
 
     def recording(kernel):
@@ -470,8 +558,8 @@ def test_zero_temperature_rule_evaluates_kernels_in_chunks(monkeypatch):
             warnings.simplefilter("ignore")  # 10 nm is below lambda_p
             res = energy_T0(model, Geometry(a), tight)
         assert sum(sizes) == res.diagnostics["evaluations"]
-        assert sum(sizes) > 3 * _WEDGE_CHUNK
-        assert max(sizes) <= _WEDGE_CHUNK
+        assert sum(sizes) > 3 * chunk
+        assert max(sizes) <= chunk
 
 
 def test_matsubara_block_size_does_not_change_results(monkeypatch):
