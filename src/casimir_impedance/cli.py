@@ -106,6 +106,9 @@ def _load_material(name: str) -> MaterialParams:
         raise ConfigError(
             f"unknown material {name!r}: use 'gold' or a material file path"
         ) from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read material file {name!r}: "
+                          f"{exc.strerror or exc}") from None
     except ValueError as exc:
         raise ConfigError(f"bad material file {name!r}: {exc}") from None
 
@@ -230,13 +233,12 @@ def _cmd_records(args) -> int:
         obs.check_range(Geometry(a), ThermalState(T))
 
     energies: dict = {}  # E(a) per (a, model name), for this call only
-    with _warnings_once():
-        records = [_compute_record(args.command, name, model, a, T,
-                                   args.radius, tol, energies)
-                   for a in seps for T in temps for name, model in models]
-
     fmt = args.format or ("csv" if args.command == "sweep" else "human")
     with _open_output(args.output) as stream:
+        with _warnings_once():
+            records = [_compute_record(args.command, name, model, a, T,
+                                       args.radius, tol, energies)
+                       for a in seps for T in temps for name, model in models]
         _emit(records, fmt, stream)
     return 3 if any(r.status != "ok" for r in records) else 0
 
@@ -314,7 +316,12 @@ def _open_output(path: str | None):
     if path is None or path == "-":
         yield sys.stdout
         return
-    with open(path, "w", newline="\n") as stream:
+    try:
+        stream = open(path, "w", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output {path!r}: "
+                          f"{exc.strerror or exc}") from None
+    with stream:
         yield stream
 
 

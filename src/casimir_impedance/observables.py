@@ -148,32 +148,37 @@ def check_range(geometry: Geometry, state: ThermalState) -> float:
     return zeta1
 
 
+def _band(model: Model, geometry: Geometry, integrand_factory, lo: float,
+          rel_tol: float) -> IntegralResult:
+    """The T = 0 spectrum above zeta = lo, int_lo^Y dy int_lo^y dzeta of
+    the y-integrand by `integrate_wedge`, Y = tail_cutoff(lo, rel_tol); 0
+    past the cutoff of lo = 0, where it is below e^-40 of the whole."""
+    if lo >= tail_cutoff(0.0, rel_tol):
+        return IntegralResult(0.0, 0.0, 0)
+    return integrate_wedge(
+        lambda zeta, y: integrand_factory(model, geometry, zeta)(y),
+        tail_cutoff(lo, rel_tol), rel_tol, lo)
+
+
 def _spectral(model: Model, geometry: Geometry, state: ThermalState,
               tol: ToleranceConfig, integrand_factory, power: int,
-              zeta_lo: float = 0.0, zeta_hi: float = math.inf,
               ) -> tuple[float, float, dict]:
     """(value, absolute error, diagnostics) of an observable's spectral
-    form in physical units: (hbar c / 32 pi^2 a^power) times the
-    `integrate_wedge` band zeta_lo < zeta < min(y, zeta_hi) at T = 0, and
-    (k_B T / 8 pi a^(power-1)) times the primed Matsubara sum of the
-    y-integrals at T > 0, whose floor ceil(10 / zeta_1) covers the dominant
-    spectral window zeta <= 10; every integral and the sum's stop rule use
-    tol.quadrature_rel_tol.  Its error is the per-term quadrature errors
-    (quad_err) plus a remainder bound (tail_err): last_term / (e^zeta_1 - 1)
-    for a ladder that stops before l = L (the terms decay at least like
-    e^(-zeta_1 l)), while one that reaches L adds the Euler-Maclaurin
-    remainder, the band zeta > L zeta_1 over zeta_1 + `euler_maclaurin_ends`.
+    form in physical units: (hbar c / 32 pi^2 a^power) times the `_band`
+    above zeta = 0 at T = 0, and (k_B T / 8 pi a^(power-1)) times the
+    primed Matsubara sum of the y-integrals at T > 0, whose floor
+    ceil(10 / zeta_1) covers the dominant spectral window zeta <= 10; every
+    integral and the sum's stop rule use tol.quadrature_rel_tol.  Its error
+    is the per-term quadrature errors (quad_err) plus a remainder bound
+    (tail_err): last_term / (e^zeta_1 - 1) for a ladder that stops before
+    l = L (the terms decay at least like e^(-zeta_1 l)), while one that
+    reaches L adds the Euler-Maclaurin remainder, the `_band` above
+    L zeta_1 over zeta_1 + `euler_maclaurin_ends`.
     """
     a, zeta1 = geometry.separation, check_range(geometry, state)
     rel_tol = tol.quadrature_rel_tol
-
-    def band(lo: float, hi: float = math.inf) -> IntegralResult:
-        return integrate_wedge(
-            lambda zeta, y: integrand_factory(model, geometry, zeta)(y),
-            tail_cutoff(lo, rel_tol), rel_tol, hi, lo)
-
     if state.temperature <= 0.0:
-        w = band(zeta_lo, zeta_hi)
+        w = _band(model, geometry, integrand_factory, 0.0, rel_tol)
         prefac = HBAR * C_LIGHT / (32.0 * math.pi ** 2 * a ** power)
         return prefac * w.value, prefac * w.abs_error_estimate, {
             "evaluations": w.evaluations}
@@ -196,10 +201,9 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     if not s.edge_terms:
         # capped so that a large a*T cannot overflow expm1; the bound only grows
         tail_err = s.last_term_magnitude / math.expm1(min(zeta1, 700.0))
-    else:  # past the cutoff Y the band is below e^-40 of the sum
-        lo = (s.terms_used - 1) * zeta1
-        w = (band(lo) if lo < tail_cutoff(0.0, rel_tol)
-             else IntegralResult(0.0, 0.0, 0))
+    else:
+        w = _band(model, geometry, integrand_factory,
+                  (s.terms_used - 1) * zeta1, rel_tol)
         ends, tail_err = euler_maclaurin_ends(s.edge_terms)
         value += ends + w.value / zeta1
         tail_err += w.abs_error_estimate / zeta1
@@ -379,13 +383,15 @@ def spectral_contribution(model: Model, geometry: Geometry,
     """Fraction of the zero-temperature energy contributed by scaled
     frequencies zeta = xi/omega_c inside (zeta_lo, zeta_hi).
 
-    zeta_hi may be inf.  The fraction of the full integral is returned;
-    windows partition additively.
+    zeta_hi may be inf.  With B(lo) the energy's `_band` above zeta = lo
+    (B(inf) = 0) it is (B(zeta_lo) - B(zeta_hi)) / B(0), so windows
+    partition additively.
     """
     lo, hi = window
     if lo < 0.0 or not hi > lo:
         raise ValueError("window must satisfy 0 <= zeta_lo < zeta_hi")
-    full, part = (_spectral(model, geometry, ThermalState(0.0), tol,
-                            _free_energy_integrand, 3, *w)[0]
-                  for w in ((), window))
-    return part / full
+    check_range(geometry, ThermalState(0.0))
+    full, above_lo, above_hi = (_band(model, geometry, _free_energy_integrand,
+                                      z, tol.quadrature_rel_tol).value
+                                for z in (0.0, lo, hi))
+    return (above_lo - above_hi) / full

@@ -18,12 +18,12 @@ level that meets rel_tol.  For integrands decaying like exp(-y),
 `integrate_semiinf` stops at lower + max(40, ln(1/rel_tol) + 10): the tail
 left out is below ~4e-18.
 
-`integrate_wedge` takes int_lo^Y dy int_lo^min(y, cut) dzeta (lo = 0 by
-default) with zeta = lo + (min(y, cut) - lo) s^3, a grading that removes
-the zeta^(1/2) and zeta^(2/3) edge behaviour of the skin-effect impedances,
+`integrate_wedge` takes the band int_lo^Y dy int_lo^y dzeta (lo = 0 by
+default) with zeta = lo + (y - lo) s^3, a grading that removes the
+zeta^(1/2) and zeta^(2/3) edge behaviour of the skin-effect impedances,
 on K15 x K15 nodes in each pair of a y panel ([lo, lo + 1e-3], then 8
-geometric panels up to Y, cut an extra edge) and an s panel ([0, 0.03],
-[0.03, 0.3], [0.3, 1]): 6,075 points at level 0.  With D the summed
+geometric panels up to Y) and an s panel ([0, 0.03], [0.03, 0.3],
+[0.3, 1]): 6,075 points at level 0.  With D the summed
 |K15 x K15 - G7 x G7| of every pair and R the K15 integral of |f|, its
 error is 10 R min(1, D/R)^(3/2), at least 50 eps R: K15 is exact to degree
 23 and G7 to 13, so for analytic f K15's error goes like G7's to the power
@@ -254,44 +254,37 @@ def _gk_panels(edges: np.ndarray, level: int, jacobian=np.ones_like):
 
 
 # the fixed panels once per level; the wedge's s panels with dzeta/(m ds) =
-# p s^(p-1), its y panels per (upper, cut, lo) with m = min(y, cut) - lo
+# p s^(p-1), its y panels as m = y - lo, Jacobian m, per (upper - lo, level)
 _u_rule = functools.cache(lambda level: _gk_panels(_INTERVAL_EDGES, level))
 _s_rule = functools.cache(lambda level, p=_WEDGE_GRADING: _gk_panels(
     _WEDGE_S_EDGES, level, lambda s: p * s ** (p - 1)))
-
-
-@functools.lru_cache(maxsize=16)
-def _y_rule(upper: float, cut: float, lo: float, level: int):
-    y_edges = lo + np.append(0.0, np.geomspace(_WEDGE_Y0, upper - lo, 9))
-    if cut < upper:
-        y_edges = np.unique(np.append(y_edges, cut))
-    return _gk_panels(y_edges, level, lambda y: np.minimum(y, cut) - lo)
+_y_rule = functools.lru_cache(maxsize=16)(lambda width, level: _gk_panels(
+    np.append(0.0, np.geomspace(_WEDGE_Y0, width, 9)), level, lambda m: m))
 
 
 def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    upper: float, rel_tol: float, cut: float = math.inf,
+                    upper: float, rel_tol: float,
                     lo: float = 0.0) -> IntegralResult:
-    """int_lo^upper dy int_lo^min(y, cut) dzeta f(zeta, y) by the graded
-    tensor rule of the module docstring; ``f`` maps zeta (panels, 15, nodes)
-    and y (panels, 15, 1) to an array of their broadcast shape.  Raises
+    """int_lo^upper dy int_lo^y dzeta f(zeta, y) by the graded tensor rule
+    of the module docstring; ``f`` maps zeta (panels, 15, nodes) and y
+    (panels, 15, 1) to an array of their broadcast shape.  Raises
     NonConvergenceError (with the best estimate attached) when
     _WEDGE_LEVELS levels miss the tolerance.
     """
-    if not (0.0 < rel_tol <= 1e-2 and 0.0 <= lo < cut
-            and upper > lo + _WEDGE_Y0):
-        raise ValueError("need rel_tol in (0, 1e-2], 0 <= lo < cut and "
+    if not (0.0 < rel_tol <= 1e-2 and 0.0 <= lo and upper > lo + _WEDGE_Y0):
+        raise ValueError("need rel_tol in (0, 1e-2], lo >= 0 and "
                          "upper > lo + 1e-3")
     evaluations = 0
     for level in range(_WEDGE_LEVELS):
         s, ws_k, ws_g = _s_rule(level)
-        y, wy_k, wy_g = _y_rule(upper, cut, lo, level)
+        y, wy_k, wy_g = _y_rule(upper - lo, level)  # y - lo and its weights
         grade = s.ravel() ** _WEDGE_GRADING
         step = max(1, _WEDGE_CHUNK // (15 * s.size))
         cells, diffs, resabs = [], [], []
         for i in range(0, len(y), step):  # whole y panels at a time
-            yc = y[i:i + step, :, None]
-            m = np.minimum(yc, cut) - lo  # zeta = lo + m s^p, dzeta = m ds^p
-            zeta = lo + m * grade if lo else m * grade  # lo = 0: no array add
+            m = y[i:i + step, :, None]  # y - lo; zeta = lo + m s^p
+            # lo = 0: no array adds
+            yc, zeta = (lo + m, lo + m * grade) if lo else (m, m * grade)
             fx = np.broadcast_to(np.require(f(zeta, yc), float, "A"),
                                  zeta.shape).reshape(len(yc), 15, *s.shape)
             # one K15 and one G7 sum per pair of a y panel and an s panel,

@@ -309,6 +309,13 @@ def energy_T0_nested_quad(model, geometry: Geometry,
     w = sqrt(y^2 + (eps - 1) zeta^2).  It shares neither the transparency
     factors nor the quadrature with the package; the truncated tail is
     below 1e-15 relative.
+
+    Measured accuracy at the default rel_tol 1e-10, against
+    `energy_T0` at tol 1e-13: 3.2e-12 relative for anomalous skin at
+    10 um and 1.1e-11 at 1 mm; 2.6e-14 and 1.3e-13 for normal skin there.
+    It therefore cannot check tol 1e-9 for the skin models at large
+    separations, where `energy_T0`'s error estimate at that tol can be
+    below 1e-12 of |E|.
     """
     from scipy import integrate
 

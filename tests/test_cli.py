@@ -612,3 +612,27 @@ def test_validity_warnings_once_each_without_source_location(capsys):
             "warning: separation 1e-07", "warning: separation 1.2e-07"]
         assert all("plasma wavelength 1.37e-07 m" in line for line in lines)
         assert ".py:" not in err and "UserWarning" not in err
+
+
+@pytest.mark.parametrize("command", ["energy", "regime", "zero-freq"])
+def test_unreadable_material_file_exits_2(command, tmp_path, capsys):
+    code, out, err = run(capsys, command, "--material", str(tmp_path),
+                         "--separation", "1e-6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_output_exits_2_before_any_record(where, tmp_path,
+                                                     capsys, monkeypatch):
+    output = tmp_path if where == "directory" else tmp_path / "no" / "o.csv"
+    calls = _count_energy_calls(monkeypatch)
+    for argv in (("energy", "--separation", "1e-6"),
+                 ("sweep", "--separation", "1e-6:2e-6:2",
+                  "--temperature", "0,300")):
+        code, out, err = run(capsys, *argv, "--model", "ideal",
+                             "--output", str(output))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "--output" in err
+    assert calls == []

@@ -5,6 +5,7 @@ or summation oracles, or from the quoted reference computations for gold;
 each assertion states its tolerance explicitly.
 """
 
+import ast
 import importlib.util
 import math
 import warnings
@@ -513,6 +514,38 @@ def test_default_tolerance_wedge_uses_the_level_zero_layout(monkeypatch):
             assert res.diagnostics["tail"] == "euler_maclaurin", model
     assert len(bands) == 2 * len(models)
     assert max(band.evaluations for band in bands) <= 6100
+
+
+def test_bands_at_every_lo_share_one_y_table_per_level():
+    # the wedge's y tables are built on [0, upper - lo] and keyed on that
+    # width and the level, so the Euler-Maclaurin bands of ladders at any
+    # (a, T), and the T = 0 wedge, reuse one table per level
+    quadrature._y_rule.cache_clear()
+    handed_off = set()
+    for a in np.geomspace(0.15e-6, 5e-6, 6):
+        for temperature in (3.0, 10.0, 70.0):
+            for f in (free_energy, pressure_plates):
+                res = f(GOLD_IR, Geometry(a), ThermalState(temperature))
+                if res.diagnostics["tail"] == "euler_maclaurin":
+                    handed_off.add((a, temperature))
+    energy_T0(GOLD_IR, Geometry(1e-6))
+    assert len(handed_off) >= 8
+    assert quadrature._y_rule.cache_info().misses == 1  # all at level 0
+
+
+def test_one_call_site_of_the_wedge_in_src():
+    # every T = 0 integral, Euler-Maclaurin remainder and spectral window
+    # is a band above a lower edge, taken by observables._band alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    sites = []
+    for path in sorted(src.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and "integrate_wedge" in {
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)}):
+                    sites.append((path.name, getattr(top, "name", None)))
+    assert sites == [("observables.py", "_band")]
 
 
 def test_low_temperature_correction_keeps_its_cancellation():

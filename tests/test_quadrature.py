@@ -161,8 +161,8 @@ def test_sum_deterministic():
 
 
 def test_wedge_rule_exact_on_polynomial_and_window():
-    # int_0^Y dy int_0^min(y,c) dzeta (zeta + y) e^-y, each piece in closed
-    # form; the window cut at c = 2 is a panel edge of the rule
+    # int_0^Y dy int_0^y dzeta (zeta + y) e^-y and the window 0 < zeta < 2,
+    # the full wedge less the band above lo = 2, each in closed form
     upper = tail_cutoff(0.0, 1e-10)
 
     def f(zeta, y):
@@ -170,16 +170,19 @@ def test_wedge_rule_exact_on_polynomial_and_window():
 
     full = integrate_wedge(f, upper, 1e-10)
     assert full.value == pytest.approx(3.0, rel=1e-12)  # 1.5 * Gamma(3)
-    cut = integrate_wedge(f, upper, 1e-10, 2.0)
+    band = integrate_wedge(f, tail_cutoff(2.0, 1e-10), 1e-10, lo=2.0)
     # y < 2: 1.5 y^2 e^-y; y > 2: (2 + 2 y) e^-y
     closed = 1.5 * (2.0 - 10.0 * math.exp(-2.0)) + 8.0 * math.exp(-2.0)
-    assert cut.value == pytest.approx(closed, rel=1e-12)
-    assert cut.abs_error_estimate <= 1e-10 * closed
+    assert closed == pytest.approx(3.0 - 7.0 * math.exp(-2.0), rel=1e-15)
+    assert full.value - band.value == pytest.approx(closed, rel=1e-12)
+    assert full.abs_error_estimate + band.abs_error_estimate \
+        <= 1e-10 * closed
 
 
 def test_wedge_band_above_lo_is_the_difference_of_wedges():
     # int_lo^inf dy int_lo^y dzeta (zeta + y) e^-y = (2 lo + 3) e^-lo, the
-    # Matsubara remainder's form; lo = 0 is the wedge, bit for bit
+    # Matsubara remainder's form, and the full wedge less that band is the
+    # window 0 < zeta < lo; lo = 0 is the wedge, bit for bit
     def f(zeta, y):
         return (zeta + y) * np.exp(-y)
 
@@ -188,15 +191,13 @@ def test_wedge_band_above_lo_is_the_difference_of_wedges():
     assert integrate_wedge(f, upper, 1e-10, lo=0.0) == full
     for lo in (0.3, 2.5, 9.0):
         band = integrate_wedge(f, tail_cutoff(lo, 1e-10), 1e-10, lo=lo)
-        below = integrate_wedge(f, upper, 1e-10, lo)
-        assert abs(band.value - (full.value - below.value)) <= (
-            band.abs_error_estimate + full.abs_error_estimate
-            + below.abs_error_estimate)
         closed = (2.0 * lo + 3.0) * math.exp(-lo)
+        assert abs((full.value - band.value) - (3.0 - closed)) <= (
+            band.abs_error_estimate + full.abs_error_estimate)
         assert abs(band.value - closed) <= band.abs_error_estimate + 1e-15
         assert band.abs_error_estimate <= 1e-10 * closed
     with pytest.raises(ValueError):
-        integrate_wedge(f, 40.0, 1e-6, cut=1.0, lo=1.0)
+        integrate_wedge(f, 1.0 + 1e-3, 1e-6, lo=1.0)
 
 
 def test_euler_maclaurin_ends_on_geometric_terms():
