@@ -12,6 +12,8 @@ in a single row leaves its value fields empty, is noted in the status
 column, and turns the exit status to 3; configuration errors, the grid's
 ranges included, exit with 2 before any record.  Validity warnings, of
 a model or of `regime`, go to stderr once each, as 'warning: <message>'.
+Each command accepts only the options it reads (the table `OPTIONS`);
+any other option exits 2, as an unknown option does.
 """
 
 from __future__ import annotations
@@ -227,7 +229,8 @@ def _cmd_records(args) -> int:
                           "use free-energy for T > 0")
     if args.command == "entropy" and any(t <= 0.0 for t in temps):
         raise ConfigError("entropy requires --temperature > 0")
-    if args.command == "sphere-plate" and args.radius is None:
+    radius = getattr(args, "radius", None)  # a sphere-plate option only
+    if args.command == "sphere-plate" and radius is None:
         raise ConfigError("sphere-plate requires --radius")
     for a, T in ((a, T) for a in seps for T in temps):  # before any record
         obs.check_range(Geometry(a), ThermalState(T))
@@ -237,7 +240,7 @@ def _cmd_records(args) -> int:
     with _open_output(args.output) as stream:
         with _warnings_once():
             records = [_compute_record(args.command, name, model, a, T,
-                                       args.radius, tol, energies)
+                                       radius, tol, energies)
                        for a in seps for T in temps for name, model in models]
         _emit(records, fmt, stream)
     return 3 if any(r.status != "ok" for r in records) else 0
@@ -325,6 +328,40 @@ def _open_output(path: str | None):
         yield stream
 
 
+RECORD_COMMANDS = ("energy", "free-energy", "pressure", "sphere-plate",
+                   "entropy", "sweep")
+_GRID_COMMANDS = (*RECORD_COMMANDS, "regime")
+_ALL_COMMANDS = (*_GRID_COMMANDS, "zero-freq")
+
+# option -> (the commands that read it, its add_argument keywords); a
+# command's parser has only the options it reads and rejects the others
+OPTIONS = {
+    "--material": (_ALL_COMMANDS, dict(default="gold", help="material name "
+                                       "or key=value file (default: gold)")),
+    "--model": (RECORD_COMMANDS, dict(default="infrared-optics", help="one of "
+                "%s; sweep accepts a comma list" % ", ".join(MODEL_NAMES))),
+    "--separation": (_GRID_COMMANDS, dict(help="separation in m: value, comma "
+                     "list, or start:stop:count (log-spaced)")),
+    "--temperature": (_GRID_COMMANDS, dict(help="temperature in K: value, "
+                      "comma list, or start:stop:count (linear); the regime "
+                      "classification does not depend on it")),
+    "--radius": (("sphere-plate",), dict(type=float,
+                                         help="sphere radius in m")),
+    "--sigma": (RECORD_COMMANDS, dict(type=float, help="conductivity in "
+                "Gaussian units s^-1 (normal-skin)")),
+    "--gamma": (RECORD_COMMANDS, dict(type=float, help="relaxation frequency "
+                "in rad/s (lifshitz-drude)")),
+    "--rel-tol": (RECORD_COMMANDS, dict(type=float, help="relative tolerance "
+                  "of every integral and of the Matsubara sum (default 1e-6)")),
+    "--kperp": (("zero-freq",), dict(default="1e5:1e8:7", help="transverse "
+                "wavenumber grid in rad/m")),
+    "--output": (_ALL_COMMANDS, dict(help="output path (default: stdout)")),
+    "--format": ((*RECORD_COMMANDS, "zero-freq"), dict(
+        choices=("csv", "human"), help="output format (default: csv for "
+        "sweep and zero-freq, human otherwise)")),
+}
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -344,32 +381,9 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--material", default="gold",
-                       help="material name or key=value file (default: gold)")
-        p.add_argument("--model", default="infrared-optics",
-                       help="one of %s; sweep accepts a comma list"
-                            % ", ".join(MODEL_NAMES))
-        p.add_argument("--separation",
-                       help="separation in m: value, comma list, or "
-                            "start:stop:count (log-spaced)")
-        p.add_argument("--temperature",
-                       help="temperature in K: value, comma list, or "
-                            "start:stop:count (linear)")
-        p.add_argument("--radius", type=float,
-                       help="sphere radius in m (sphere-plate)")
-        p.add_argument("--sigma", type=float,
-                       help="conductivity in Gaussian units s^-1 (normal-skin)")
-        p.add_argument("--gamma", type=float,
-                       help="relaxation frequency in rad/s (lifshitz-drude)")
-        p.add_argument("--rel-tol", type=float, dest="rel_tol",
-                       help="relative tolerance of every integral and of "
-                            "the Matsubara sum (default 1e-6)")
-        p.add_argument("--kperp", default="1e5:1e8:7",
-                       help="transverse wavenumber grid in rad/m (zero-freq)")
-        p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "human"),
-                       help="output format (default: csv for sweep and "
-                            "zero-freq, human otherwise)")
+        for flag, (readers, keywords) in OPTIONS.items():
+            if name in readers:
+                p.add_argument(flag, **keywords)
     return parser
 
 

@@ -242,14 +242,14 @@ def derive_anomalous_constant(material: MaterialParams) -> float:
 
 def classify_regime(material: MaterialParams, geometry: Geometry,
                     state: ThermalState) -> RegimeReport:
-    """Classify which impedance model applies at this separation.
+    """Classify which impedance model applies at this separation.  `state`
+    is not read: the classification does not depend on T.
 
     Infrared optics when lambda_p < a and omega_c > 2 Omega; anomalous skin
     effect when omega_c < Omega/2; Transition inside the factor-of-2 window.
     Normal skin is not classified: its window collapses at low temperature
-    (the electron mean free path grows as T falls) and the mean free path
-    is not modeled here; the l-dependent inequalities are reported as not
-    evaluable.
+    (the electron mean free path grows as T falls), and that path is not
+    modeled; its l-dependent inequalities are reported as not evaluable.
 
     Warns when a <= lambda_p, where the impedance boundary condition itself
     stops being applicable.

@@ -616,8 +616,8 @@ def test_validity_warnings_once_each_without_source_location(capsys):
 
 @pytest.mark.parametrize("command", ["energy", "regime", "zero-freq"])
 def test_unreadable_material_file_exits_2(command, tmp_path, capsys):
-    code, out, err = run(capsys, command, "--material", str(tmp_path),
-                         "--separation", "1e-6")
+    grid = () if command == "zero-freq" else ("--separation", "1e-6")
+    code, out, err = run(capsys, command, "--material", str(tmp_path), *grid)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
 
@@ -636,3 +636,111 @@ def test_unwritable_output_exits_2_before_any_record(where, tmp_path,
         assert err.startswith("error: ") and "Traceback" not in err
         assert "--output" in err
     assert calls == []
+
+
+_RECORD_OPTIONS = {"--material", "--model", "--separation", "--temperature",
+                   "--sigma", "--gamma", "--rel-tol", "--output", "--format"}
+COMMAND_OPTIONS = {
+    **dict.fromkeys(("energy", "free-energy", "pressure", "entropy", "sweep"),
+                    _RECORD_OPTIONS),
+    "sphere-plate": _RECORD_OPTIONS | {"--radius"},
+    "regime": {"--material", "--separation", "--temperature", "--output"},
+    "zero-freq": {"--material", "--kperp", "--output", "--format"},
+}
+OPTION_VALUES = {"--material": "gold", "--model": "ideal",
+                 "--separation": "1e-6", "--temperature": "300",
+                 "--radius": "1e-4", "--sigma": "3.2e17", "--gamma": "5.3e13",
+                 "--rel-tol": "1e-4", "--kperp": "1e6", "--output": "OUT",
+                 "--format": "csv"}
+MINIMAL_ARGV = {"energy": ("--separation", "1e-6"),
+                "free-energy": ("--separation", "1e-6", "--temperature", "300"),
+                "pressure": ("--separation", "1e-6"),
+                "sphere-plate": ("--separation", "1e-6", "--radius", "1e-4"),
+                "entropy": ("--separation", "1e-6", "--temperature", "300"),
+                "sweep": ("--separation", "1e-6"),
+                "regime": ("--separation", "1e-6"),
+                "zero-freq": ()}
+UNREAD_SLOTS = [(command, option) for command, read in COMMAND_OPTIONS.items()
+                for option in sorted(set(OPTION_VALUES) - read)]
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    import argparse
+
+    from casimir_impedance import cli
+
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(COMMAND_OPTIONS)
+    assert set(cli.OPTIONS) == set(OPTION_VALUES)
+    for command, sub in subparsers.items():
+        accepted = {flag for action in sub._actions
+                    for flag in action.option_strings} - {"-h", "--help"}
+        declared = {flag for flag, (readers, _) in cli.OPTIONS.items()
+                    if command in readers}
+        assert accepted == declared == COMMAND_OPTIONS[command], command
+    assert sum(map(len, COMMAND_OPTIONS.values())) == 63
+    assert len(UNREAD_SLOTS) == 88 - 63
+
+
+@pytest.mark.parametrize("command,option", UNREAD_SLOTS)
+def test_unread_option_exits_2_before_any_record(command, option, tmp_path,
+                                                 capsys, monkeypatch):
+    # argparse rejects an option its command does not read, as it rejects
+    # an unknown one: exit 2, nothing on stdout, no observable computed
+    from casimir_impedance import cli
+
+    calls = []
+    for module, name in ((cli.obs, "energy_T0"), (cli.obs, "free_energy"),
+                         (cli.obs, "pressure_plates"),
+                         (cli.obs, "force_sphere_plate"),
+                         (cli.obs, "entropy"), (cli, "classify_regime"),
+                         (cli, "zero_freq_r_sq")):
+        def counting(*args, _real=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(module, name, counting)
+    value = OPTION_VALUES[option].replace("OUT", str(tmp_path / "o.csv"))
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *MINIMAL_ARGV[command], option, value])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err
+    assert calls == []
+    assert not (tmp_path / "o.csv").exists()
+
+
+# one command line of each shape that the benchmark's cli_mixed workload
+# sends (perfbench/run.py, `_argv`), before `cli_call` appends --output
+_A = "1.5e-07"
+BENCHMARK_ARGVS = [
+    ["sweep", "--separation", _A, "--temperature", "0.0,70.0,300.0",
+     "--model", "infrared-optics,anomalous-skin"],
+    ["pressure", "--separation", _A, "--temperature", "70.0",
+     "--model", "infrared-optics", "--format", "csv"],
+    ["entropy", "--separation", _A, "--temperature", "300.0",
+     "--model", "infrared-optics", "--format", "csv"],
+    ["sphere-plate", "--separation", _A, "--temperature", "300.0",
+     "--model", "infrared-optics", "--format", "csv", "--radius", "0.001"],
+    ["regime", "--separation", _A, "--temperature", "300.0"],
+    ["zero-freq", "--kperp", "1e5:1e8:7"],
+]
+
+
+def test_readme_and_benchmark_command_lines_parse():
+    # parsed only, not run: an option a command rejects would raise
+    # SystemExit, which the benchmark's error handling does not catch
+    from pathlib import Path
+
+    from casimir_impedance import cli
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().replace("\\\n", " ")
+    examples = [line.split()[1:] for line in text.splitlines()
+                if line.strip().startswith("casimir-impedance ")]
+    assert len(examples) == 7
+    for argv in examples + [[*a, "--output", "o.csv"]
+                            for a in BENCHMARK_ARGVS]:
+        assert cli._build_parser().parse_args(argv).command == argv[0]
