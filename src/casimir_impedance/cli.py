@@ -381,6 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(command_parser=p)
         for flag, (readers, keywords) in OPTIONS.items():
             if name in readers:
                 p.add_argument(flag, **keywords)
@@ -388,7 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # under the usage of the command, which lists what it reads
+        args.command_parser.error("unrecognized arguments: " + " ".join(extra))
     try:
         handler = {"regime": _cmd_regime, "zero-freq": _cmd_zero_freq}.get(
             args.command, _cmd_records)

@@ -32,8 +32,8 @@ The entropy S = -dF/dT uses a Richardson-extrapolated central difference.
 
 Every reflection model reaches the integrands through one kernel,
 `x_factors_grid`, whose inputs are finite at zeta = 0: the zero-frequency
-(l = 0) term is a one-row block at zeta = 0 with the same arithmetic as
-every other Matsubara term, and its value is the model's analytic limit.
+(l = 0) term is the zeta = 0 row of the first Matsubara block, with the
+same arithmetic as the others, and its value is the model's analytic limit.
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     done: list[IntegralResult] = []
 
     def terms(ls: np.ndarray) -> np.ndarray:
-        # one call per block, a zeta row per l; l = 0 comes alone, a block
-        # of one row at zeta = 0 (matsubara_sum halves it)
+        # one call per block, a zeta row per l; the first block starts at
+        # l = 0, the row at zeta = 0 (matsubara_sum halves it)
         zeta = ls * zeta1
         done.append(integrate_semiinf(integrand_factory(
             model, geometry, zeta[:, None, None]), zeta, rel_tol))

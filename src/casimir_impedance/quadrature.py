@@ -4,19 +4,19 @@ summation.
 Both rules put 15-point Kronrod nodes on graded level-0 panels, estimate
 the error from the embedded 7-point Gauss rule and halve every panel, one
 level at a time, until the error meets rel_tol.  The integrand is called on
-whole panels, at most _WEDGE_CHUNK points at a time.  Panel sums are
-np.einsum contractions of aligned values (numpy's own loops, never BLAS;
-the wedge contracts its y nodes first, then its s nodes), and panel values
-are added in ascending order by fsum, so identical inputs give
+whole panels, at most _WEDGE_CHUNK (_INTERVAL_CHUNK) points at a time.
+Panel sums are np.einsum contractions of aligned values (numpy's own loops,
+never BLAS; the wedge contracts its y nodes first, then its s nodes), and
+panel values are added in ascending order by fsum, so identical inputs give
 bit-identical results.  A non-finite integrand value raises
 FloatingPointError from its panel's K15 sum: every K15 weight is positive.
 
 `integrate_interval` maps [0, 2.5e-5] and 12 geometric panels up to 1 onto
 [lower, upper] and sums the panels' QUADPACK-rescaled |K15 - G7|.  Its
-rows (lower limits) share each integrand call, and each keeps the first
-level that meets rel_tol.  For integrands decaying like exp(-y),
-`integrate_semiinf` stops at lower + max(40, ln(1/rel_tol) + 10): the tail
-left out is below ~4e-18.
+rows (lower limits) share each integrand call; each keeps the first level
+that meets rel_tol, past which its values are neither summed nor checked.
+For integrands decaying like exp(-y), `integrate_semiinf` stops at
+lower + max(40, ln(1/rel_tol) + 10): the tail left out is below ~4e-18.
 
 `integrate_wedge` takes the band int_lo^Y dy int_lo^y dzeta (lo = 0 by
 default) with zeta = lo + (y - lo) s^3, a grading that removes the
@@ -72,7 +72,7 @@ _W_G = np.concatenate([_WG, _WG[-2::-1]])                  # (7,) on [1::2]
 _EPS = np.finfo(float).eps
 
 # integrate_wedge: level-0 y and s panel edges (y: 8 geometric panels above
-# 1e-3), grading power, level budget; both rules: most points per f call
+# 1e-3), grading power, level budget, most points per f call
 _WEDGE_Y0 = 1e-3
 _WEDGE_S_EDGES = np.array([0.0, 0.03, 0.3, 1.0])
 _WEDGE_GRADING = 3
@@ -86,10 +86,11 @@ _WEDGE_ABS_TOL = 1e-15
 _INTERVAL_ABS_TOL = 1e-300
 
 # integrate_interval: level-0 edges on [0, 1] (0, then 12 geometric panels
-# above 2.5e-5) and level budget; matsubara_sum: l per call, last l = L
+# above 2.5e-5), levels, points per call; matsubara_sum: rows per call, last l
 _INTERVAL_EDGES = np.append(0.0, np.geomspace(2.5e-5, 1.0, 13))
 _INTERVAL_LEVELS = 10
-_MATSUBARA_BLOCK = 32
+_INTERVAL_CHUNK = 1 << 13
+_MATSUBARA_BLOCK = 33
 _EULER_L = 64
 
 # Euler-Maclaurin ends t_L/2 - t'/12 + t'''/720 - t^(5)/30240 on t_{L-6..L},
@@ -155,21 +156,23 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
         raise ValueError("need rel_tol in (0, 1e-2] and upper > lower")
     rows, evaluations = len(lo), 0
     value, err, unmet = np.zeros(rows), np.zeros(rows), np.ones(rows, bool)
-    step = max(1, _WEDGE_CHUNK // (15 * rows))
+    step = max(1, _INTERVAL_CHUNK // (15 * rows))
     for level in range(_INTERVAL_LEVELS):
         u, w_k, w_g = _u_rule(level)
+        todo = slice(None) if unmet.all() else np.flatnonzero(unmet)
         parts = []
         for i in range(0, len(u), step):  # whole panels of every row
             y = lo[:, None, None] + length[:, None, None] * u[i:i + step]
-            parts.append(_qk15_panels(np.require(f(y), float, "A"),
+            parts.append(_qk15_panels(np.require(f(y), float, "A")[todo],
                                       w_k[i:i + step], w_g[i:i + step]))
         evaluations += rows * u.size
         k, e, a = (np.concatenate(p, axis=1) for p in zip(*parts))
-        # sums over the unit-length panels, scaled; values by fsum
-        value[unmet] = length[unmet] * list(map(math.fsum, k[unmet].tolist()))
-        err[unmet] = length[unmet] * e[unmet].sum(axis=1)
-        bound = np.maximum(rel_tol * np.abs(value), _INTERVAL_ABS_TOL)
-        unmet &= err > np.maximum(bound, length * 50.0 * _EPS * a.sum(axis=1))
+        # refining rows: sums over unit-length panels, scaled; values by fsum
+        value[todo] = length[todo] * list(map(math.fsum, k.tolist()))
+        err[todo] = length[todo] * e.sum(axis=1)
+        bound = np.maximum(rel_tol * np.abs(value[todo]), _INTERVAL_ABS_TOL)
+        unmet[todo] = err[todo] > np.maximum(
+            bound, length[todo] * 50.0 * _EPS * a.sum(axis=1))
         if not unmet.any():
             break
     result = IntegralResult(*(v if np.ndim(lower) else float(v[0])
@@ -199,24 +202,33 @@ def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
                   l_floor: int) -> SumResult:
     """Primed sum 0.5*t_0 + sum_{l>=1} t_l with convergence control.
 
-    ``terms`` maps an array of indices l to their terms; it is asked for
-    l = 0 alone, then for blocks of _MATSUBARA_BLOCK.  Terms are taken in
-    ascending order and added with exact summation.  The sum stops once
-    l >= l_floor and |t_l| <= rel_tol * |running sum| held for three
-    consecutive indices, leaving out the rest of the block; l_floor
-    guarantees the spectral window that dominates the result is always
-    covered regardless of how quickly the early terms decay.  A ladder not
-    stopped by l = L = _EULER_L hands off there: its value is the sum over
-    l < L and ``edge_terms`` holds t_{L-6}, ..., t_L (terms_used = L + 1).
+    ``terms`` maps an array of indices l to their terms, at most
+    _MATSUBARA_BLOCK per call: l = 0 to 2 past e^(-zeta_1 l) = rel_tol
+    (zeta_1 = 10 / l_floor), then as many as the last two terms' ratio
+    predicts.  Terms are taken in ascending order and added with exact
+    summation.  The sum stops once l >= l_floor and |t_l| <= rel_tol *
+    |running sum| held for three consecutive indices, leaving out the rest
+    of the block; l_floor guarantees that the dominant spectral window is
+    covered however fast the early terms decay.  A ladder not stopped by
+    l = L = _EULER_L hands off there: its value is the sum over l < L and
+    ``edge_terms`` holds t_{L-6}, ..., t_L (terms_used = L + 1).
     """
     if not (0.0 < rel_tol <= 1e-2 and l_floor >= 0):
         raise ValueError("need rel_tol in (0, 1e-2] and l_floor >= 0")
-    kept = [0.5 * float(terms(np.arange(1))[0])]
-    running, consecutive, block = kept[0], 0, []
+
+    def ask(l: int, n: int) -> list:  # t_l, ..., t_(l+n-1), reversed
+        n = min(max(n, l_floor + 1 - l), _MATSUBARA_BLOCK, _EULER_L + 1 - l)
+        return np.asarray(terms(np.arange(l, l + n)), float).tolist()[::-1]
+    block = ask(0, math.ceil(l_floor * math.log(1.0 / rel_tol) / 10.0) + 3)
+    kept = [0.5 * block.pop()]
+    running, consecutive = kept[0], 0
     while consecutive < 3 or len(kept) <= l_floor:
-        if not block:
-            ls = np.arange(len(kept), len(kept) + _MATSUBARA_BLOCK)
-            block = np.asarray(terms(ls), dtype=float).tolist()[::-1]
+        if not block:  # to three small terms in a row at t_l / t_(l-1)
+            t, bound = abs(kept[-1]), rel_tol * abs(running)
+            decay = math.log(max(t / abs(kept[-2]), _EPS)) if kept[-2] else 0
+            block = ask(len(kept), 3 - consecutive if consecutive else
+                        math.ceil((math.log(bound) - math.log(t)) / decay)
+                        + 2 if decay < 0.0 < bound else _MATSUBARA_BLOCK)
         kept.append(block.pop())
         if len(kept) > _EULER_L:  # kept holds t_0/2, t_1, ..., t_L
             return SumResult(math.fsum(kept[:-1]), len(kept), abs(kept[-1]),

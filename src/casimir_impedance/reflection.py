@@ -107,8 +107,8 @@ def x_factors_grid(model: Model, geometry: Geometry, zeta, y):
     if np.any(y <= 0.0):
         raise ValueError("y must be positive")
     u_par, u_perp = model.fresnel_inputs(geometry, zeta, y)
-    return (4.0 * y * u_par / (y + u_par) ** 2,
-            4.0 * y * u_perp / (y + u_perp) ** 2)
+    y4 = 4.0 * y  # one product for both polarizations
+    return y4 * u_par / (y + u_par) ** 2, y4 * u_perp / (y + u_perp) ** 2
 
 
 def zero_freq_r_sq(model: Model, k_perp):

@@ -708,6 +708,10 @@ def test_unread_option_exits_2_before_any_record(command, option, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert option in captured.err
+    # reported by the command's own parser, whose usage lists what it reads
+    assert captured.err.startswith(f"usage: casimir-impedance {command} ")
+    assert (f"casimir-impedance {command}: error: unrecognized arguments: "
+            f"{option} ") in captured.err
     assert calls == []
     assert not (tmp_path / "o.csv").exists()
 

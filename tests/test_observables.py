@@ -23,6 +23,7 @@ from casimir_impedance.impedance import (
 )
 from casimir_impedance.reflection import Drude, Plasma
 from casimir_impedance import quadrature
+from casimir_impedance.quadrature import integrate_semiinf
 from casimir_impedance.observables import (
     ZETA3, Quantity, energy_T0, energy_ideal, entropy, force_sphere_plate,
     free_energy, lowT_asymptotics, pressure_plates, spectral_contribution,
@@ -596,20 +597,28 @@ def test_zero_temperature_rule_evaluates_kernels_in_chunks(monkeypatch):
 
 
 def test_matsubara_block_size_does_not_change_results(monkeypatch):
-    # a block is cut at the stopping index or at the hand-off l = 64 (5
-    # does not divide 64): the terms and quadrature errors past it are left
-    # out, and no row's value depends on its neighbours
-    cases = ((GOLD_IR, Geometry(1e-6), ThermalState(300.0)),
+    # with at most 2, 5 or 33 rows a call, a block is cut at the stopping
+    # index (none runs past the hand-off l = 64): the terms and quadrature
+    # errors past it are left out, and no row's value depends on its
+    # neighbours, l = 0 included; a short ladder (5 um, 300 K: under 10
+    # terms) and tol 1e-10, where the l = 0 row needs a level more than the
+    # rest of its block, too
+    cases = ((GOLD_IR, Geometry(1e-6), ThermalState(300.0), MED),
              (Drude(GOLD.plasma_frequency, 5.3e13), Geometry(0.15e-6),
-              ThermalState(10.0)))
+              ThermalState(10.0), MED),
+             (GOLD_IR, Geometry(5e-6), ThermalState(300.0), MED),
+             (GOLD_IR, Geometry(1e-6), ThermalState(70.0),
+              ToleranceConfig(1e-10)))
     runs = []
-    for block in (1, 5, 32):
+    for block in (2, 5, 33):
         monkeypatch.setattr(quadrature, "_MATSUBARA_BLOCK", block)
-        runs.append([f(model, geometry, state, MED) for model, geometry, state
-                     in cases for f in (free_energy, pressure_plates)])
+        runs.append([f(model, geometry, state, tol)
+                     for model, geometry, state, tol in cases
+                     for f in (free_energy, pressure_plates)])
     kinds = {(r.diagnostics["tail"], r.diagnostics["terms_used"] < 33)
              for r in runs[0]}
     assert kinds == {("geometric", True), ("euler_maclaurin", False)}
+    assert min(r.diagnostics["terms_used"] for r in runs[0]) < 10
     for res in zip(*runs):
         for r in res[1:]:
             assert r.value == res[0].value
@@ -618,14 +627,47 @@ def test_matsubara_block_size_does_not_change_results(monkeypatch):
                 "terms_used"]
 
 
+def test_matsubara_blocks_are_sized_to_the_ladder(monkeypatch):
+    # l = 0 shares the first integrand call; later blocks hold the rows the
+    # ladder still needs (short ladders overshoot by at most 3 rows), no
+    # call holds more than 33 rows, and a ladder handed off at l = 64 takes
+    # its 65 rows in two calls
+    import casimir_impedance.observables as obs
+
+    lowers = []
+
+    def recording(f, lower, rel_tol):
+        lowers.append(np.asarray(lower))
+        return integrate_semiinf(f, lower, rel_tol)
+
+    monkeypatch.setattr(obs, "integrate_semiinf", recording)
+    for a, temperature, short in ((5e-6, 300.0, True), (1e-6, 300.0, True),
+                                  (1e-6, 3.0, False)):
+        for f in (free_energy, pressure_plates):
+            lowers.clear()
+            res = f(GOLD_IR, Geometry(a), ThermalState(temperature))
+            rows = sum(len(lo) for lo in lowers)
+            used = res.diagnostics["terms_used"]
+            assert len(lowers) <= 2 and max(map(len, lowers)) <= 33
+            assert lowers[0][0] == 0.0 and np.all(lowers[0][1:] > 0.0)
+            assert np.array_equal(np.concatenate(lowers),
+                                  np.arange(rows) * lowers[0][1])
+            if short:
+                assert used < 33 and used <= rows <= used + 3, (a, f)
+            else:
+                assert used == rows == 65 and len(lowers) == 2, (a, f)
+
+
 def test_matsubara_terms_evaluate_kernels_in_chunks(monkeypatch):
-    # at tol 1e-10 a block of Matsubara rows stays below the default chunk
-    # (at most 32 rows x 780 points), so a smaller chunk makes the split
-    # by whole panels visible; every point passes through one call
+    # at tol 1e-10 the Matsubara rows' calls (chunks of _INTERVAL_CHUNK)
+    # and the Euler-Maclaurin band's (of _WEDGE_CHUNK) both hold more than
+    # 1,024 points, so a smaller chunk for both makes the split by whole
+    # panels visible; every point passes through one call
     import casimir_impedance.observables as obs
 
     chunk = 1 << 10
     monkeypatch.setattr(quadrature, "_WEDGE_CHUNK", chunk)
+    monkeypatch.setattr(quadrature, "_INTERVAL_CHUNK", chunk)
     sizes = []
 
     def recording(kernel):

@@ -160,6 +160,46 @@ def test_sum_deterministic():
     assert a.value == b.value and a.terms_used == b.terms_used
 
 
+def _stop_rule_by_hand(terms, rel_tol, l_floor):
+    """terms_used and value of the stop rule, one term at a time."""
+    kept = [0.5 * float(terms(np.arange(1))[0])]
+    running, consecutive = kept[0], 0
+    while consecutive < 3 or len(kept) <= l_floor:
+        kept.append(float(terms(np.arange(len(kept), len(kept) + 1))[0]))
+        running += kept[-1]
+        small = abs(kept[-1]) <= rel_tol * abs(running)
+        consecutive = consecutive + 1 if small else 0
+    return len(kept), math.fsum(kept)
+
+
+def test_matsubara_blocks_start_at_zero_and_follow_the_decay():
+    # the first block holds l = 0 and reaches 2 past e^(-10 l / l_floor) =
+    # rel_tol; when the terms decay more slowly, the next block is sized
+    # from t_l / t_(l-1).  For geometric terms that takes two calls and at
+    # most 3 rows past the stop, for any decay with the same stop and value
+    for ratio, l_floor, rel_tol in ((0.5, 1, 1e-6), (0.4, 3, 1e-10),
+                                    (0.7, 0, 1e-3), (0.05, 2, 1e-6),
+                                    (0.6, 20, 1e-8)):
+        for poly in (0, 2):
+            def terms(ls):
+                return -(1.0 + ls) ** poly * ratio ** ls
+
+            def recorded(ls):
+                asked.append(ls)
+                return terms(ls)
+
+            asked = []
+            res = matsubara_sum(recorded, rel_tol, l_floor)
+            rows = np.concatenate(asked)
+            assert np.array_equal(rows, np.arange(len(rows)))
+            assert max(map(len, asked)) <= 33
+            assert (res.terms_used, res.value) == _stop_rule_by_hand(
+                terms, rel_tol, l_floor)
+            if poly == 0:
+                assert len(asked) <= 2, (ratio, l_floor, rel_tol)
+                assert len(rows) <= res.terms_used + 3, (ratio, l_floor)
+
+
 def test_wedge_rule_exact_on_polynomial_and_window():
     # int_0^Y dy int_0^y dzeta (zeta + y) e^-y and the window 0 < zeta < 2,
     # the full wedge less the band above lo = 2, each in closed form

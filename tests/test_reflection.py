@@ -189,6 +189,24 @@ def test_lifshitz_x_grid_matches_scalar_coefficients():
                                                        rel=1e-11, abs=1e-13)
 
 
+def test_x_factors_grid_is_the_fresnel_form_bit_for_bit():
+    # 4 y u / (y + u)^2 on each model's Fresnel inputs, written out term by
+    # term: the shared 4 y of the kernel changes no bit of either factor,
+    # on a wedge-shaped (zeta, compact y) grid and on Matsubara rows
+    geometry = Geometry(0.5e-6)
+    wp = GOLD.plasma_frequency
+    grids = ((np.linspace(0.0, 30.0, 7)[:, None, None],
+              np.geomspace(1e-4, 40.0, 45).reshape(3, 15)),
+             (np.geomspace(1e-3, 40.0, 12)[:, None],
+              np.geomspace(1e-3, 40.0, 30).reshape(3, 1, 10)))
+    for model in (IdealMetal(), NormalSkin(1e17), AnomalousSkin(GOLD_CA),
+                  InfraredOptics(wp), Plasma(wp), Drude(wp, 5e13)):
+        for zeta, y in grids:
+            got = x_factors_grid(model, geometry, zeta, y)
+            for x, u in zip(got, model.fresnel_inputs(geometry, zeta, y)):
+                assert np.array_equal(x, 4.0 * y * u / (y + u) ** 2), model
+
+
 def test_zero_frequency_is_an_ordinary_argument():
     # every model's Fresnel inputs are finite at zeta = 0: a zeta row of 0
     # in an array is the scalar zeta = 0 call, and 1 - X(0, y) is the
