@@ -28,7 +28,7 @@ vectorized over xi >= 0.  The reflection kernel sees it only through
 `reflection`, with zeta/Z = 0 where Z = 0, so zeta = 0 is an ordinary
 argument and gives the model's zero-frequency limit, the l = 0 Matsubara
 term and the CLI ``zero-freq`` table alike.  Infrared optics writes zeta/Z
-= hypot(w_p, zeta), w_p = 2 a omega_p / c: its r_perp^2(0) keeps a
+= sqrt(zeta^2 + w_p^2), w_p = 2 a omega_p / c: its r_perp^2(0) keeps a
 material dependence.  ``check_separation`` warns where a model stops
 applying: infrared optics at separations below its plasma wavelength.
 
@@ -113,14 +113,15 @@ class InfraredOptics(ImpedanceModel):
     omega_p: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.omega_p < math.inf:
-            raise ValueError("omega_p must be positive and finite")
+        if not 1e-100 <= self.omega_p <= 1e100:  # (2 a omega_p / c)^2 finite
+            raise ValueError("omega_p must lie in [1e-100, 1e100] rad/s")
 
     def z(self, xi):
         return xi / np.hypot(self.omega_p, xi)
 
     def fresnel_inputs(self, geometry, zeta, y):
-        h = np.hypot(2.0 * geometry.separation * self.omega_p / C_LIGHT, zeta)
+        w_p = 2.0 * geometry.separation * self.omega_p / C_LIGHT
+        h = np.sqrt(zeta * zeta + w_p * w_p)  # np.hypot: 4-5x the time
         return zeta * zeta / h, h  # zeta Z and zeta/Z
 
     def check_separation(self, geometry):

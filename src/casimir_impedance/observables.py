@@ -24,9 +24,11 @@ representation (not by differentiating F numerically):
 
 and the sphere-plate force through the proximity relation F = 2 pi R F_pp.
 One driver, `_spectral`, evaluates both forms for either y-integrand:
-the primed Matsubara sum at T > 0 (its remainder past l = 64 by
-Euler-Maclaurin) and, at T = 0, the zeta integral with the order swapped,
-int_0^inf dy int_0^y dzeta, by the graded tensor rule `integrate_wedge`.
+the primed Matsubara sum at T > 0 (its remainder by Euler-Maclaurin past
+l = 64, or past l = 16 or 32 where a ladder's floor is 64 or more and the
+ends' error bound already meets tol there) and, at T = 0, the zeta
+integral with the order swapped, int_0^inf dy int_0^y dzeta, by the
+graded tensor rule `integrate_wedge`.
 Every observable reaches the quadrature through it.
 The entropy S = -dF/dT uses a Richardson-extrapolated central difference.
 
@@ -170,10 +172,11 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     ceil(10 / zeta_1) covers the dominant spectral window zeta <= 10; every
     integral and the sum's stop rule use tol.quadrature_rel_tol.  Its error
     is the per-term quadrature errors (quad_err) plus a remainder bound
-    (tail_err): last_term / (e^zeta_1 - 1) for a ladder that stops before
-    l = L (the terms decay at least like e^(-zeta_1 l)), while one that
-    reaches L adds the Euler-Maclaurin remainder, the `_band` above
-    L zeta_1 over zeta_1 + `euler_maclaurin_ends`.
+    (tail_err): last_term / (e^zeta_1 - 1) for a ladder that stops by
+    itself (the terms decay at least like e^(-zeta_1 l)), while one that
+    `matsubara_sum` hands off at l = L (64, or 16 or 32 for a floor past
+    64) adds the Euler-Maclaurin remainder, the `_band` above
+    L zeta_1 = (terms_used - 1) zeta_1 over zeta_1 + `euler_maclaurin_ends`.
     """
     a, zeta1 = geometry.separation, check_range(geometry, state)
     rel_tol = tol.quadrature_rel_tol

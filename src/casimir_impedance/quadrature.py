@@ -8,8 +8,9 @@ whole panels, at most _WEDGE_CHUNK (_INTERVAL_CHUNK) points at a time.
 Panel sums are np.einsum contractions of aligned values (numpy's own loops,
 never BLAS; the wedge contracts its y nodes first, then its s nodes), and
 panel values are added in ascending order by fsum, so identical inputs give
-bit-identical results.  A non-finite integrand value raises
-FloatingPointError from its panel's K15 sum: every K15 weight is positive.
+bit-identical results, whatever the chunk.  A non-finite integrand value
+raises FloatingPointError from its panel's K15 sum: every K15 weight is
+positive.
 
 `integrate_interval` maps [0, 2.5e-5] and 12 geometric panels up to 1 onto
 [lower, upper] and sums the panels' QUADPACK-rescaled |K15 - G7|.  Its
@@ -72,12 +73,12 @@ _W_G = np.concatenate([_WG, _WG[-2::-1]])                  # (7,) on [1::2]
 _EPS = np.finfo(float).eps
 
 # integrate_wedge: level-0 y and s panel edges (y: 8 geometric panels above
-# 1e-3), grading power, level budget, most points per f call
+# 1e-3), grading power, level budget, most points per f call (as the y rule)
 _WEDGE_Y0 = 1e-3
 _WEDGE_S_EDGES = np.array([0.0, 0.03, 0.3, 1.0])
 _WEDGE_GRADING = 3
 _WEDGE_LEVELS = 5
-_WEDGE_CHUNK = 1 << 16
+_WEDGE_CHUNK = 1 << 13
 # Wedge integrals of the observables are at most 13 (ideal metal): an error
 # below 1e-15 counts as resolved, as rel_tol is out of reach at ~1e-30 (vacuum)
 _WEDGE_ABS_TOL = 1e-15
@@ -210,14 +211,20 @@ def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
     |running sum| held for three consecutive indices, leaving out the rest
     of the block; l_floor guarantees that the dominant spectral window is
     covered however fast the early terms decay.  A ladder not stopped by
-    l = L = _EULER_L hands off there: its value is the sum over l < L and
-    ``edge_terms`` holds t_{L-6}, ..., t_L (terms_used = L + 1).
+    l = _EULER_L hands off there; one whose l_floor is at least _EULER_L
+    (it cannot stop before) hands off at the first L of _EULER_L / 4,
+    _EULER_L / 2 and _EULER_L where the `euler_maclaurin_ends` bound is at
+    most rel_tol * |sum over l < L|, and no block runs past the next such
+    L.  Its value is the sum over l < L and ``edge_terms`` holds t_{L-6},
+    ..., t_L (terms_used = L + 1).
     """
     if not (0.0 < rel_tol <= 1e-2 and l_floor >= 0):
         raise ValueError("need rel_tol in (0, 1e-2] and l_floor >= 0")
 
+    hand_off = _EULER_L // 4 if l_floor >= _EULER_L else _EULER_L
+
     def ask(l: int, n: int) -> list:  # t_l, ..., t_(l+n-1), reversed
-        n = min(max(n, l_floor + 1 - l), _MATSUBARA_BLOCK, _EULER_L + 1 - l)
+        n = min(max(n, l_floor + 1 - l), _MATSUBARA_BLOCK, hand_off + 1 - l)
         return np.asarray(terms(np.arange(l, l + n)), float).tolist()[::-1]
     block = ask(0, math.ceil(l_floor * math.log(1.0 / rel_tol) / 10.0) + 3)
     kept = [0.5 * block.pop()]
@@ -230,9 +237,12 @@ def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
                         math.ceil((math.log(bound) - math.log(t)) / decay)
                         + 2 if decay < 0.0 < bound else _MATSUBARA_BLOCK)
         kept.append(block.pop())
-        if len(kept) > _EULER_L:  # kept holds t_0/2, t_1, ..., t_L
-            return SumResult(math.fsum(kept[:-1]), len(kept), abs(kept[-1]),
-                             tuple(kept[-len(_EM_WEIGHTS):]))
+        if len(kept) > hand_off:  # kept holds t_0/2, t_1, ..., t_L'
+            head, edge = math.fsum(kept[:-1]), tuple(kept[-len(_EM_WEIGHTS):])
+            if (hand_off == _EULER_L or euler_maclaurin_ends(edge)[1]
+                    <= rel_tol * abs(head)):
+                return SumResult(head, len(kept), abs(kept[-1]), edge)
+            hand_off *= 2
         running += kept[-1]
         small = abs(kept[-1]) <= rel_tol * abs(running)
         consecutive = consecutive + 1 if small else 0
@@ -311,8 +321,8 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 "yiSj,yi->ySj", fx[:, 1::2, :, 1::2], wg), ws_g)
             cells.extend(k.ravel().tolist())
             diffs.extend(np.abs(k - g).ravel().tolist())
-            resabs.append(np.einsum("Sj,Sj->", np.einsum(
-                "yiSj,yi->Sj", np.abs(fx), wk), ws_k))
+            resabs.extend(np.einsum("ySj,Sj->yS", np.einsum(
+                "yiSj,yi->ySj", np.abs(fx), wk), ws_k).ravel().tolist())
         evaluations += y.size * s.size
         value, d, r = (math.fsum(x) for x in (cells, diffs, resabs))
         # K15's error goes like G7's to the power 24/14 (degrees 23 and 13),

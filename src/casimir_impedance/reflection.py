@@ -65,12 +65,12 @@ class Plasma(DielectricModel):
     omega_p: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.omega_p < math.inf:
-            raise ValueError("omega_p must be positive and finite")
+        if not 1e-100 <= self.omega_p <= 1e100:  # (2 a omega_p / c)^2 finite
+            raise ValueError("omega_p must lie in [1e-100, 1e100] rad/s")
 
     def fresnel_inputs(self, geometry, zeta, y):
         wp_t = 2.0 * geometry.separation * self.omega_p / C_LIGHT
-        w = np.hypot(y, wp_t)
+        w = np.sqrt(y * y + wp_t * wp_t)  # np.hypot: 4-5x the time
         return w * (zeta * zeta / (zeta * zeta + wp_t * wp_t)), w
 
 
@@ -83,8 +83,8 @@ class Drude(DielectricModel):
     gamma: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.omega_p < math.inf:
-            raise ValueError("omega_p must be positive and finite")
+        if not 1e-100 <= self.omega_p <= 1e100:  # (2 a omega_p / c)^2 finite
+            raise ValueError("omega_p must lie in [1e-100, 1e100] rad/s")
         if not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
 
@@ -115,9 +115,10 @@ def zero_freq_r_sq(model: Model, k_perp):
     """(r_par^2, r_perp^2) = ((y - u)/(y + u))^2 of ``fresnel_inputs`` at
     zeta = 0 for k_perp (float or array) in [1e-100, 1e100] rad/m, where y^2
     neither under- nor overflows; u/y is independent of a, and a = 1/2 m
-    makes y = k_perp.  The plasma r_perp^2 loses digits as y - hypot(y, w_p)
-    cancels: its relative error is 1.4e-16 at k_perp = 1e8 rad/m, 9.8e-12 at
-    1e10, 7.7e-10 at 1e11 and 1.1e-7 at 1e12 (against 50-digit mpmath)."""
+    makes y = k_perp.  The plasma r_perp^2 loses digits as y - sqrt(y^2 +
+    w_p^2) cancels: its relative error is 1.4e-16 at k_perp = 1e8 rad/m,
+    9.8e-12 at 1e10, 7.7e-10 at 1e11 and 1.1e-7 at 1e12 (against 50-digit
+    mpmath)."""
     y = np.asarray(k_perp, dtype=float)
     if not np.all((1e-100 <= y) & (y <= 1e100)):
         raise ValueError("k_perp is outside [1e-100, 1e100] rad/m")

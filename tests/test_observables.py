@@ -33,6 +33,7 @@ from oracles import free_energy_ideal
 
 TIGHT = ToleranceConfig(1e-9)
 MED = ToleranceConfig(1e-8)
+DEFAULT = ToleranceConfig()
 
 GOLD_IR = InfraredOptics(GOLD.plasma_frequency)
 GOLD_AS = AnomalousSkin(derive_anomalous_constant(GOLD))
@@ -567,11 +568,18 @@ def test_low_temperature_correction_keeps_its_cancellation():
 def test_zero_temperature_rule_evaluates_kernels_in_chunks(monkeypatch):
     # at a tight tolerance the rule refines past one chunk; no call of an X
     # kernel may receive more points than the chunk, and every point of
-    # every level passes through one.  Levels 0 and 1 (30,375 points) stay
-    # below the default chunk, so a smaller one (still above the 1,350
-    # points of one level-1 y panel) makes the split visible
+    # every level passes through one.  Level 0 (6,075 points) is one call
+    # of the default chunk (8,192), so a smaller one (still above the 1,350
+    # points of one level-1 y panel) splits every level; values and errors
+    # are fsums over (y panel, s panel) pairs, the same for any chunk
     import casimir_impedance.observables as obs
 
+    tight = ToleranceConfig(1e-10)
+    cases = ((GOLD_IR, 10e-9), (Drude(GOLD.plasma_frequency, 5.3e13), 0.1e-6),
+             (GOLD_AS, 1e-6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 10 nm is below lambda_p
+        default = [energy_T0(model, Geometry(a), tight) for model, a in cases]
     chunk = 1 << 12
     monkeypatch.setattr(quadrature, "_WEDGE_CHUNK", chunk)
     sizes = []
@@ -584,40 +592,44 @@ def test_zero_temperature_rule_evaluates_kernels_in_chunks(monkeypatch):
 
     for name in ("x_factors_grid", "lifshitz_x_grid"):
         monkeypatch.setattr(obs, name, recording(getattr(obs, name)))
-    tight = ToleranceConfig(1e-10)
-    for model, a in ((GOLD_IR, 10e-9),
-                     (Drude(GOLD.plasma_frequency, 5.3e13), 0.1e-6)):
+    for (model, a), base in zip(cases, default):
         sizes.clear()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # 10 nm is below lambda_p
+            warnings.simplefilter("ignore")
             res = energy_T0(model, Geometry(a), tight)
         assert sum(sizes) == res.diagnostics["evaluations"]
         assert sum(sizes) > 3 * chunk
         assert max(sizes) <= chunk
+        assert (res.value, res.numeric_error) \
+            == (base.value, base.numeric_error)
 
 
 def test_matsubara_block_size_does_not_change_results(monkeypatch):
     # with at most 2, 5 or 33 rows a call, a block is cut at the stopping
-    # index (none runs past the hand-off l = 64): the terms and quadrature
-    # errors past it are left out, and no row's value depends on its
-    # neighbours, l = 0 included; a short ladder (5 um, 300 K: under 10
-    # terms) and tol 1e-10, where the l = 0 row needs a level more than the
-    # rest of its block, too
+    # index (none runs past the hand-off): the terms and quadrature errors
+    # past it are left out, and no row's value depends on its neighbours,
+    # l = 0 included; a short ladder (5 um, 300 K: under 10 terms), ladders
+    # handed off at l = 16 (10 K, 0.15 um), 32 (10 K, 1 um, tol 1e-10) and
+    # 64 (70 K, 1 um, tol 1e-10), and tol 1e-10, where the l = 0 row needs
+    # a level more than the rest of its block, too
+    tight = ToleranceConfig(1e-10)
     cases = ((GOLD_IR, Geometry(1e-6), ThermalState(300.0), MED),
              (Drude(GOLD.plasma_frequency, 5.3e13), Geometry(0.15e-6),
               ThermalState(10.0), MED),
              (GOLD_IR, Geometry(5e-6), ThermalState(300.0), MED),
-             (GOLD_IR, Geometry(1e-6), ThermalState(70.0),
-              ToleranceConfig(1e-10)))
+             (GOLD_IR, Geometry(1e-6), ThermalState(70.0), tight),
+             (GOLD_IR, Geometry(1e-6), ThermalState(10.0), tight))
     runs = []
     for block in (2, 5, 33):
         monkeypatch.setattr(quadrature, "_MATSUBARA_BLOCK", block)
         runs.append([f(model, geometry, state, tol)
                      for model, geometry, state, tol in cases
                      for f in (free_energy, pressure_plates)])
-    kinds = {(r.diagnostics["tail"], r.diagnostics["terms_used"] < 33)
+    kinds = {(r.diagnostics["tail"], r.diagnostics["terms_used"])
              for r in runs[0]}
-    assert kinds == {("geometric", True), ("euler_maclaurin", False)}
+    assert {n for tail, n in kinds if tail == "euler_maclaurin"} \
+        == {17, 33, 65}
+    assert max(n for tail, n in kinds if tail == "geometric") < 33
     assert min(r.diagnostics["terms_used"] for r in runs[0]) < 10
     for res in zip(*runs):
         for r in res[1:]:
@@ -630,8 +642,10 @@ def test_matsubara_block_size_does_not_change_results(monkeypatch):
 def test_matsubara_blocks_are_sized_to_the_ladder(monkeypatch):
     # l = 0 shares the first integrand call; later blocks hold the rows the
     # ladder still needs (short ladders overshoot by at most 3 rows), no
-    # call holds more than 33 rows, and a ladder handed off at l = 64 takes
-    # its 65 rows in two calls
+    # call holds more than 33 rows, and a ladder whose floor is past l = 64
+    # takes exactly the rows of its hand-off: 17 in one call at l = 16, or
+    # 17 + 16 in two at l = 32 (3 K, 1 um: 17; 10 K, 1 um, tol 1e-10: 33
+    # for F, 17 for P)
     import casimir_impedance.observables as obs
 
     lowers = []
@@ -641,11 +655,14 @@ def test_matsubara_blocks_are_sized_to_the_ladder(monkeypatch):
         return integrate_semiinf(f, lower, rel_tol)
 
     monkeypatch.setattr(obs, "integrate_semiinf", recording)
-    for a, temperature, short in ((5e-6, 300.0, True), (1e-6, 300.0, True),
-                                  (1e-6, 3.0, False)):
+    handed_off = []
+    for a, temperature, tol, short in (
+            (5e-6, 300.0, DEFAULT, True), (1e-6, 300.0, DEFAULT, True),
+            (1e-6, 3.0, DEFAULT, False),
+            (1e-6, 10.0, ToleranceConfig(1e-10), False)):
         for f in (free_energy, pressure_plates):
             lowers.clear()
-            res = f(GOLD_IR, Geometry(a), ThermalState(temperature))
+            res = f(GOLD_IR, Geometry(a), ThermalState(temperature), tol)
             rows = sum(len(lo) for lo in lowers)
             used = res.diagnostics["terms_used"]
             assert len(lowers) <= 2 and max(map(len, lowers)) <= 33
@@ -655,7 +672,11 @@ def test_matsubara_blocks_are_sized_to_the_ladder(monkeypatch):
             if short:
                 assert used < 33 and used <= rows <= used + 3, (a, f)
             else:
-                assert used == rows == 65 and len(lowers) == 2, (a, f)
+                assert used == rows, (a, f)
+                assert [len(lo) for lo in lowers] == {
+                    17: [17], 33: [17, 16]}[used], (a, f)
+                handed_off.append(used)
+    assert sorted(handed_off) == [17, 17, 17, 33]
 
 
 def test_matsubara_terms_evaluate_kernels_in_chunks(monkeypatch):
@@ -721,10 +742,17 @@ def test_underflowing_matsubara_rows_do_not_fail_the_sum():
     assert abs(res.value - ref) <= 1e-6 * abs(ref)
 
 
+def _force_hand_off_at_euler_l(monkeypatch):
+    """Every ladder that reaches L/4 or L/2 runs on to L = _EULER_L: the
+    ends' bound that `matsubara_sum` tests never meets tol."""
+    monkeypatch.setattr(quadrature, "euler_maclaurin_ends",
+                        lambda edge_terms: (0.0, math.inf))
+
+
 def test_euler_maclaurin_cap_leaves_short_ladders_alone(monkeypatch):
     # a 300 K, 1 um ladder stops near l = 20: no cap changes a bit of it;
-    # a 10 K, 0.15 um ladder handed off at l = 128 instead of 64 agrees
-    # with the default within the default's error
+    # a 10 K, 0.15 um ladder, handed off at l = 16 by default, agrees
+    # within the default's error when it is made to run on to l = 128
     short = (GOLD_IR, Geometry(1e-6), ThermalState(300.0), MED)
     long_ = (GOLD_IR, Geometry(0.15e-6), ThermalState(10.0), MED)
     observables = (free_energy, pressure_plates)
@@ -738,11 +766,48 @@ def test_euler_maclaurin_cap_leaves_short_ladders_alone(monkeypatch):
         assert res.numeric_error == base.numeric_error
         assert res.diagnostics["terms_used"] == base.diagnostics["terms_used"]
     monkeypatch.setattr(quadrature, "_EULER_L", 128)
+    _force_hand_off_at_euler_l(monkeypatch)
     for f, (_, base) in zip(observables, default):
         res = f(*long_)
-        assert base.diagnostics["terms_used"] == 65
+        assert base.diagnostics["terms_used"] == 17
         assert res.diagnostics["terms_used"] == 129
         assert abs(res.value - base.value) <= base.numeric_error
+
+
+def test_early_hand_off_agrees_with_the_hand_off_at_euler_l(monkeypatch):
+    # ladders whose floor ceil(10 / zeta_1) is past L = 64 (4050, 183 and
+    # 87 at these (a, T)) hand off at l = 16, 32 or 64, whichever first
+    # meets tol: every value of six models is within tol, and within its
+    # own error, of the same record handed off at L; entropy's ladders at
+    # T +- h may hand off at different l, and it agrees within both errors
+    from casimir_impedance.physcore import sigma_gaussian_from_si
+
+    models = (IdealMetal(), NormalSkin(sigma_gaussian_from_si(4.1e7)),
+              GOLD_AS, GOLD_IR, Plasma(GOLD.plasma_frequency),
+              Drude(GOLD.plasma_frequency, 5.3e13))
+    cases = [(f, model, Geometry(a), ThermalState(temperature),
+              ToleranceConfig(rel_tol))
+             for a, temperature in ((0.15e-6, 3.0), (1e-6, 10.0),
+                                    (0.3e-6, 70.0))
+             for rel_tol in (1e-6, 1e-10)
+             for model in models for f in (free_energy, pressure_plates)]
+    cold = [(entropy, GOLD_IR, Geometry(1e-6), ThermalState(temperature),
+             DEFAULT) for temperature in (1.0, 3.0, 10.0)]
+    early = [f(*args) for f, *args in cases + cold]
+    _force_hand_off_at_euler_l(monkeypatch)
+    at_l = [f(*args) for f, *args in cases + cold]
+    used = {res.diagnostics["terms_used"] for res in early[:len(cases)]}
+    assert used == {17, 33, 65}
+    assert {res.diagnostics["terms_used"] for res in at_l[:len(cases)]} \
+        == {65}
+    for (f, model, _, state, tol), res, ref in zip(cases, early, at_l):
+        case = (f.__name__, model, state.temperature, tol.quadrature_rel_tol)
+        dev = abs(res.value - ref.value)
+        assert dev <= tol.quadrature_rel_tol * abs(ref.value), case
+        assert dev <= res.numeric_error, case
+    for res, ref in zip(early[len(cases):], at_l[len(cases):]):
+        assert abs(res.value - ref.value) \
+            <= res.numeric_error + ref.numeric_error
 
 
 def test_error_splits_into_quadrature_and_tail_parts(monkeypatch):

@@ -135,12 +135,69 @@ def test_geometric_series():
 def test_sum_floor_is_respected():
     res = matsubara_sum(lambda l: 0.5 ** l, 1e-6, 40)
     assert res.terms_used >= 41 and res.edge_terms == ()
-    # a floor above L: the ladder hands off at L with t_{L-6}, ..., t_L
-    big_l = quadrature._EULER_L
+    # a floor above L: the ladder hands off at L' = L/4 = 16 with t_10, ...,
+    # t_16, as the ends' bound |Delta^6 t_16| / 50 = 3e-7 meets rel_tol there
+    hand_off = quadrature._EULER_L // 4
     res = matsubara_sum(lambda l: 0.5 ** l, 1e-6, 80)
-    assert res.terms_used == big_l + 1
-    assert res.edge_terms == tuple(0.5 ** np.arange(big_l - 6, big_l + 1))
-    assert res.value == 0.5 + math.fsum(0.5 ** np.arange(1, big_l))
+    assert res.terms_used == hand_off + 1
+    assert res.edge_terms == tuple(0.5 ** np.arange(hand_off - 6,
+                                                    hand_off + 1))
+    assert res.value == 0.5 + math.fsum(0.5 ** np.arange(1, hand_off))
+
+
+def _asked_rows(terms, rel_tol, l_floor):
+    """The SumResult and the rows of each call of ``terms``."""
+    asked = []
+
+    def recorded(ls):
+        asked.append(ls.tolist())
+        return terms(ls)
+
+    return matsubara_sum(recorded, rel_tol, l_floor), asked
+
+
+def test_floor_bound_ladder_hands_off_at_the_first_l_whose_ends_meet_tol():
+    # e^(-0.3 l) at rel_tol 1e-6: |Delta^6 t_16| / 50 = 3e-7 is below 1e-6
+    # of the sum (3.4), so one call of rows 0..16 ends the ladder, and the
+    # sum over l < 16, the band over l >= 16 and the ends give the series
+    big_l = quadrature._EULER_L
+    res, asked = _asked_rows(lambda ls: np.exp(-0.3 * ls), 1e-6, big_l)
+    assert asked == [list(range(big_l // 4 + 1))]
+    assert res.terms_used == big_l // 4 + 1
+    ends, bound = euler_maclaurin_ends(res.edge_terms)
+    assert bound <= 1e-6 * res.value
+    total = res.value + math.exp(-0.3 * big_l / 4) / 0.3 + ends
+    exact = 0.5 + 1.0 / math.expm1(0.3)
+    assert abs(total - exact) <= bound
+    # a floor below L leaves a ladder alone: (1 + l)^-2 meets the ends'
+    # bound at 16 (7.5e-8 against 1e-6 of 1.08), but it runs on to L
+    res, asked = _asked_rows(lambda ls: 1.0 / (1.0 + ls) ** 2, 1e-6,
+                             big_l - 1)
+    assert res.terms_used == big_l + 1 and asked[0][-1] == 32
+
+
+def test_floor_bound_ladder_falls_back_to_l_when_the_ends_miss_tol():
+    # (1 + l)^-2, whose sum is 1.08-1.13: |Delta^6 t_L'| / 50 is 7.5e-8 at
+    # 16 and 1.6e-10 at 32; at rel_tol 1e-9 the ladder passes 16 and ends at
+    # 32 (rows 17..32 in a second call), at 1e-12 it passes both and ends
+    # at L = 64 (rows 33..64 in a third), as a ladder that always ran to L
+    def terms(ls):
+        return 1.0 / (1.0 + ls) ** 2
+
+    big_l = quadrature._EULER_L
+    for rel_tol, hand_off in ((1e-9, big_l // 2), (1e-12, big_l)):
+        res, asked = _asked_rows(terms, rel_tol, 2 * big_l)
+        assert [row[-1] for row in asked] == [
+            l for l in (16, 32, 64) if l <= hand_off]
+        assert sum(asked, []) == list(range(hand_off + 1))
+        assert res.terms_used == hand_off + 1
+        assert res.edge_terms == tuple(terms(np.arange(hand_off - 6,
+                                                       hand_off + 1)))
+        assert res.value == math.fsum([0.5, *terms(np.arange(1, hand_off))])
+        for l in (big_l // 4, big_l // 2):  # the ends miss tol before L'
+            _, bound = euler_maclaurin_ends(terms(np.arange(l - 6, l + 1)))
+            head = math.fsum([0.5, *terms(np.arange(1, l))])
+            assert (bound <= rel_tol * head) == (l == hand_off)
 
 
 def test_sum_of_ones_hands_off_at_euler_l():

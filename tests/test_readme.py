@@ -1,5 +1,7 @@
-"""The README's library example runs against the current API."""
+"""The README's library example runs against the current API, and the
+cost it quotes for a low-temperature record is the current one."""
 
+import math
 import re
 from pathlib import Path
 
@@ -13,3 +15,27 @@ def test_library_use_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert lines[2] == "Regime.ANOMALOUS_SKIN"
+
+
+def test_quoted_low_temperature_record_cost():
+    # the figures the README quotes for the 3 K, 0.15 um record (default
+    # tol, infrared optics): the floor, the y-integrals, the band's points
+    # and the total are recomputed, so the quoted cost cannot go stale
+    from casimir_impedance import (
+        GOLD, Geometry, InfraredOptics, ThermalState, free_energy,
+    )
+    from casimir_impedance.observables import check_range
+
+    text = " ".join(README.read_text().split())
+    quote = re.search(
+        r"at 3 K and 0\.15 um the floor alone asks for ([\d,]+) terms, and "
+        r"a record now costs (\d+) `y`-integrals and one ([\d,]+)-point "
+        r"band \(([\d,]+) points\) at the default tolerance", text)
+    floor, terms, band, points = (int(g.replace(",", ""))
+                                  for g in quote.groups())
+    geometry, state = Geometry(0.15e-6), ThermalState(3.0)
+    res = free_energy(InfraredOptics(GOLD.plasma_frequency), geometry, state)
+    assert math.ceil(10.0 / check_range(geometry, state)) == floor
+    assert res.diagnostics["terms_used"] == terms
+    assert res.diagnostics["evaluations"] == points
+    assert points - band == terms * 195  # 13 panels x 15 nodes a row

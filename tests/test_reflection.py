@@ -207,6 +207,23 @@ def test_x_factors_grid_is_the_fresnel_form_bit_for_bit():
                 assert np.array_equal(x, 4.0 * y * u / (y + u) ** 2), model
 
 
+def test_plasma_frequency_range_keeps_the_sqrt_inputs_finite():
+    # the plasma-frequency models form sqrt(y^2 + w_p^2), w_p = 2 a omega_p
+    # / c, without np.hypot's rescaling: omega_p in [1e-100, 1e100] rad/s
+    # keeps w_p^2 normal and finite at every separation in [1e-12, 1] m,
+    # so both factors stay finite from zeta = 0 to the top of the ladder
+    zeta = np.array([[0.0], [1e-6], [1e14]])
+    y = np.array([1e-3, 1.0, 40.0, 1e14])
+    for wp, a in ((1e100, 1.0), (1e-100, 1e-12)):
+        for model in (InfraredOptics(wp), Plasma(wp), Drude(wp, 5e13)):
+            for x in x_factors_grid(model, Geometry(a), zeta, y):
+                assert np.all(np.isfinite(x)) and np.all(x >= 0.0), model
+    for wp in (1e-101, 1e101, math.inf, math.nan):
+        for make in (InfraredOptics, Plasma, lambda w: Drude(w, 5e13)):
+            with pytest.raises(ValueError, match="omega_p"):
+                make(wp)
+
+
 def test_zero_frequency_is_an_ordinary_argument():
     # every model's Fresnel inputs are finite at zeta = 0: a zeta row of 0
     # in an array is the scalar zeta = 0 call, and 1 - X(0, y) is the
