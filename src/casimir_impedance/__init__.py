@@ -1,10 +1,10 @@
 """Thermal Casimir effect between real-metal plates.
 
 Computes the Casimir energy, free energy, pressure, sphere-plate force and
-entropy for parallel metal plates, with the metal described either by its
-Leontovich surface impedance (normal skin effect, anomalous skin effect,
-infrared optics) or by a frequency-dependent dielectric function (plasma or
-Drude model) in the conventional Lifshitz formulation.
+entropy for parallel metal plates.  The metal is one of the six reflection
+models of `reflection`, each a `Model`: a Leontovich surface impedance
+(ideal metal, normal skin, anomalous skin, infrared optics) or a
+dielectric function in the Lifshitz formulation (plasma, Drude).
 """
 
 from .physcore import (
@@ -15,16 +15,16 @@ from .physcore import (
     effective_temperature, matsubara_frequency, sigma_gaussian_from_si,
     transition_frequency,
 )
-from .impedance import (
-    AnomalousSkin, IdealMetal, ImpedanceModel, InfraredOptics, NormalSkin,
+from .reflection import (
+    AnomalousSkin, Drude, IdealMetal, ImpedanceModel, InfraredOptics, Model,
+    NormalSkin, Plasma, zero_freq_r_sq,
 )
-from .reflection import DielectricModel, Drude, Plasma, zero_freq_r_sq
 from .quadrature import (
     IntegralResult, NonConvergenceError, SumResult, integrate_interval,
     integrate_semiinf, integrate_wedge, matsubara_sum,
 )
 from .observables import (
-    Model, Quantity, ResultValue, ZETA3,
+    Quantity, ResultValue, ZETA3,
     energy_T0, energy_ideal, entropy, force_sphere_plate, free_energy,
     lowT_asymptotics, pressure_plates, spectral_contribution,
     thermal_correction,

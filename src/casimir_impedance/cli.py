@@ -32,8 +32,8 @@ from .physcore import (
     GOLD, Geometry, MaterialParams, ThermalState, ToleranceConfig,
     classify_regime, derive_anomalous_constant,
 )
-from .impedance import AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin
-from .reflection import Drude, Plasma, zero_freq_r_sq
+from .reflection import (AnomalousSkin, Drude, IdealMetal, InfraredOptics,
+                         NormalSkin, Plasma, zero_freq_r_sq)
 from .quadrature import NonConvergenceError
 from . import observables as obs
 
@@ -232,8 +232,9 @@ def _cmd_records(args) -> int:
     radius = getattr(args, "radius", None)  # a sphere-plate option only
     if args.command == "sphere-plate" and radius is None:
         raise ConfigError("sphere-plate requires --radius")
+    check = obs.entropy_step if args.command == "entropy" else obs.check_range
     for a, T in ((a, T) for a in seps for T in temps):  # before any record
-        obs.check_range(Geometry(a), ThermalState(T))
+        check(Geometry(a), ThermalState(T))
 
     energies: dict = {}  # E(a) per (a, model name), for this call only
     fmt = args.format or ("csv" if args.command == "sweep" else "human")

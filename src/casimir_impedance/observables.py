@@ -51,8 +51,7 @@ from .physcore import (
     C_LIGHT, HBAR, K_B, Geometry, MaterialParams, ThermalState,
     ToleranceConfig, effective_temperature, matsubara_frequency,
 )
-from .impedance import InfraredOptics
-from .reflection import Model, x_factors_grid
+from .reflection import InfraredOptics, Model, x_factors_grid
 from .quadrature import (  # integrate_interval: perfbench/spans.py wraps it
     IntegralResult, euler_maclaurin_ends, integrate_interval,
     integrate_semiinf, integrate_wedge, matsubara_sum, tail_cutoff,
@@ -61,10 +60,10 @@ from .quadrature import (  # integrate_interval: perfbench/spans.py wraps it
 lifshitz_x_grid = x_factors_grid  # perfbench/spans.py wraps it
 
 __all__ = [
-    "Quantity", "ResultValue", "Model", "ZETA3",
-    "energy_ideal", "energy_T0", "free_energy",
-    "thermal_correction", "pressure_plates", "force_sphere_plate",
-    "entropy", "lowT_asymptotics", "spectral_contribution", "check_range",
+    "Quantity", "ResultValue", "ZETA3", "energy_ideal", "energy_T0",
+    "free_energy", "thermal_correction", "pressure_plates",
+    "force_sphere_plate", "entropy", "lowT_asymptotics",
+    "spectral_contribution", "check_range", "entropy_step",
 ]
 
 ZETA3 = 1.2020569031595943  # Riemann zeta(3)
@@ -148,6 +147,22 @@ def check_range(geometry: Geometry, state: ThermalState) -> float:
             f"ladder's range at separation {a:.6g} m: zeta_1 = {zeta1:.3g} "
             "must lie in [1e-100, 1e12]")
     return zeta1
+
+
+def entropy_step(geometry: Geometry, state: ThermalState) -> float:
+    """h = 1e-3 T, the step of `entropy`; ValueError unless T > 0 and
+    `check_range` holds at T and T -+ h (so at T -+ h/2), naming T."""
+    temp, h = state.temperature, _ENTROPY_STEP * state.temperature
+    if temp <= 0.0:
+        raise ValueError("entropy requires T > 0")
+    check_range(geometry, state)
+    try:
+        for t in (temp - h, temp + h):
+            check_range(geometry, ThermalState(t))
+    except ValueError as exc:
+        raise ValueError(f"entropy at {temp:.6g} K steps to {t:.6g} K: "
+                         f"{exc}") from None
+    return h
 
 
 def _band(model: Model, geometry: Geometry, integrand_factory, lo: float,
@@ -310,10 +325,7 @@ def entropy(model: Model, geometry: Geometry, state: ThermalState,
     errors; an entropy indistinguishable from zero (error >= |value|) is a
     valid outcome near T = 0 and is flagged in the diagnostics.
     """
-    temp = state.temperature
-    if temp <= 0.0:
-        raise ValueError("entropy requires T > 0")
-    h = _ENTROPY_STEP * temp
+    temp, h = state.temperature, entropy_step(geometry, state)
 
     def diff(step: float) -> tuple[float, float]:
         lo = free_energy(model, geometry, ThermalState(temp - step), tol)

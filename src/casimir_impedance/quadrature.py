@@ -4,7 +4,7 @@ summation.
 Both rules put 15-point Kronrod nodes on graded level-0 panels, estimate
 the error from the embedded 7-point Gauss rule and halve every panel, one
 level at a time, until the error meets rel_tol.  The integrand is called on
-whole panels, at most _WEDGE_CHUNK (_INTERVAL_CHUNK) points at a time.
+whole panels, at most _CHUNK points at a time.
 Panel sums are np.einsum contractions of aligned values (numpy's own loops,
 never BLAS; the wedge contracts its y nodes first, then its s nodes), and
 panel values are added in ascending order by fsum, so identical inputs give
@@ -71,14 +71,14 @@ _W_K = np.concatenate([_WGK[:-1], _WGK[::-1]])             # (15,)
 _W_G = np.concatenate([_WG, _WG[-2::-1]])                  # (7,) on [1::2]
 
 _EPS = np.finfo(float).eps
+_CHUNK = 1 << 13  # most points per f call (past ~16,000 each costs ~1.5x)
 
 # integrate_wedge: level-0 y and s panel edges (y: 8 geometric panels above
-# 1e-3), grading power, level budget, most points per f call (as the y rule)
+# 1e-3), grading power, level budget
 _WEDGE_Y0 = 1e-3
 _WEDGE_S_EDGES = np.array([0.0, 0.03, 0.3, 1.0])
 _WEDGE_GRADING = 3
 _WEDGE_LEVELS = 5
-_WEDGE_CHUNK = 1 << 13
 # Wedge integrals of the observables are at most 13 (ideal metal): an error
 # below 1e-15 counts as resolved, as rel_tol is out of reach at ~1e-30 (vacuum)
 _WEDGE_ABS_TOL = 1e-15
@@ -87,10 +87,9 @@ _WEDGE_ABS_TOL = 1e-15
 _INTERVAL_ABS_TOL = 1e-300
 
 # integrate_interval: level-0 edges on [0, 1] (0, then 12 geometric panels
-# above 2.5e-5), levels, points per call; matsubara_sum: rows per call, last l
+# above 2.5e-5), levels; matsubara_sum: rows per call, last l
 _INTERVAL_EDGES = np.append(0.0, np.geomspace(2.5e-5, 1.0, 13))
 _INTERVAL_LEVELS = 10
-_INTERVAL_CHUNK = 1 << 13
 _MATSUBARA_BLOCK = 33
 _EULER_L = 64
 
@@ -157,7 +156,7 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
         raise ValueError("need rel_tol in (0, 1e-2] and upper > lower")
     rows, evaluations = len(lo), 0
     value, err, unmet = np.zeros(rows), np.zeros(rows), np.ones(rows, bool)
-    step = max(1, _INTERVAL_CHUNK // (15 * rows))
+    step = max(1, _CHUNK // (15 * rows))
     for level in range(_INTERVAL_LEVELS):
         u, w_k, w_g = _u_rule(level)
         todo = slice(None) if unmet.all() else np.flatnonzero(unmet)
@@ -301,7 +300,7 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         s, ws_k, ws_g = _s_rule(level)
         y, wy_k, wy_g = _y_rule(upper - lo, level)  # y - lo and its weights
         grade = s.ravel() ** _WEDGE_GRADING
-        step = max(1, _WEDGE_CHUNK // (15 * s.size))
+        step = max(1, _CHUNK // (15 * s.size))
         cells, diffs, resabs = [], [], []
         for i in range(0, len(y), step):  # whole y panels at a time
             m = y[i:i + step, :, None]  # y - lo; zeta = lo + m s^p

@@ -1,13 +1,33 @@
-"""Transparency factors X = 1 - r^2 in the impedance and Fresnel pictures.
+"""The six reflection models and their transparency factors X = 1 - r^2.
 
-At imaginary frequency xi with transverse wavenumber k_perp (and
-q = sqrt(k_perp^2 + xi^2/c^2)) the impedance boundary condition gives
+An impedance model describes the metal by its Leontovich surface impedance
+continued to imaginary frequency, Z(i xi), real and non-negative:
+
+    ideal metal       Z = 0
+    normal skin       Z(i xi) = sqrt(xi / (4 pi sigma))
+    anomalous skin    Z(i xi) = (4 / (3 sqrt(3))) * C_a * xi^(2/3) / c
+    infrared optics   Z(i xi) = xi / sqrt(omega_p^2 + xi^2)
+
+The real-frequency forms are
+
+    Z_n(w) = (1 - i) sqrt(w / (8 pi sigma))
+    Z_a(w) = (2 (1 - i sqrt(3)) / (3 sqrt(3))) * w * delta_a(w) / c
+    Z_r(w) = -i w / sqrt(omega_p^2 - w^2)
+
+with delta_a(w) = C_a w^(-1/3).  Substituting w = i xi with principal
+branches makes each of them real: sqrt(i) = e^{i pi/4} cancels the phase of
+(1 - i), and (i xi)^{2/3} = xi^{2/3} e^{i pi/3} cancels (1 - i sqrt(3)) =
+2 e^{-i pi/3}.  The continuation is forced to be real on the axis, which
+pins the branch choice; the test suite checks the closed forms against
+direct complex evaluation.  At imaginary frequency xi with transverse
+wavenumber k_perp (q = sqrt(k_perp^2 + xi^2/c^2)) the impedance boundary
+condition gives
 
     r_par^2  = ((c q - Z xi) / (c q + Z xi))^2
     r_perp^2 = ((xi - Z c q) / (xi + Z c q))^2
 
-while the Fresnel (Lifshitz) coefficients for a dielectric function
-eps(i xi) are
+and the Fresnel (Lifshitz) coefficients of a dielectric function eps(i xi),
+the plasma and Drude models, are
 
     r_par,L^2  = ((eps q - k) / (eps q + k))^2
     r_perp,L^2 = ((q - k) / (q + k))^2,    k^2 = k_perp^2 + eps xi^2 / c^2.
@@ -19,54 +39,137 @@ are Fresnel forms, and so is the transparency factor of either polarization,
 
 with the metal-side wavenumber u = w/eps (TM, par) and u = w (TE, perp)
 for a dielectric, and u = zeta Z (par) and u = zeta/Z (perp) for an
-impedance.  X stays accurate when r^2 is exponentially close to 1.  Every
-reflection model supplies its pair (u_par, u_perp) as
-``fresnel_inputs(geometry, zeta, y)``, and one kernel, `x_factors_grid`,
-turns them into (X_par, X_perp) for all six.  Every model's inputs are
-finite at zeta >= 0, so zeta = 0 is an ordinary argument and gives the
-model's limit: zero for the ideal metal and the skin-effect impedances,
-r_perp^2(0) > 0 for infrared optics and the plasma dielectric, and exactly
-(X_par, X_perp) = (0, 1) for the Drude dielectric, which collapses to
-r_perp^2(0) = 0 discontinuously.  `zero_freq_r_sq` prints that limit.
+impedance; X stays accurate when r^2 is exponentially close to 1.  Every
+model derives from `Model` and supplies its (u_par, u_perp) as
+``fresnel_inputs(geometry, zeta, y)``, an `ImpedanceModel` from its
+``z(xi)`` (Z(i xi) on an array xi >= 0, zeta/Z = 0 where Z = 0), and one
+kernel, `x_factors_grid`, turns them into (X_par, X_perp).  The inputs are
+finite at zeta >= 0, so zeta = 0 is an ordinary argument and gives each
+model's limit, the l = 0 Matsubara term: X = 0 for the ideal metal and the
+skin-effect impedances, r_perp^2(0) > 0 for the plasma dielectric and for
+infrared optics (zeta/Z = sqrt(zeta^2 + w_p^2), w_p = 2 a omega_p / c),
+and exactly (X_par, X_perp) = (0, 1) for the Drude dielectric, which
+collapses to r_perp^2(0) = 0 discontinuously (`zero_freq_r_sq` prints
+the limit).  ``check_separation`` warns below infrared optics' plasma
+wavelength.  Whichever model is chosen is used at *all* Matsubara
+frequencies of a computation; the result is insensitive to the impedance
+outside roughly (0.1, 10) times the characteristic frequency.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .physcore import C_LIGHT, Geometry
-from .impedance import ImpedanceModel
 
 __all__ = [
-    "DielectricModel", "Plasma", "Drude", "x_factors_grid", "zero_freq_r_sq",
+    "Model", "ImpedanceModel", "IdealMetal", "NormalSkin", "AnomalousSkin",
+    "InfraredOptics", "Plasma", "Drude", "x_factors_grid", "zero_freq_r_sq",
 ]
 
+_ANOM_PREFACTOR = 4.0 / (3.0 * math.sqrt(3.0))
 
-class DielectricModel:
-    """Base class of the dielectric models; subclasses define
-    fresnel_inputs(geometry, zeta, y) -> (w/eps, w) on an array of y."""
+
+def _check_omega_p(omega_p: float) -> None:
+    if not 1e-100 <= omega_p <= 1e100:  # (2 a omega_p / c)^2 finite
+        raise ValueError("omega_p must lie in [1e-100, 1e100] rad/s")
+
+
+class Model:
+    """Base class of the six models; each supplies fresnel_inputs."""
 
     def check_separation(self, geometry: Geometry) -> None:
-        """Fresnel coefficients hold at every separation: nothing to warn."""
+        """Warn where the model stops applying; silent by default."""
 
 
-Model = Union[ImpedanceModel, DielectricModel]
+class ImpedanceModel(Model):
+    """Base class of the impedance models; subclasses define z(xi)."""
+
+    def fresnel_inputs(self, geometry: Geometry, zeta, y):
+        """(zeta Z, zeta/Z) at zeta >= 0, with zeta/Z = 0 where Z = 0."""
+        z = self.z(np.asarray(zeta * C_LIGHT / (2.0 * geometry.separation)))
+        return zeta * z, np.divide(zeta, z, out=np.zeros_like(z), where=z > 0)
 
 
 @dataclass(frozen=True)
-class Plasma(DielectricModel):
+class IdealMetal(ImpedanceModel):
+    """Perfect conductor: Z identically zero."""
+
+    def z(self, xi):
+        return np.zeros_like(xi, dtype=float)
+
+
+@dataclass(frozen=True)
+class NormalSkin(ImpedanceModel):
+    """Local-conductivity (normal skin effect) metal; sigma in Gaussian
+    units (s^-1)."""
+
+    sigma: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+
+    def z(self, xi):
+        return np.sqrt(xi / (4.0 * math.pi * self.sigma))
+
+
+@dataclass(frozen=True)
+class AnomalousSkin(ImpedanceModel):
+    """Nonlocal (anomalous skin effect) metal with a spherical Fermi
+    surface; c_a in m (rad/s)^(1/3)."""
+
+    c_a: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.c_a < math.inf:
+            raise ValueError("c_a must be positive and finite")
+
+    def z(self, xi):
+        return _ANOM_PREFACTOR * self.c_a * xi ** (2.0 / 3.0) / C_LIGHT
+
+
+@dataclass(frozen=True)
+class InfraredOptics(ImpedanceModel):
+    """Collisionless free-electron plasma; omega_p in rad/s.  At zero
+    frequency r_perp^2 keeps a material dependence."""
+
+    omega_p: float
+
+    def __post_init__(self) -> None:
+        _check_omega_p(self.omega_p)
+
+    def z(self, xi):
+        return xi / np.hypot(self.omega_p, xi)
+
+    def fresnel_inputs(self, geometry, zeta, y):
+        w_p = 2.0 * geometry.separation * self.omega_p / C_LIGHT
+        h = np.sqrt(zeta * zeta + w_p * w_p)  # np.hypot: 4-5x the time
+        return zeta * zeta / h, h  # zeta Z and zeta/Z
+
+    def check_separation(self, geometry):
+        lam_p = 2.0 * math.pi * C_LIGHT / self.omega_p
+        if geometry.separation <= lam_p:
+            warnings.warn(
+                f"separation {geometry.separation:.3g} m is not above the "
+                f"plasma wavelength {lam_p:.3g} m; results there are outside "
+                "the validity range of the surface-impedance description",
+                stacklevel=3)
+
+
+@dataclass(frozen=True)
+class Plasma(Model):
     """Collisionless plasma dielectric: eps(i xi) = 1 + omega_p^2/xi^2.
     eps xi^2 = xi^2 + omega_p^2 and 1/eps stay finite at xi = 0."""
 
     omega_p: float
 
     def __post_init__(self) -> None:
-        if not 1e-100 <= self.omega_p <= 1e100:  # (2 a omega_p / c)^2 finite
-            raise ValueError("omega_p must lie in [1e-100, 1e100] rad/s")
+        _check_omega_p(self.omega_p)
 
     def fresnel_inputs(self, geometry, zeta, y):
         wp_t = 2.0 * geometry.separation * self.omega_p / C_LIGHT
@@ -75,7 +178,7 @@ class Plasma(DielectricModel):
 
 
 @dataclass(frozen=True)
-class Drude(DielectricModel):
+class Drude(Model):
     """Dissipative Drude dielectric: eps(i xi) = 1 + omega_p^2/(xi (xi + gamma)).
     At xi = 0, w = y and w/eps = 0."""
 
@@ -83,8 +186,7 @@ class Drude(DielectricModel):
     gamma: float
 
     def __post_init__(self) -> None:
-        if not 1e-100 <= self.omega_p <= 1e100:  # (2 a omega_p / c)^2 finite
-            raise ValueError("omega_p must lie in [1e-100, 1e100] rad/s")
+        _check_omega_p(self.omega_p)
         if not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
 

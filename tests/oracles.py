@@ -19,9 +19,8 @@ import numpy as np
 from casimir_impedance.physcore import (
     C_LIGHT, Geometry, ThermalState, effective_temperature,
 )
-from casimir_impedance.impedance import ImpedanceModel, InfraredOptics
 from casimir_impedance.reflection import (
-    DielectricModel, Drude, Plasma, x_factors_grid,
+    Drude, ImpedanceModel, InfraredOptics, Plasma, x_factors_grid,
 )
 from casimir_impedance.observables import (
     ZETA3, Quantity, ResultValue, energy_ideal,
@@ -104,7 +103,7 @@ class DispersionEval:
     renormalized_perp: float
 
 
-def eps_imag_axis(model: DielectricModel, xi: float) -> float:
+def eps_imag_axis(model: Plasma | Drude, xi: float) -> float:
     """Dielectric function on the imaginary axis; real and >= 1."""
     if isinstance(model, Plasma):
         if xi < 0.0:
@@ -138,7 +137,7 @@ def refl_impedance(z: ImpedanceValue | float,
     return ReflectionPair(r_par * r_par, r_perp * r_perp)
 
 
-def refl_lifshitz(model: DielectricModel,
+def refl_lifshitz(model: Plasma | Drude,
                   point: SpectralPoint) -> ReflectionPair:
     """Fresnel squared reflection coefficients for a dielectric model.
 
@@ -325,7 +324,7 @@ def energy_T0_nested_quad(model, geometry: Geometry,
 
     def inner(zeta: float) -> float:
         xi = zeta * C_LIGHT / (2.0 * a)
-        if isinstance(model, DielectricModel):
+        if isinstance(model, (Plasma, Drude)):
             eps = eps_imag_axis(model, xi)
 
             def r_sq(y):

@@ -36,10 +36,10 @@ from casimir_impedance.physcore import (
     C_LIGHT, GOLD, HBAR, K_B, Geometry, ThermalState, ToleranceConfig,
     derive_anomalous_constant, matsubara_frequency, transition_frequency,
 )
-from casimir_impedance.impedance import (
-    AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
+from casimir_impedance.reflection import (
+    AnomalousSkin, Drude, IdealMetal, InfraredOptics, NormalSkin, Plasma,
+    zero_freq_r_sq,
 )
-from casimir_impedance.reflection import Drude, Plasma, zero_freq_r_sq
 from casimir_impedance.quadrature import integrate_semiinf
 from casimir_impedance.observables import (
     ZETA3, energy_T0, energy_ideal, entropy, free_energy, lowT_asymptotics,

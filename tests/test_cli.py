@@ -372,7 +372,12 @@ def test_byte_identical_output_across_thread_counts():
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import casimir_impedance
+
+    # the child imports the package from where this process found it
+    src = str(Path(casimir_impedance.__file__).resolve().parents[1])
     argv = [sys.executable, "-m", "casimir_impedance.cli", "free-energy",
             "--model", "anomalous-skin", "--separation", "0.4e-6",
             "--temperature", "300", "--format", "csv"]
@@ -380,7 +385,8 @@ def test_byte_identical_output_across_thread_counts():
     for threads in ("1", "4"):
         env = dict(os.environ)
         env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, env.get("PYTHONPATH")))))
         proc = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         outputs.append(proc.stdout)
@@ -593,6 +599,36 @@ def test_out_of_range_grid_fails_before_the_first_record(capsys,
     assert out == ""
     assert err == "error: separation 1.12013 m is outside [1e-12, 1] m\n"
     assert calls == []
+
+
+def test_entropy_step_out_of_range_fails_before_the_first_record(
+        capsys, monkeypatch):
+    # 182,204,997.8 K passes check_range at 1 m but its step T + h does
+    # not: the grid exits 2 before the 1 um row, naming the given T; at
+    # 181,940,700 K, whose T + h is in range, both rows are computed
+    from casimir_impedance import cli
+
+    calls = []
+
+    def counting(*args, _real=cli.obs.free_energy):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(cli.obs, "free_energy", counting)
+    seps = ("--separation", "1e-6,1", "--format", "csv")
+    code, out, err = run(capsys, "entropy", *seps,
+                         "--temperature", "182204997.84873796")
+    assert (code, out, calls) == (2, "", [])
+    assert err == ("error: entropy at 1.82205e+08 K steps to 1.82387e+08 K: "
+                   "temperature 1.82387e+08 K is outside the Matsubara "
+                   "ladder's range at separation 1 m: zeta_1 = 1e+12 must "
+                   "lie in [1e-100, 1e12]\n")
+    code, out, err = run(capsys, "entropy", *seps, "--temperature",
+                         "181940700")
+    assert (code, err) == (0, "")
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
+    assert len(calls) == 8
 
 
 def test_validity_warnings_once_each_without_source_location(capsys):

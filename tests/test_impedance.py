@@ -12,7 +12,7 @@ import pytest
 
 from casimir_impedance.physcore import C_LIGHT, GOLD, Geometry, \
     derive_anomalous_constant
-from casimir_impedance.impedance import (
+from casimir_impedance.reflection import (
     AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
 )
 from oracles import ImpedanceValue, dimensionless_impedance, \

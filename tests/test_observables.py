@@ -18,10 +18,9 @@ from casimir_impedance.physcore import (
     C_LIGHT, GOLD, HBAR, K_B, Geometry, ThermalState, ToleranceConfig,
     derive_anomalous_constant, effective_temperature,
 )
-from casimir_impedance.impedance import (
-    AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
+from casimir_impedance.reflection import (
+    AnomalousSkin, Drude, IdealMetal, InfraredOptics, NormalSkin, Plasma,
 )
-from casimir_impedance.reflection import Drude, Plasma
 from casimir_impedance import quadrature
 from casimir_impedance.quadrature import integrate_semiinf
 from casimir_impedance.observables import (
@@ -273,6 +272,31 @@ def test_entropy_vanishes_toward_zero_temperature():
     s_room = entropy(GOLD_IR, geometry, ThermalState(300.0), MED)
     s_cold = entropy(GOLD_IR, geometry, ThermalState(1.0), tol)
     assert abs(s_cold.value) < 1e-3 * s_room.value
+
+
+def test_entropy_checks_its_step_temperatures_up_front(monkeypatch):
+    # a T inside check_range whose step T + h (or T - h) leaves the ladder's
+    # range fails before any free energy is computed, and the message names
+    # the given T; at both ends of the ladder's range and of the separation's
+    import casimir_impedance.observables as obs
+
+    calls = []
+    monkeypatch.setattr(obs, "free_energy", lambda *args: calls.append(args))
+    for a in (1e-12, 1.0):
+        geometry = Geometry(a)
+        per_kelvin = obs.check_range(geometry, ThermalState(1.0))
+        for temp in (1e12 / per_kelvin * (1.0 - 5e-4),
+                     1e-100 / per_kelvin * (1.0 + 5e-4)):
+            obs.check_range(geometry, ThermalState(temp))  # passes alone
+            with pytest.raises(ValueError) as info:
+                entropy(GOLD_IR, geometry, ThermalState(temp))
+            assert str(info.value).startswith(f"entropy at {temp:.6g} K ")
+            assert "outside the Matsubara ladder's range" in str(info.value)
+    assert calls == []
+    with pytest.raises(ValueError, match="entropy requires T > 0"):
+        entropy(GOLD_IR, Geometry(1e-6), ThermalState(0.0))
+    h = obs.entropy_step(Geometry(1.0), ThermalState(181940700.0))
+    assert h == 1e-3 * 181940700.0
 
 
 def test_low_T_asymptotics_against_full_pipeline():
@@ -581,7 +605,7 @@ def test_zero_temperature_rule_evaluates_kernels_in_chunks(monkeypatch):
         warnings.simplefilter("ignore")  # 10 nm is below lambda_p
         default = [energy_T0(model, Geometry(a), tight) for model, a in cases]
     chunk = 1 << 12
-    monkeypatch.setattr(quadrature, "_WEDGE_CHUNK", chunk)
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
     sizes = []
 
     def recording(kernel):
@@ -680,15 +704,14 @@ def test_matsubara_blocks_are_sized_to_the_ladder(monkeypatch):
 
 
 def test_matsubara_terms_evaluate_kernels_in_chunks(monkeypatch):
-    # at tol 1e-10 the Matsubara rows' calls (chunks of _INTERVAL_CHUNK)
-    # and the Euler-Maclaurin band's (of _WEDGE_CHUNK) both hold more than
-    # 1,024 points, so a smaller chunk for both makes the split by whole
-    # panels visible; every point passes through one call
+    # at tol 1e-10 the Matsubara rows' calls and the Euler-Maclaurin
+    # band's both hold more than 1,024 points, so a smaller _CHUNK (the one
+    # chunk of both rules) makes the split by whole panels visible; every
+    # point passes through one call
     import casimir_impedance.observables as obs
 
     chunk = 1 << 10
-    monkeypatch.setattr(quadrature, "_WEDGE_CHUNK", chunk)
-    monkeypatch.setattr(quadrature, "_INTERVAL_CHUNK", chunk)
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
     sizes = []
 
     def recording(kernel):
@@ -740,6 +763,23 @@ def test_underflowing_matsubara_rows_do_not_fail_the_sum():
     assert res.diagnostics["terms_used"] == 4
     assert abs(res.value - ref) <= res.numeric_error
     assert abs(res.value - ref) <= 1e-6 * abs(ref)
+
+
+@pytest.mark.xfail(raises=quadrature.NonConvergenceError, strict=True,
+                   reason="row targets are per row, not per ladder")
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-10])
+def test_near_transparent_plasma_rows_meet_tol(rel_tol):
+    # plasma at 0.1 nm and 86,471 K: zeta_1 = 0.047 is far above w_p =
+    # 0.009, where the plasma is near-transparent (X -> 1) and each row's
+    # integrand is a difference of near-equal logs.  Rows l >= 9 (l >= 7 at
+    # 1e-10) are at most 2e-7 of the sum, and their errors stay at 5e-17 to
+    # 2.4e-15, the integrand's rounding, for all 10 levels: each row's own
+    # rel_tol is out of reach, so the record fails where a ladder-level
+    # row target would be met
+    res = free_energy(Plasma(GOLD.plasma_frequency), Geometry(1e-10),
+                      ThermalState(86471.06874298336),
+                      ToleranceConfig(rel_tol))
+    assert res.numeric_error <= rel_tol * abs(res.value)
 
 
 def _force_hand_off_at_euler_l(monkeypatch):

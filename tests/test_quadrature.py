@@ -434,10 +434,9 @@ def test_wedge_integrand_sees_compact_y(monkeypatch):
         GOLD, Geometry, ThermalState, derive_anomalous_constant,
         sigma_gaussian_from_si,
     )
-    from casimir_impedance.impedance import (
-        AnomalousSkin, InfraredOptics, NormalSkin,
+    from casimir_impedance.reflection import (
+        AnomalousSkin, Drude, InfraredOptics, NormalSkin, Plasma,
     )
-    from casimir_impedance.reflection import Drude, Plasma
 
     drude = Drude(GOLD.plasma_frequency, 5.3e13)
     models = (InfraredOptics(GOLD.plasma_frequency),

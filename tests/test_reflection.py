@@ -12,11 +12,9 @@ import pytest
 
 from casimir_impedance.physcore import C_LIGHT, GOLD, Geometry, \
     derive_anomalous_constant
-from casimir_impedance.impedance import (
-    AnomalousSkin, IdealMetal, InfraredOptics, NormalSkin,
-)
 from casimir_impedance.reflection import (
-    Drude, Plasma, x_factors_grid, zero_freq_r_sq,
+    AnomalousSkin, Drude, IdealMetal, InfraredOptics, NormalSkin, Plasma,
+    x_factors_grid, zero_freq_r_sq,
 )
 from oracles import (
     ReflectionPair, SpectralPoint, dispersion_functions, eps_imag_axis,
@@ -281,7 +279,7 @@ def test_no_model_type_tests_in_src():
     # every model meets the code through fresnel_inputs and its own
     # methods: no isinstance test in src/ may name a reflection model, and
     # the zero-frequency limit has one home, reflection.zero_freq_r_sq
-    models = {"ImpedanceModel", "DielectricModel", "IdealMetal",
+    models = {"Model", "ImpedanceModel", "IdealMetal",
               "NormalSkin", "AnomalousSkin", "InfraredOptics", "Plasma",
               "Drude"}
     src = Path(__file__).resolve().parents[1] / "src"
@@ -300,6 +298,52 @@ def test_no_model_type_tests_in_src():
                 limits.append((path.name, node in tree.body))
     assert found == []
     assert limits == [("reflection.py", True)]
+
+
+def test_every_fresnel_inputs_is_a_model_in_reflection():
+    # the six models have one home and one base class: every class of src/
+    # that defines fresnel_inputs is defined in reflection.py, and every
+    # class of reflection.py derives from reflection.Model
+    from casimir_impedance import reflection
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    owners, classes = [], []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if path.name == "reflection.py":
+                classes.append(node.name)
+            if any(isinstance(item, ast.FunctionDef)
+                   and item.name == "fresnel_inputs" for item in node.body):
+                owners.append((path.name, node.name))
+    assert sorted(owners) == [
+        ("reflection.py", name) for name in
+        ("Drude", "ImpedanceModel", "InfraredOptics", "Plasma")]
+    assert len(classes) == 8
+    for name in classes:
+        assert issubclass(getattr(reflection, name), reflection.Model), name
+
+
+def test_cli_builds_a_model_for_every_name():
+    # every CLI model name builds a reflection.Model; check_separation is
+    # silent for five of them and warns for infrared optics below lambda_p
+    # (0.137 um for gold), and for none at 1 um
+    from casimir_impedance import Model, cli
+
+    models = {name: cli._build_model(name, GOLD, 3.2e17, 5.3e13)
+              for name in cli.MODEL_NAMES}
+    warned = {}
+    for a in (0.1e-6, 1e-6):
+        for name, model in models.items():
+            assert isinstance(model, Model), name
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                model.check_separation(Geometry(a))
+            warned[name, a] = [str(w.message) for w in caught]
+    assert {key for key, messages in warned.items() if messages} \
+        == {("infrared-optics", 0.1e-6)}
+    assert "plasma wavelength" in warned["infrared-optics", 0.1e-6][0]
 
 
 def test_zero_frequency_table():
