@@ -10,8 +10,9 @@ LF line endings; byte-identical for identical configurations) or as
 aligned human-readable blocks.  Non-convergence or a non-finite integrand
 in a single row leaves its value fields empty, is noted in the status
 column, and turns the exit status to 3; configuration errors, the grid's
-ranges included, exit with 2 before any record.  Validity warnings, of
-a model or of `regime`, go to stderr once each, as 'warning: <message>'.
+ranges included, exit with 2 before anything reaches stdout or --output.
+Validity warnings, of a model or of `regime`, go to stderr once each, as
+'warning: <message>', after a command has succeeded.
 Each command accepts only the options it reads (the table `OPTIONS`);
 any other option exits 2, as an unknown option does.
 """
@@ -46,9 +47,6 @@ CSV_COLUMNS = (
     "status",
 )
 
-MODEL_NAMES = ("ideal", "normal-skin", "anomalous-skin", "infrared-optics",
-               "lifshitz-plasma", "lifshitz-drude")
-
 # command -> (CSV column, observables function); the function is looked up
 # by name when a record is computed, so a patched module attribute is seen
 OBSERVABLE_COMMANDS = {
@@ -65,10 +63,6 @@ ZERO_FREQ_FORMS = {"impedance-normal": "normal-skin",
                    "lifshitz-drude": "lifshitz-drude"}
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _fmt(x) -> str:
     return "" if x is None else f"{x:.17g}" if isinstance(x, float) else str(x)
 
@@ -78,25 +72,25 @@ def _parse_grid(text: str, *, log: bool, what: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"{what}: expected start:stop:count, got {text!r}")
+            raise ValueError(f"{what}: expected start:stop:count, got {text!r}")
         try:
             start, stop = float(parts[0]), float(parts[1])
             count = int(parts[2])
         except ValueError:
-            raise ConfigError(f"{what}: bad grid {text!r}") from None
+            raise ValueError(f"{what}: bad grid {text!r}") from None
         if count < 2:
-            raise ConfigError(f"{what}: grid count must be >= 2")
+            raise ValueError(f"{what}: grid count must be >= 2")
         if not -math.inf < start < stop < math.inf:
-            raise ConfigError(f"{what}: grid requires finite start < stop")
+            raise ValueError(f"{what}: grid requires finite start < stop")
         if log:
             if start <= 0.0:
-                raise ConfigError(f"{what}: log grid requires start > 0")
+                raise ValueError(f"{what}: log grid requires start > 0")
             return list(np.geomspace(start, stop, count))
         return list(np.linspace(start, stop, count))
     try:
         return [float(v) for v in text.split(",")]
     except ValueError:
-        raise ConfigError(f"{what}: bad value {text!r}") from None
+        raise ValueError(f"{what}: bad value {text!r}") from None
 
 
 def _load_material(name: str) -> MaterialParams:
@@ -105,42 +99,47 @@ def _load_material(name: str) -> MaterialParams:
     try:
         return MaterialParams.from_file(name)
     except FileNotFoundError:
-        raise ConfigError(
+        raise ValueError(
             f"unknown material {name!r}: use 'gold' or a material file path"
         ) from None
     except OSError as exc:
-        raise ConfigError(f"cannot read material file {name!r}: "
-                          f"{exc.strerror or exc}") from None
+        raise ValueError(f"cannot read material file {name!r}: "
+                         f"{exc.strerror or exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"bad material file {name!r}: {exc}") from None
+        raise ValueError(f"bad material file {name!r}: {exc}") from None
+
+
+def _given(value, message: str):
+    if value is None:
+        raise ValueError(message)
+    return value
+
+
+# model name -> its builder from (material, --sigma, --gamma)
+MODELS = {
+    "ideal": lambda m, sigma, gamma: IdealMetal(),
+    "normal-skin": lambda m, sigma, gamma: NormalSkin(_given(
+        m.conductivity if sigma is None else sigma, "model normal-skin "
+        "requires the conductivity: pass --sigma or put sigma= in the "
+        "material file")),
+    "anomalous-skin": lambda m, sigma, gamma: AnomalousSkin(
+        m.anomalous_constant or derive_anomalous_constant(m)),
+    "infrared-optics": lambda m, sigma, gamma: InfraredOptics(
+        m.plasma_frequency),
+    "lifshitz-plasma": lambda m, sigma, gamma: Plasma(m.plasma_frequency),
+    "lifshitz-drude": lambda m, sigma, gamma: Drude(
+        m.plasma_frequency, _given(gamma, "model lifshitz-drude requires the "
+                                   "relaxation frequency: pass --gamma")),
+}
+MODEL_NAMES = tuple(MODELS)
 
 
 def _build_model(name: str, material: MaterialParams,
                  sigma: float | None, gamma: float | None):
-    if name == "ideal":
-        return IdealMetal()
-    if name == "normal-skin":
-        s = sigma if sigma is not None else material.conductivity
-        if s is None:
-            raise ConfigError("model normal-skin requires the conductivity: "
-                              "pass --sigma or put sigma= in the material file")
-        return NormalSkin(s)
-    if name == "anomalous-skin":
-        c_a = material.anomalous_constant
-        if c_a is None:
-            c_a = derive_anomalous_constant(material)
-        return AnomalousSkin(c_a)
-    if name == "infrared-optics":
-        return InfraredOptics(material.plasma_frequency)
-    if name == "lifshitz-plasma":
-        return Plasma(material.plasma_frequency)
-    if name == "lifshitz-drude":
-        if gamma is None:
-            raise ConfigError("model lifshitz-drude requires the relaxation "
-                              "frequency: pass --gamma")
-        return Drude(material.plasma_frequency, gamma)
-    raise ConfigError(f"unknown model {name!r}: choose from "
-                      + ", ".join(MODEL_NAMES))
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r}: choose from "
+                         + ", ".join(MODEL_NAMES))
+    return MODELS[name](material, sigma, gamma)
 
 
 @dataclass
@@ -212,12 +211,9 @@ def _compute_record(command: str, model_name: str, model, a: float, T: float,
 def _cmd_records(args) -> int:
     material = _load_material(args.material)
     tol = _make_tol(args)
-    if args.separation is None:
-        raise ConfigError("--separation is required")
     seps = sorted(_parse_grid(args.separation, log=True, what="--separation"))
-    temps = (_parse_grid(args.temperature, log=False, what="--temperature")
-             if args.temperature is not None else [0.0])
-    temps = sorted(temps)
+    temps = sorted([0.0] if args.temperature is None else _parse_grid(
+        args.temperature, log=False, what="--temperature"))
 
     model_names = args.model.split(",") if args.command == "sweep" \
         else [args.model]
@@ -225,38 +221,35 @@ def _cmd_records(args) -> int:
               for name in model_names]
 
     if args.command == "energy" and any(t > 0.0 for t in temps):
-        raise ConfigError("energy is the T = 0 observable; "
-                          "use free-energy for T > 0")
+        raise ValueError("energy is the T = 0 observable; "
+                         "use free-energy for T > 0")
     if args.command == "entropy" and any(t <= 0.0 for t in temps):
-        raise ConfigError("entropy requires --temperature > 0")
+        raise ValueError("entropy requires --temperature > 0")
     radius = getattr(args, "radius", None)  # a sphere-plate option only
-    if args.command == "sphere-plate" and radius is None:
-        raise ConfigError("sphere-plate requires --radius")
     check = obs.entropy_step if args.command == "entropy" else obs.check_range
     for a, T in ((a, T) for a in seps for T in temps):  # before any record
-        check(Geometry(a), ThermalState(T))
+        check(Geometry(a, radius), ThermalState(T))
 
     energies: dict = {}  # E(a) per (a, model name), for this call only
     fmt = args.format or ("csv" if args.command == "sweep" else "human")
     with _open_output(args.output) as stream:
-        with _warnings_once():
-            records = [_compute_record(args.command, name, model, a, T,
-                                       radius, tol, energies)
-                       for a in seps for T in temps for name, model in models]
+        records = [_compute_record(args.command, name, model, a, T, radius,
+                                   tol, energies)
+                   for a in seps for T in temps for name, model in models]
         _emit(records, fmt, stream)
     return 3 if any(r.status != "ok" for r in records) else 0
 
 
 def _cmd_regime(args) -> int:
     material = _load_material(args.material)
-    if args.separation is None:
-        raise ConfigError("--separation is required")
     seps = sorted(_parse_grid(args.separation, log=True, what="--separation"))
-    T = (_parse_grid(args.temperature, log=False, what="--temperature")[0]
-         if args.temperature is not None else 300.0)
-    with _warnings_once(), _open_output(args.output) as stream:
-        for a in seps:
-            report = classify_regime(material, Geometry(a), ThermalState(T))
+    temps = ([300.0] if args.temperature is None else
+             _parse_grid(args.temperature, log=False, what="--temperature"))
+    state, *_ = [ThermalState(T) for T in temps]  # all checked, first used
+    reports = [(a, classify_regime(material, Geometry(a), state))
+               for a in seps]  # every check before the output opens
+    with _open_output(args.output) as stream:
+        for a, report in reports:
             stream.write(f"a = {_fmt(a)} m:\n")
             stream.write(f"  characteristic_frequency_rad_s = "
                          f"{_fmt(report.characteristic_frequency)}\n")
@@ -302,8 +295,8 @@ def _make_tol(args) -> ToleranceConfig:
     try:
         return ToleranceConfig(args.rel_tol)
     except ValueError:
-        raise ConfigError(f"--rel-tol must lie in (0, 1e-2], got "
-                          f"{args.rel_tol!r}") from None
+        raise ValueError(f"--rel-tol must lie in (0, 1e-2], got "
+                         f"{args.rel_tol!r}") from None
 
 
 @contextlib.contextmanager
@@ -323,8 +316,8 @@ def _open_output(path: str | None):
     try:
         stream = open(path, "w", newline="\n")
     except OSError as exc:
-        raise ConfigError(f"cannot write --output {path!r}: "
-                          f"{exc.strerror or exc}") from None
+        raise ValueError(f"cannot write --output {path!r}: "
+                         f"{exc.strerror or exc}") from None
     with stream:
         yield stream
 
@@ -341,12 +334,13 @@ OPTIONS = {
                                        "or key=value file (default: gold)")),
     "--model": (RECORD_COMMANDS, dict(default="infrared-optics", help="one of "
                 "%s; sweep accepts a comma list" % ", ".join(MODEL_NAMES))),
-    "--separation": (_GRID_COMMANDS, dict(help="separation in m: value, comma "
-                     "list, or start:stop:count (log-spaced)")),
+    "--separation": (_GRID_COMMANDS, dict(required=True, help="separation in "
+                     "m: value, comma list, or start:stop:count "
+                     "(log-spaced)")),
     "--temperature": (_GRID_COMMANDS, dict(help="temperature in K: value, "
                       "comma list, or start:stop:count (linear); the regime "
                       "classification does not depend on it")),
-    "--radius": (("sphere-plate",), dict(type=float,
+    "--radius": (("sphere-plate",), dict(type=float, required=True,
                                          help="sphere radius in m")),
     "--sigma": (RECORD_COMMANDS, dict(type=float, help="conductivity in "
                 "Gaussian units s^-1 (normal-skin)")),
@@ -393,11 +387,12 @@ def main(argv=None) -> int:
     args, extra = _build_parser().parse_known_args(argv)
     if extra:  # under the usage of the command, which lists what it reads
         args.command_parser.error("unrecognized arguments: " + " ".join(extra))
+    handler = {"regime": _cmd_regime, "zero-freq": _cmd_zero_freq}.get(
+        args.command, _cmd_records)
     try:
-        handler = {"regime": _cmd_regime, "zero-freq": _cmd_zero_freq}.get(
-            args.command, _cmd_records)
-        return handler(args)
-    except (ConfigError, ValueError) as exc:
+        with _warnings_once():  # printed once the command has succeeded
+            return handler(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

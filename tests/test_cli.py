@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from casimir_impedance import quadrature
@@ -143,10 +144,11 @@ def test_pressure_and_sphere_plate_records(capsys):
 
 
 def test_sphere_plate_requires_radius(capsys):
-    code, _, err = run(capsys, "sphere-plate", "--model", "ideal",
-                       "--separation", "1e-6")
-    assert code == 2
-    assert "--radius" in err
+    # the parser requires it, and exits under the command's usage
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sphere-plate", "--model", "ideal", "--separation", "1e-6"])
+    assert excinfo.value.code == 2
+    assert "--radius" in capsys.readouterr().err
 
 
 def test_entropy_command(capsys):
@@ -226,6 +228,21 @@ def test_output_file_and_grid_validation(tmp_path, capsys):
                              "--separation", "1e-6", "--rel-tol", rel_tol)
         assert code == 2 and out == ""
         assert "--rel-tol" in err
+    for grid, message in (
+            ("1e-6:2e-6", "expected start:stop:count, got '1e-6:2e-6'"),
+            ("a:b:3", "bad grid 'a:b:3'"),
+            ("0:1e-6:3", "log grid requires start > 0"),
+            ("1e-6,abc", "bad value '1e-6,abc'")):
+        code, out, err = run(capsys, "energy", "--model", "ideal",
+                             "--separation", grid)
+        assert (code, out, err) == (2, "", f"error: --separation: {message}\n")
+    # a temperature grid is linear, and may start at 0
+    code, out, _ = run(capsys, "sweep", "--model", "ideal",
+                       "--separation", "1e-6", "--temperature", "0:300:4")
+    assert code == 0
+    rows = [dict(zip(CSV_COLUMNS, ln.split(",")))
+            for ln in out.strip().split("\n")[1:]]
+    assert [float(r["T_K"]) for r in rows] == list(np.linspace(0, 300, 4))
 
 
 def test_parser_reused_after_a_failed_call(capsys):
@@ -269,17 +286,30 @@ def test_parser_reused_after_a_failed_call(capsys):
     ("energy", "--model", "lifshitz-drude", "--gamma", "inf",
      "--separation", "1e-6"),
     ("energy", "--material", "NAN_FILE", "--separation", "1e-6"),
+    ("regime", "--separation", "1e-6,inf"),
+    ("regime", "--separation", "1e-6", "--temperature", "nan"),
+    ("regime", "--separation", "1e-6", "--temperature", "300,nan"),
+    ("sphere-plate", "--separation", "1e-6,2e-6", "--temperature", "300",
+     "--radius", "inf"),
+    ("regime", "--separation", "1e-6", "--temperature", "-5"),
+    ("sphere-plate", "--separation", "1e-6,2e-6", "--temperature", "300",
+     "--radius", "-1"),
 ])
 def test_nonfinite_physical_inputs_exit_2(argv, tmp_path, capsys):
-    # NaN passes a `<= 0` test and inf is positive: each is a
-    # configuration error, caught before any output
+    # NaN passes a `<= 0` test and inf is positive: each, like a negative
+    # value, is a configuration error, caught before anything reaches
+    # stdout or --output (regime builds every report, and a record command
+    # every geometry, before its output opens)
     nan_file = tmp_path / "nan.txt"
     nan_file.write_text("omega_p=nan\nv_f=1.4e6\n")
-    code, out, err = run(capsys, *(str(nan_file) if a == "NAN_FILE" else a
-                                   for a in argv))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    output = tmp_path / "o.csv"
+    for to in ((), ("--output", str(output))):
+        code, out, err = run(capsys, *(str(nan_file) if a == "NAN_FILE" else a
+                                       for a in argv), *to)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not output.exists()
 
 
 def test_human_format_default(capsys):
@@ -322,11 +352,11 @@ def test_nonconvergent_row_keeps_schema_and_exits_3(capsys, monkeypatch):
              "--radius", "1e-4"),
             ("entropy", "entropy", "entropy_J_per_m2_K",
              "--temperature", "300")):
+        argv = (command, "--model", "ideal", "--separation", "1e-6", *extra)
         with monkeypatch.context() as patch:
             patch.setattr(cli.obs, function, explode)
-            code, out, _ = run(capsys, command, "--model", "ideal",
-                               "--separation", "1e-6", *extra,
-                               "--format", "csv")
+            code, out, _ = run(capsys, *argv, "--format", "csv")
+            human = run(capsys, *argv, "--format", "human")
         assert code == 3, command
         lines = out.strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
@@ -334,13 +364,17 @@ def test_nonconvergent_row_keeps_schema_and_exits_3(capsys, monkeypatch):
         row = dict(zip(CSV_COLUMNS, lines[1].split(",")))
         assert row[column] == "", command
         assert row["status"].startswith("nonconvergence"), command
+        # the human block keeps its header and status line, no value line
+        T = "300" if "--temperature" in extra else "0"
+        assert human == (3, f"a = 9.9999999999999995e-07 m   T = {T} K   "
+                         "model = ideal\n"
+                         "  status = nonconvergence: synthetic budget "
+                         "exhaustion\n\n", ""), command
 
 
 def test_nonfinite_integrand_fails_its_rows_only(capsys, monkeypatch):
     # NaN Fresnel inputs of one model fail that model's rows; the other
     # model's rows are the bytes of a sweep of that model alone
-    import numpy as np
-
     from casimir_impedance.reflection import Plasma
 
     argv = ("sweep", "--separation", "1e-6", "--temperature", "0,300",
@@ -366,9 +400,9 @@ def test_nonfinite_integrand_fails_its_rows_only(capsys, monkeypatch):
             assert all(row[col] == "" for col in CSV_COLUMNS[3:-1]), row
 
 
-def test_byte_identical_output_across_thread_counts():
-    # the numerical kernels avoid threaded reductions; CSV bytes must not
-    # depend on the ambient thread configuration
+def _run_module(*argv, **env):
+    """`python -m casimir_impedance.cli` in a child process that imports
+    the package from where this process found it."""
     import os
     import subprocess
     import sys
@@ -376,21 +410,47 @@ def test_byte_identical_output_across_thread_counts():
 
     import casimir_impedance
 
-    # the child imports the package from where this process found it
     src = str(Path(casimir_impedance.__file__).resolve().parents[1])
-    argv = [sys.executable, "-m", "casimir_impedance.cli", "free-energy",
-            "--model", "anomalous-skin", "--separation", "0.4e-6",
-            "--temperature", "300", "--format", "csv"]
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src,
+                                                      env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "casimir_impedance.cli",
+                           *argv], capture_output=True, text=True, env=env)
+
+
+def test_byte_identical_output_across_thread_counts():
+    # the numerical kernels avoid threaded reductions; CSV bytes must not
+    # depend on the ambient thread configuration
     outputs = []
     for threads in ("1", "4"):
-        env = dict(os.environ)
-        env.update(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                       filter(None, (src, env.get("PYTHONPATH")))))
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        proc = _run_module("free-energy", "--model", "anomalous-skin",
+                           "--separation", "0.4e-6", "--temperature", "300",
+                           "--format", "csv", OMP_NUM_THREADS=threads,
+                           OPENBLAS_NUM_THREADS=threads,
+                           MKL_NUM_THREADS=threads)
         assert proc.returncode == 0
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_module_exit_status():
+    # the process exits with main's status, and with argparse's 2 for a
+    # missing option, which leaves main as SystemExit
+    ok = _run_module("energy", "--model", "ideal", "--separation", "1e-6",
+                     "--format", "csv")
+    assert ok.returncode == 0 and ok.stderr == ""
+    assert ok.stdout.startswith(",".join(CSV_COLUMNS) + "\n")
+    missing = _run_module("energy", "--model", "ideal")
+    assert (missing.returncode, missing.stdout) == (2, "")
+    assert missing.stderr.startswith("usage: casimir-impedance energy ")
+    assert missing.stderr.endswith(
+        "casimir-impedance energy: error: the following arguments are "
+        "required: --separation\n")
+    bad_tol = _run_module("energy", "--separation", "1e-6",
+                          "--rel-tol", "0.5")
+    assert (bad_tol.returncode, bad_tol.stdout) == (2, "")
+    assert bad_tol.stderr == ("error: --rel-tol must lie in (0, 1e-2], "
+                              "got 0.5\n")
 
 
 def test_sweep_reference_curve_endpoints(capsys):

@@ -137,6 +137,18 @@ def test_classify_regime_diagnostics():
     assert all(c.note for c in deferred)
 
 
+def test_classify_regime_normal_skin_note_with_conductivity():
+    # delta_n(omega_c) = c / sqrt(2 pi sigma omega_c), in Gaussian units
+    sigma = 3.2e17
+    metal = MaterialParams(GOLD.plasma_frequency, GOLD.fermi_velocity,
+                           conductivity=sigma)
+    report = classify_regime(metal, Geometry(1e-6), ThermalState(300.0))
+    delta_n = C_LIGHT / math.sqrt(2.0 * math.pi * sigma * C_LIGHT / 2e-6)
+    notes = {c.label: c.note for c in report.diagnostics}
+    assert notes["normal skin: l << delta_n(omega_c)"] == (
+        f"delta_n(omega_c) = {delta_n:.4g} m; mean free path l(T) not modeled")
+
+
 def test_effective_temperature():
     # k_B T_eff = hbar c / (2a)
     t_eff = effective_temperature(Geometry(1e-6))
@@ -184,6 +196,9 @@ def test_material_file_rejects_duplicates_and_garbage(tmp_path):
         MaterialParams.from_file(path)
     path.write_text("omega_p : 1e16\n")
     with pytest.raises(ValueError, match="key=value"):
+        MaterialParams.from_file(path)
+    path.write_text("v_f=1e6\nomega_p=abc\n")
+    with pytest.raises(ValueError, match=r"dup\.txt:2: bad number for omega_p"):
         MaterialParams.from_file(path)
 
 

@@ -205,6 +205,13 @@ def test_x_factors_grid_is_the_fresnel_form_bit_for_bit():
                 assert np.array_equal(x, 4.0 * y * u / (y + u) ** 2), model
 
 
+def test_x_factors_grid_rejects_y_not_positive():
+    for y in ([1.0, 0.0], [-1e-3], np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="y must be positive"):
+            x_factors_grid(Plasma(GOLD.plasma_frequency), Geometry(1e-6),
+                           0.0, y)
+
+
 def test_plasma_frequency_range_keeps_the_sqrt_inputs_finite():
     # the plasma-frequency models form sqrt(y^2 + w_p^2), w_p = 2 a omega_p
     # / c, without np.hypot's rescaling: omega_p in [1e-100, 1e100] rad/s
