@@ -26,7 +26,7 @@ from .quadrature import (
 from .observables import (
     Quantity, ResultValue, ZETA3,
     energy_T0, energy_ideal, entropy, force_sphere_plate, free_energy,
-    lowT_asymptotics, pressure_plates, spectral_contribution,
+    lowT_asymptotics, pressure_plates, records, spectral_contribution,
     thermal_correction,
 )
 

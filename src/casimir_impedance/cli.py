@@ -4,12 +4,11 @@ Commands: energy | free-energy | pressure | sphere-plate | entropy |
 sweep | regime | zero-freq.  All inputs are SI (meters, kelvin, rad/s);
 scientific notation is accepted, unit suffixes are not.
 
-Observable commands emit one record per (separation, temperature) pair,
-as a fixed-schema CSV (17 significant digits, '.' decimal separator,
-LF line endings; byte-identical for identical configurations) or as
-aligned human-readable blocks.  Non-convergence or a non-finite integrand
-in a single row leaves its value fields empty, is noted in the status
-column, and turns the exit status to 3; configuration errors, the grid's
+The record commands print the rows of `observables.records` as a
+fixed-schema CSV (17 significant digits, '.' decimal separator, LF line
+endings; byte-identical for identical configurations) or as aligned
+human-readable blocks; a failed row keeps its place, with empty value
+fields, and turns the exit status to 3.  Configuration errors, the grid's
 ranges included, exit with 2 before anything reaches stdout or --output.
 Validity warnings, of a model or of `regime`, go to stderr once each, as
 'warning: <message>', after a command has succeeded.
@@ -25,7 +24,6 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from .physcore import (
 )
 from .reflection import (AnomalousSkin, Drude, IdealMetal, InfraredOptics,
                          NormalSkin, Plasma, zero_freq_r_sq)
-from .quadrature import NonConvergenceError
 from . import observables as obs
 
 CSV_COLUMNS = (
@@ -47,13 +44,13 @@ CSV_COLUMNS = (
     "status",
 )
 
-# command -> (CSV column, observables function); the function is looked up
-# by name when a record is computed, so a patched module attribute is seen
-OBSERVABLE_COMMANDS = {
-    "pressure": ("pressure_N_per_m2", "pressure_plates"),
-    "sphere-plate": ("force_sphere_plate_N", "force_sphere_plate"),
-    "entropy": ("entropy_J_per_m2_K", "entropy"),
-}
+# record command -> the quantity of its rows (`observables.records`)
+QUANTITIES = {"energy": obs.Quantity.ENERGY_PER_AREA,
+              "free-energy": obs.Quantity.FREE_ENERGY_PER_AREA,
+              "pressure": obs.Quantity.PRESSURE_PLATES,
+              "sphere-plate": obs.Quantity.FORCE_SPHERE_PLATE,
+              "entropy": obs.Quantity.ENTROPY_PER_AREA,
+              "sweep": obs.Quantity.RELATIVE_THERMAL_CORRECTION}
 
 # zero-freq formulation -> model name
 ZERO_FREQ_FORMS = {"impedance-normal": "normal-skin",
@@ -142,70 +139,22 @@ def _build_model(name: str, material: MaterialParams,
     return MODELS[name](material, sigma, gamma)
 
 
-@dataclass
-class Record:
-    a_m: float
-    T_K: float
-    model: str
-    values: dict = field(default_factory=dict)
-    status: str = "ok"
-
-    def row(self) -> list[str]:
-        return [_fmt(self.a_m), _fmt(self.T_K), self.model,
-                *(_fmt(self.values.get(col)) for col in CSV_COLUMNS[3:-1]),
-                self.status]
-
-
-def _emit(records: list[Record], fmt: str, stream) -> None:
+def _emit(records: list[dict], fmt: str, stream) -> None:
     if fmt == "csv":
         stream.write(",".join(CSV_COLUMNS) + "\n")
         for rec in records:
-            stream.write(",".join(rec.row()) + "\n")
+            stream.write(",".join(_fmt(rec.get(col)) for col in CSV_COLUMNS)
+                         + "\n")
         return
     for rec in records:
-        stream.write(f"a = {_fmt(rec.a_m)} m   T = {_fmt(rec.T_K)} K   "
-                     f"model = {rec.model}\n")
+        stream.write(f"a = {_fmt(rec['a_m'])} m   T = {_fmt(rec['T_K'])} K   "
+                     f"model = {rec['model']}\n")
         for col in CSV_COLUMNS[3:-1]:
-            if col in rec.values:
-                stream.write(f"  {col} = {_fmt(rec.values[col])}\n")
-        if rec.status != "ok":
-            stream.write(f"  status = {rec.status}\n")
+            if col in rec:
+                stream.write(f"  {col} = {_fmt(rec[col])}\n")
+        if rec["status"] != "ok":
+            stream.write(f"  status = {rec['status']}\n")
         stream.write("\n")
-
-
-def _compute_record(command: str, model_name: str, model, a: float, T: float,
-                    radius: float | None, tol: ToleranceConfig,
-                    energies: dict) -> Record:
-    """One row.  E(a) is computed on the first row of each (a, model) and
-    kept in `energies`, keyed (a, model name), for the pair's other rows."""
-    geometry = Geometry(a, radius)
-    state = ThermalState(T)
-    rec = Record(a, T, model_name)
-    vals = rec.values
-    try:
-        if command in OBSERVABLE_COMMANDS:
-            column, name = OBSERVABLE_COMMANDS[command]
-            result = getattr(obs, name)(model, geometry, state, tol)
-            vals[column] = result.value
-        else:  # energy, free-energy and sweep
-            result = e = energies.get((a, model_name))
-            if e is None:
-                result = e = obs.energy_T0(model, geometry, tol)
-                energies[a, model_name] = e
-            vals["energy_J_per_m2"] = e.value
-            vals["correction_factor"] = e.diagnostics["correction_factor"]
-            if T > 0.0:
-                result = f = obs.free_energy(model, geometry, state, tol)
-                vals["free_energy_J_per_m2"] = f.value
-                vals["rel_thermal_correction"] = (f.value - e.value) / e.value
-        vals["err_estimate"] = result.numeric_error
-        if "terms_used" in result.diagnostics:
-            vals["terms_used"] = result.diagnostics["terms_used"]
-    except (NonConvergenceError, FloatingPointError) as exc:
-        vals.clear()
-        bad = isinstance(exc, FloatingPointError)
-        rec.status = f"{'nonfinite' if bad else 'nonconvergence'}: {exc}"
-    return rec
 
 
 def _cmd_records(args) -> int:
@@ -230,14 +179,12 @@ def _cmd_records(args) -> int:
     for a, T in ((a, T) for a in seps for T in temps):  # before any record
         check(Geometry(a, radius), ThermalState(T))
 
-    energies: dict = {}  # E(a) per (a, model name), for this call only
     fmt = args.format or ("csv" if args.command == "sweep" else "human")
-    with _open_output(args.output) as stream:
-        records = [_compute_record(args.command, name, model, a, T, radius,
-                                   tol, energies)
-                   for a in seps for T in temps for name, model in models]
+    with _open_output(args.output) as stream:  # opened before any record
+        records = obs.records(QUANTITIES[args.command], models, seps, temps,
+                              tol, radius)
         _emit(records, fmt, stream)
-    return 3 if any(r.status != "ok" for r in records) else 0
+    return 3 if any(r["status"] != "ok" for r in records) else 0
 
 
 def _cmd_regime(args) -> int:
@@ -245,8 +192,9 @@ def _cmd_regime(args) -> int:
     seps = sorted(_parse_grid(args.separation, log=True, what="--separation"))
     temps = ([300.0] if args.temperature is None else
              _parse_grid(args.temperature, log=False, what="--temperature"))
-    state, *_ = [ThermalState(T) for T in temps]  # all checked, first used
-    reports = [(a, classify_regime(material, Geometry(a), state))
+    for T in temps:  # checked, though the classification does not read it
+        ThermalState(T)
+    reports = [(a, classify_regime(material, Geometry(a)))
                for a in seps]  # every check before the output opens
     with _open_output(args.output) as stream:
         for a, report in reports:
@@ -259,13 +207,8 @@ def _cmd_regime(args) -> int:
                          f"{_fmt(report.transition_separation)}\n")
             stream.write(f"  regime = {report.applicable_regime.value}\n")
             for check in report.diagnostics:
-                margin = ("n/a" if check.margin is None
-                          else f"{check.margin:.6g}")
-                sat = ("n/a" if check.satisfied is None
-                       else str(check.satisfied).lower())
-                note = f" ({check.note})" if check.note else ""
-                stream.write(f"  [{sat}] {check.label}: "
-                             f"margin = {margin}{note}\n")
+                stream.write(f"  [{str(check.satisfied).lower()}] "
+                             f"{check.label}: margin = {check.margin:.6g}\n")
             stream.write("\n")
     return 0
 
@@ -322,8 +265,7 @@ def _open_output(path: str | None):
         yield stream
 
 
-RECORD_COMMANDS = ("energy", "free-energy", "pressure", "sphere-plate",
-                   "entropy", "sweep")
+RECORD_COMMANDS = tuple(QUANTITIES)
 _GRID_COMMANDS = (*RECORD_COMMANDS, "regime")
 _ALL_COMMANDS = (*_GRID_COMMANDS, "zero-freq")
 

@@ -53,8 +53,9 @@ from .physcore import (
 )
 from .reflection import InfraredOptics, Model, x_factors_grid
 from .quadrature import (  # integrate_interval: perfbench/spans.py wraps it
-    IntegralResult, euler_maclaurin_ends, integrate_interval,
-    integrate_semiinf, integrate_wedge, matsubara_sum, tail_cutoff,
+    IntegralResult, NonConvergenceError, euler_maclaurin_ends,
+    integrate_interval, integrate_semiinf, integrate_wedge, matsubara_sum,
+    tail_cutoff,
 )
 
 lifshitz_x_grid = x_factors_grid  # perfbench/spans.py wraps it
@@ -62,7 +63,7 @@ lifshitz_x_grid = x_factors_grid  # perfbench/spans.py wraps it
 __all__ = [
     "Quantity", "ResultValue", "ZETA3", "energy_ideal", "energy_T0",
     "free_energy", "thermal_correction", "pressure_plates",
-    "force_sphere_plate", "entropy", "lowT_asymptotics",
+    "force_sphere_plate", "entropy", "records", "lowT_asymptotics",
     "spectral_contribution", "check_range", "entropy_step",
 ]
 
@@ -275,8 +276,12 @@ def thermal_correction(model: Model, geometry: Geometry, state: ThermalState,
     the temperature effect.  Positive in the attractive regime (F below E).
     The diagnostics include F's, with the split of F's error.
     """
-    fe = free_energy(model, geometry, state, tol)
-    e0 = energy_T0(model, geometry, tol)
+    return _relative_correction(free_energy(model, geometry, state, tol),
+                                energy_T0(model, geometry, tol))
+
+
+def _relative_correction(fe: ResultValue, e0: ResultValue) -> ResultValue:
+    """(F - E)/E and its error from F and E, formed nowhere else."""
     value = (fe.value - e0.value) / e0.value
     err = (fe.numeric_error + e0.numeric_error) / abs(e0.value)
     return ResultValue(Quantity.RELATIVE_THERMAL_CORRECTION, value, err, {
@@ -341,6 +346,54 @@ def entropy(model: Model, geometry: Geometry, state: ThermalState,
         "step": h,
         "indistinguishable_from_zero": err >= abs(value),
     })
+
+
+def records(quantity: Quantity, models, separations, temperatures,
+            tol: ToleranceConfig = DEFAULT_TOL,
+            radius: float | None = None) -> list[dict]:
+    """The rows of `quantity` in the CLI's (a, T, model) order; `models`
+    holds (name, Model) pairs.  A row maps the CLI's CSV columns a_m,
+    T_K, model, the values that apply (err_estimate and, from a Matsubara
+    sum, terms_used among them) and status, "ok" or, for a row failed in
+    place with no values, "nonconvergence: ..." or "nonfinite: ...".  The
+    energy quantities give E, E/E0 and, at T > 0, F (the row's error is
+    F's) and (F - E)/E, E computed once per (a, model name) and call.  A
+    ValueError (`check_range`) propagates."""
+    # the functions are read when called, so a patched attribute is seen
+    single = {Quantity.PRESSURE_PLATES: ("pressure_N_per_m2", pressure_plates),
+              Quantity.ENTROPY_PER_AREA: ("entropy_J_per_m2_K", entropy),
+              Quantity.FORCE_SPHERE_PLATE: ("force_sphere_plate_N",
+                                            force_sphere_plate)}.get(quantity)
+    energies: dict = {}  # (a, model name) -> E
+    rows = []
+    for a, T, (name, model) in ((a, T, m) for a in separations
+                                for T in temperatures for m in models):
+        geometry, state = Geometry(a, radius), ThermalState(T)
+        row = {"a_m": a, "T_K": T, "model": name}
+        try:
+            if single:
+                result = single[1](model, geometry, state, tol)
+                values = {single[0]: result.value}
+            else:
+                if (a, name) not in energies:
+                    energies[a, name] = energy_T0(model, geometry, tol)
+                result = e = energies[a, name]
+                values = {"energy_J_per_m2": e.value, "correction_factor":
+                          e.diagnostics["correction_factor"]}
+                if T > 0.0:
+                    result = free_energy(model, geometry, state, tol)
+                    values["free_energy_J_per_m2"] = result.value
+                    values["rel_thermal_correction"] = _relative_correction(
+                        result, e).value
+            values["err_estimate"] = result.numeric_error
+            if "terms_used" in result.diagnostics:
+                values["terms_used"] = result.diagnostics["terms_used"]
+            rows.append({**row, **values, "status": "ok"})
+        except NonConvergenceError as exc:
+            rows.append({**row, "status": f"nonconvergence: {exc}"})
+        except FloatingPointError as exc:
+            rows.append({**row, "status": f"nonfinite: {exc}"})
+    return rows
 
 
 def lowT_asymptotics(material: MaterialParams, geometry: Geometry,

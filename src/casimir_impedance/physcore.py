@@ -185,13 +185,11 @@ class Regime(Enum):
 class InequalityCheck:
     """One applicability inequality, evaluated at the characteristic
     frequency.  ``margin`` is the ratio rhs/lhs of the strict form
-    lhs << rhs (margin > 1 means satisfied); None when a needed parameter
-    (mean free path, conductivity) is not modeled or not supplied."""
+    lhs << rhs (margin > 1 means satisfied)."""
 
     label: str
-    margin: float | None
-    satisfied: bool | None
-    note: str = ""
+    margin: float
+    satisfied: bool
 
 
 @dataclass(frozen=True)
@@ -240,16 +238,17 @@ def derive_anomalous_constant(material: MaterialParams) -> float:
     return (C_LIGHT / material.plasma_frequency) * omega_tr ** (1.0 / 3.0)
 
 
-def classify_regime(material: MaterialParams, geometry: Geometry,
-                    state: ThermalState) -> RegimeReport:
-    """Classify which impedance model applies at this separation.  `state`
-    is not read: the classification does not depend on T.
+def classify_regime(material: MaterialParams,
+                    geometry: Geometry) -> RegimeReport:
+    """Classify which impedance model applies at this separation; the
+    classification does not depend on T.
 
     Infrared optics when lambda_p < a and omega_c > 2 Omega; anomalous skin
     effect when omega_c < Omega/2; Transition inside the factor-of-2 window.
     Normal skin is not classified: its window collapses at low temperature
     (the electron mean free path grows as T falls), and that path is not
-    modeled; its l-dependent inequalities are reported as not evaluable.
+    modeled, so neither are the inequalities that need it.  The report
+    holds the three inequalities that are evaluated.
 
     Warns when a <= lambda_p, where the impedance boundary condition itself
     stops being applicable.
@@ -273,26 +272,14 @@ def classify_regime(material: MaterialParams, geometry: Geometry,
         c_a = derive_anomalous_constant(material)
     delta_a = c_a * omega_c ** (-1.0 / 3.0)
 
-    no_l = "mean free path l(T) not modeled"
-    if material.conductivity is not None:
-        delta_n = C_LIGHT / math.sqrt(
-            2.0 * math.pi * material.conductivity * omega_c)
-        normal_note = f"delta_n(omega_c) = {delta_n:.4g} m; {no_l}"
-    else:
-        normal_note = "requires conductivity and mean free path"
-    checks = [
+    checks = (
         InequalityCheck("impedance applicability: lambda_p < a",
                         a / lam_p, a > lam_p),
         InequalityCheck("anomalous skin: delta_a(omega_c) << v_F/omega_c",
                         v_over_w / delta_a, delta_a < v_over_w),
         InequalityCheck("infrared optics: v_F/omega_c << delta_r = c/omega_p",
                         delta_r / v_over_w, v_over_w < delta_r),
-    ] + [InequalityCheck(label, None, None, note) for label, note in (
-        ("anomalous skin: delta_a(omega_c) << l", no_l),
-        ("infrared optics: delta_r << l", no_l),
-        ("normal skin: l << delta_n(omega_c)", normal_note),
-        ("normal skin: l << v_F/omega_c",
-         f"{no_l}; window collapses at low T"))]
+    )
 
     if omega_c > 2.0 * omega_tr and a > lam_p:
         regime = Regime.INFRARED_OPTICS
@@ -301,4 +288,4 @@ def classify_regime(material: MaterialParams, geometry: Geometry,
     else:
         regime = Regime.TRANSITION
 
-    return RegimeReport(omega_c, omega_tr, a_tr, regime, tuple(checks))
+    return RegimeReport(omega_c, omega_tr, a_tr, regime, checks)

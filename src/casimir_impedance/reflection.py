@@ -206,7 +206,7 @@ def x_factors_grid(model: Model, geometry: Geometry, zeta, y):
     against the array y > 0; zeta = 0 needs no special case.
     """
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
+    if not np.all(y > 0.0):  # a NaN fails it too
         raise ValueError("y must be positive")
     u_par, u_perp = model.fresnel_inputs(geometry, zeta, y)
     y4 = 4.0 * y  # one product for both polarizations

@@ -694,12 +694,13 @@ def test_entropy_step_out_of_range_fails_before_the_first_record(
 def test_validity_warnings_once_each_without_source_location(capsys):
     # two separations below the plasma wavelength (1.37e-7 m), each warned
     # by E and by F at two temperatures, or once by regime: one line per
-    # distinct message
+    # distinct message; a regime block is 9 lines (header, 4 values, 3
+    # checks, blank)
     seps = ("--separation", "1e-7,1.2e-7,2e-7")
     for argv, out_lines in (
             (("sweep", *seps, "--temperature", "0,3,70", "--model",
               "infrared-optics,anomalous-skin", "--rel-tol", "1e-4"), 1 + 18),
-            (("regime", *seps), 3 * 13 - 1)):
+            (("regime", *seps), 3 * 9 - 1)):
         code, out, err = run(capsys, *argv)
         assert code == 0
         assert len(out.strip().split("\n")) == out_lines
@@ -844,3 +845,35 @@ def test_readme_and_benchmark_command_lines_parse():
     for argv in examples + [[*a, "--output", "o.csv"]
                             for a in BENCHMARK_ARGVS]:
         assert cli._build_parser().parse_args(argv).command == argv[0]
+
+
+def test_cli_reaches_observables_only_through_records():
+    # one record path: cli.py reads observables only as attributes of the
+    # module (never passed on, as getattr(obs, name) would need) and only
+    # records, the range checks and Quantity, so no second path to an
+    # observable can grow back in the CLI
+    import ast
+    from pathlib import Path
+
+    from casimir_impedance import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").endswith("observables"):
+                used.update(alias.name for alias in node.names)
+            aliases.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "observables")
+        assert not isinstance(node, ast.Import) or all(
+            "observables" not in alias.name for alias in node.names)
+    assert aliases == {"obs"}
+    attributes = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "obs"]
+    names = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "obs"]
+    assert len(names) == len(attributes)
+    used.update(node.attr for node in attributes)
+    assert used == {"records", "check_range", "entropy_step", "Quantity"}

@@ -21,12 +21,14 @@ from casimir_impedance.physcore import (
 from casimir_impedance.reflection import (
     AnomalousSkin, Drude, IdealMetal, InfraredOptics, NormalSkin, Plasma,
 )
-from casimir_impedance import quadrature
-from casimir_impedance.quadrature import integrate_semiinf
+from casimir_impedance import observables, quadrature
+from casimir_impedance.quadrature import (
+    IntegralResult, NonConvergenceError, integrate_semiinf,
+)
 from casimir_impedance.observables import (
     ZETA3, Quantity, energy_T0, energy_ideal, entropy, force_sphere_plate,
-    free_energy, lowT_asymptotics, pressure_plates, spectral_contribution,
-    thermal_correction,
+    free_energy, lowT_asymptotics, pressure_plates, records,
+    spectral_contribution, thermal_correction,
 )
 from oracles import free_energy_ideal
 
@@ -182,6 +184,125 @@ def test_error_estimate_covers_truncated_tail():
     coarse = thermal_correction(GOLD_IR, geometry, state, ToleranceConfig())
     converged = thermal_correction(GOLD_IR, geometry, state, TIGHT)
     assert abs(coarse.value - converged.value) <= coarse.numeric_error
+
+
+FAST = ToleranceConfig(1e-4)
+RECORD_MODELS = [("infrared-optics", GOLD_IR), ("anomalous-skin", GOLD_AS)]
+
+
+def _count_calls(monkeypatch, name, fail_at=None):
+    # wraps the module attribute, as the benchmark tracer does; a call at
+    # a separation inside fail_at = (lo, hi) raises NonConvergenceError
+    calls = []
+    real = getattr(observables, name)
+
+    def counting(model, geometry, *args):
+        calls.append((geometry.separation, type(model).__name__))
+        if fail_at and fail_at[0] < geometry.separation < fail_at[1]:
+            raise NonConvergenceError("synthetic failure",
+                                      IntegralResult(0.0, 1.0, 1))
+        return real(model, geometry, *args)
+
+    monkeypatch.setattr(observables, name, counting)
+    return calls
+
+
+def test_records_energy_rows_are_the_observables_bit_for_bit():
+    # == on these nonzero finite floats is bit-for-bit; a T > 0 row's
+    # correction is thermal_correction's and its err_estimate F's
+    seps, temps = [1e-6, 2e-6], [0.0, 300.0]
+    rows = records(Quantity.RELATIVE_THERMAL_CORRECTION, RECORD_MODELS,
+                   seps, temps, FAST)
+    grid = [(a, T, name) for a in seps for T in temps
+            for name, _ in RECORD_MODELS]
+    assert len(rows) == len(grid)
+    for row, (a, T, name) in zip(rows, grid):
+        model = dict(RECORD_MODELS)[name]
+        geometry, state = Geometry(a), ThermalState(T)
+        e = energy_T0(model, geometry, FAST)
+        expected = {"a_m": a, "T_K": T, "model": name,
+                    "energy_J_per_m2": e.value,
+                    "correction_factor": e.diagnostics["correction_factor"],
+                    "err_estimate": e.numeric_error, "status": "ok"}
+        if T > 0.0:
+            f = free_energy(model, geometry, state, FAST)
+            correction = thermal_correction(model, geometry, state, FAST)
+            expected.update(free_energy_J_per_m2=f.value,
+                            rel_thermal_correction=correction.value,
+                            err_estimate=f.numeric_error,
+                            terms_used=f.diagnostics["terms_used"])
+        assert row == expected
+    # the three energy quantities give the same rows
+    for quantity in (Quantity.ENERGY_PER_AREA, Quantity.FREE_ENERGY_PER_AREA):
+        assert records(quantity, RECORD_MODELS, seps, temps, FAST) == rows
+
+
+@pytest.mark.parametrize("quantity,function,column,temps", [
+    (Quantity.PRESSURE_PLATES, pressure_plates, "pressure_N_per_m2",
+     [0.0, 300.0]),
+    (Quantity.FORCE_SPHERE_PLATE, force_sphere_plate, "force_sphere_plate_N",
+     [0.0, 300.0]),
+    (Quantity.ENTROPY_PER_AREA, entropy, "entropy_J_per_m2_K", [300.0]),
+], ids=["pressure", "sphere-plate", "entropy"])
+def test_records_single_value_rows_are_the_observable_bit_for_bit(
+        quantity, function, column, temps):
+    seps = [1e-6, 2e-6]
+    rows = records(quantity, RECORD_MODELS[:1], seps, temps, FAST, 1e-3)
+    grid = [(a, T) for a in seps for T in temps]
+    assert len(rows) == len(grid)
+    for row, (a, T) in zip(rows, grid):
+        res = function(GOLD_IR, Geometry(a, 1e-3), ThermalState(T), FAST)
+        expected = {"a_m": a, "T_K": T, "model": "infrared-optics",
+                    column: res.value, "err_estimate": res.numeric_error,
+                    "status": "ok"}
+        if "terms_used" in res.diagnostics:
+            expected["terms_used"] = res.diagnostics["terms_used"]
+        assert row == expected
+
+
+def test_records_computes_energy_once_per_separation_and_model(monkeypatch):
+    calls = _count_calls(monkeypatch, "energy_T0")
+    args = (Quantity.FREE_ENERGY_PER_AREA, RECORD_MODELS, [1e-6, 2e-6],
+            [0.0, 70.0, 300.0], FAST)
+    first = records(*args)
+    assert len(first) == 12 and all(r["status"] == "ok" for r in first)
+    assert calls == [(a, name) for a in (1e-6, 2e-6)
+                     for name in ("InfraredOptics", "AnomalousSkin")]
+    # nothing outlives the call: a second one computes every E again
+    assert records(*args) == first
+    assert calls[4:] == calls[:4]
+
+
+def test_records_failing_energy_fails_every_row_of_its_pair(monkeypatch):
+    args = (Quantity.RELATIVE_THERMAL_CORRECTION, RECORD_MODELS,
+            [1e-6, 2e-6, 3e-6], [0.0, 70.0, 300.0], FAST)
+    clean = records(*args)
+    _count_calls(monkeypatch, "energy_T0", fail_at=(1.5e-6, 2.5e-6))
+    rows = records(*args)
+    assert len(rows) == len(clean) == 18
+    for row, kept in zip(rows, clean):
+        if row["a_m"] == 2e-6:
+            place = {key: kept[key] for key in ("a_m", "T_K", "model")}
+            assert row == {**place,
+                           "status": "nonconvergence: synthetic failure"}
+        else:
+            assert row == kept
+
+
+def test_records_nonfinite_row_fails_alone_and_range_errors_propagate(
+        monkeypatch):
+    plasma = Plasma(GOLD.plasma_frequency)
+    monkeypatch.setattr(Plasma, "fresnel_inputs",
+                        lambda self, geometry, zeta, y:
+                        (np.full(np.shape(y), np.nan),) * 2)
+    ok, bad = records(Quantity.PRESSURE_PLATES,
+                      [("infrared-optics", GOLD_IR), ("plasma", plasma)],
+                      [1e-6], [0.0], FAST)
+    assert ok["status"] == "ok" and "pressure_N_per_m2" in ok
+    assert set(bad) == {"a_m", "T_K", "model", "status"}
+    assert bad["status"].startswith("nonfinite: ")
+    with pytest.raises(ValueError, match="outside"):
+        records(Quantity.ENERGY_PER_AREA, RECORD_MODELS, [2.0], [0.0], FAST)
 
 
 def test_pressure_ideal_zero_temperature():

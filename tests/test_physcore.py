@@ -101,22 +101,20 @@ def test_gold_plasma_wavelength():
 
 
 def test_classify_regime_reference_points():
-    st = ThermalState(300.0)
-    assert classify_regime(GOLD, Geometry(0.5e-6), st).applicable_regime \
+    assert classify_regime(GOLD, Geometry(0.5e-6)).applicable_regime \
         is Regime.INFRARED_OPTICS
-    assert classify_regime(GOLD, Geometry(10e-6), st).applicable_regime \
+    assert classify_regime(GOLD, Geometry(10e-6)).applicable_regime \
         is Regime.ANOMALOUS_SKIN
-    assert classify_regime(GOLD, Geometry(2.36e-6), st).applicable_regime \
+    assert classify_regime(GOLD, Geometry(2.36e-6)).applicable_regime \
         is Regime.TRANSITION
 
 
 def test_classify_regime_monotone_in_separation():
-    st = ThermalState(300.0)
     order = {Regime.INFRARED_OPTICS: 0, Regime.TRANSITION: 1,
              Regime.ANOMALOUS_SKIN: 2}
     last = -1
     for a in [0.2e-6 * 1.25 ** k for k in range(24)]:
-        regime = classify_regime(GOLD, Geometry(a), st).applicable_regime
+        regime = classify_regime(GOLD, Geometry(a)).applicable_regime
         rank = order[regime]
         assert rank >= last
         last = rank
@@ -124,29 +122,41 @@ def test_classify_regime_monotone_in_separation():
 
 def test_classify_regime_warns_below_plasma_wavelength():
     with pytest.warns(UserWarning, match="plasma wavelength"):
-        classify_regime(GOLD, Geometry(0.1e-6), ThermalState(300.0))
+        classify_regime(GOLD, Geometry(0.1e-6))
 
 
 def test_classify_regime_diagnostics():
-    report = classify_regime(GOLD, Geometry(0.5e-6), ThermalState(300.0))
+    # the three inequalities that are evaluated, each margin rhs/lhs of
+    # lhs << rhs at omega_c = c / (2a), satisfied exactly when it is > 1
+    a = 0.5e-6
+    report = classify_regime(GOLD, Geometry(a))
+    omega_c = C_LIGHT / (2.0 * a)
     assert report.characteristic_frequency == pytest.approx(3e14, rel=1e-2)
-    evaluable = [c for c in report.diagnostics if c.margin is not None]
-    assert len(evaluable) >= 3
-    assert all(c.margin > 0 for c in evaluable)
-    deferred = [c for c in report.diagnostics if c.margin is None]
-    assert all(c.note for c in deferred)
+    assert report.characteristic_frequency == omega_c
+    v_over_w = GOLD.fermi_velocity / omega_c
+    delta_a = derive_anomalous_constant(GOLD) * omega_c ** (-1.0 / 3.0)
+    expected = {
+        "impedance applicability: lambda_p < a": a / GOLD.plasma_wavelength,
+        "anomalous skin: delta_a(omega_c) << v_F/omega_c": v_over_w / delta_a,
+        "infrared optics: v_F/omega_c << delta_r = c/omega_p":
+            (C_LIGHT / GOLD.plasma_frequency) / v_over_w,
+    }
+    assert [c.label for c in report.diagnostics] == list(expected)
+    for check in report.diagnostics:
+        assert check.margin == pytest.approx(expected[check.label],
+                                             rel=1e-14)
+        assert check.satisfied is (check.margin > 1.0)
+    # at 0.5 um, infrared optics: lambda_p < a and v_F/omega_c << delta_r
+    assert [c.satisfied for c in report.diagnostics] == [True, False, True]
 
 
-def test_classify_regime_normal_skin_note_with_conductivity():
-    # delta_n(omega_c) = c / sqrt(2 pi sigma omega_c), in Gaussian units
-    sigma = 3.2e17
+def test_classify_regime_ignores_conductivity():
+    # normal skin is not classified, so the report does not read sigma
     metal = MaterialParams(GOLD.plasma_frequency, GOLD.fermi_velocity,
-                           conductivity=sigma)
-    report = classify_regime(metal, Geometry(1e-6), ThermalState(300.0))
-    delta_n = C_LIGHT / math.sqrt(2.0 * math.pi * sigma * C_LIGHT / 2e-6)
-    notes = {c.label: c.note for c in report.diagnostics}
-    assert notes["normal skin: l << delta_n(omega_c)"] == (
-        f"delta_n(omega_c) = {delta_n:.4g} m; mean free path l(T) not modeled")
+                           conductivity=3.2e17)
+    for a in (0.5e-6, 2.36e-6, 10e-6):
+        assert classify_regime(metal, Geometry(a)) == classify_regime(
+            GOLD, Geometry(a))
 
 
 def test_effective_temperature():

@@ -13,8 +13,12 @@ def test_library_use_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 5
     assert lines[2] == "Regime.ANOMALOUS_SKIN"
+    # the `records` rows at T = 0 (no correction) and at 300 K
+    assert lines[3] == "0.0 None ok"
+    temp, correction, status = lines[4].split()
+    assert (temp, status) == ("300.0", "ok") and float(correction) > 0.0
 
 
 def test_quoted_low_temperature_record_cost():

@@ -206,7 +206,8 @@ def test_x_factors_grid_is_the_fresnel_form_bit_for_bit():
 
 
 def test_x_factors_grid_rejects_y_not_positive():
-    for y in ([1.0, 0.0], [-1e-3], np.zeros((2, 3))):
+    for y in ([1.0, 0.0], [-1e-3], np.zeros((2, 3)), [np.nan],
+              [1.0, np.nan]):
         with pytest.raises(ValueError, match="y must be positive"):
             x_factors_grid(Plasma(GOLD.plasma_frequency), Geometry(1e-6),
                            0.0, y)
