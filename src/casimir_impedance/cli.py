@@ -175,9 +175,8 @@ def _cmd_records(args) -> int:
     if args.command == "entropy" and any(t <= 0.0 for t in temps):
         raise ValueError("entropy requires --temperature > 0")
     radius = getattr(args, "radius", None)  # a sphere-plate option only
-    check = obs.entropy_step if args.command == "entropy" else obs.check_range
     for a, T in ((a, T) for a in seps for T in temps):  # before any record
-        check(Geometry(a, radius), ThermalState(T))
+        obs.check_range(Geometry(a, radius), ThermalState(T))
 
     fmt = args.format or ("csv" if args.command == "sweep" else "human")
     with _open_output(args.output) as stream:  # opened before any record

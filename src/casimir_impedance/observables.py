@@ -29,8 +29,9 @@ l = 64, or past l = 16 or 32 where a ladder's floor is 64 or more and the
 ends' error bound already meets tol there) and, at T = 0, the zeta
 integral with the order swapped, int_0^inf dy int_0^y dzeta, by the
 graded tensor rule `integrate_wedge`.
-Every observable reaches the quadrature through it.
-The entropy S = -dF/dT uses a Richardson-extrapolated central difference.
+Every observable reaches the quadrature through it, the entropy S = -dF/dT
+as the ladder -(k_B / 8 pi a^2) sum'_l h(zeta_l), h = d(zeta I)/dzeta
+(zeta_1 is proportional to T), whose remainder past L is -L I(L zeta_1).
 
 Every reflection model reaches the integrands through one kernel,
 `x_factors_grid`, whose inputs are finite at zeta = 0: the zero-frequency
@@ -64,13 +65,13 @@ __all__ = [
     "Quantity", "ResultValue", "ZETA3", "energy_ideal", "energy_T0",
     "free_energy", "thermal_correction", "pressure_plates",
     "force_sphere_plate", "entropy", "records", "lowT_asymptotics",
-    "spectral_contribution", "check_range", "entropy_step",
+    "spectral_contribution", "check_range",
 ]
 
 ZETA3 = 1.2020569031595943  # Riemann zeta(3)
 
 DEFAULT_TOL = ToleranceConfig()
-_ENTROPY_STEP = 1e-3  # entropy's difference step h over T
+_STEP = 1e-20  # entropy's complex step, relative to zeta
 
 
 class Quantity(Enum):
@@ -104,6 +105,26 @@ def _free_energy_integrand(model: Model, geometry: Geometry, zeta):
             t = 1.0 / np.expm1(y)
         return y * (2.0 * np.log1p(-em)
                     + np.log1p(xpar * t) + np.log1p(xperp * t))
+
+    return f
+
+
+def _entropy_integrand(model: Model, geometry: Geometry, zeta):
+    """g + zeta (d/dzeta + d/dy) g = g + zeta g / y + y sum_p (zeta (1 - X_p)
+    + zeta dX_p) / (e^y - 1 + X_p), g the free-energy integrand: its
+    y-integral from zeta is h(zeta).  zeta dX along the ray is Im X(zeta (1
+    + i d), y + i d zeta) / d, d = _STEP; the logarithms stay real."""
+
+    def f(y: np.ndarray) -> np.ndarray:
+        step = _STEP * zeta * 1j
+        xs = x_factors_grid(model, geometry, zeta + step, y + step)
+        with np.errstate(over="ignore"):  # y > 709: X/inf = 0 is right
+            em1 = np.expm1(y)
+        g = y * (2.0 * np.log1p(-np.exp(-y))
+                 + sum(np.log1p(x.real / em1) for x in xs))
+        return g + zeta * g / y + y * sum(
+            (zeta * (1.0 - x.real) + x.imag / _STEP) / (em1 + x.real)
+            for x in xs)
 
     return f
 
@@ -150,22 +171,6 @@ def check_range(geometry: Geometry, state: ThermalState) -> float:
     return zeta1
 
 
-def entropy_step(geometry: Geometry, state: ThermalState) -> float:
-    """h = 1e-3 T, the step of `entropy`; ValueError unless T > 0 and
-    `check_range` holds at T and T -+ h (so at T -+ h/2), naming T."""
-    temp, h = state.temperature, _ENTROPY_STEP * state.temperature
-    if temp <= 0.0:
-        raise ValueError("entropy requires T > 0")
-    check_range(geometry, state)
-    try:
-        for t in (temp - h, temp + h):
-            check_range(geometry, ThermalState(t))
-    except ValueError as exc:
-        raise ValueError(f"entropy at {temp:.6g} K steps to {t:.6g} K: "
-                         f"{exc}") from None
-    return h
-
-
 def _band(model: Model, geometry: Geometry, integrand_factory, lo: float,
           rel_tol: float) -> IntegralResult:
     """The T = 0 spectrum above zeta = lo, int_lo^Y dy int_lo^y dzeta of
@@ -180,7 +185,7 @@ def _band(model: Model, geometry: Geometry, integrand_factory, lo: float,
 
 def _spectral(model: Model, geometry: Geometry, state: ThermalState,
               tol: ToleranceConfig, integrand_factory, power: int,
-              ) -> tuple[float, float, dict]:
+              band=_band) -> tuple[float, float, dict]:
     """(value, absolute error, diagnostics) of an observable's spectral
     form in physical units: (hbar c / 32 pi^2 a^power) times the `_band`
     above zeta = 0 at T = 0, and (k_B T / 8 pi a^(power-1)) times the
@@ -191,7 +196,7 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     (tail_err): last_term / (e^zeta_1 - 1) for a ladder that stops by
     itself (the terms decay at least like e^(-zeta_1 l)), while one that
     `matsubara_sum` hands off at l = L (64, or 16 or 32 for a floor past
-    64) adds the Euler-Maclaurin remainder, the `_band` above
+    64) adds the Euler-Maclaurin remainder, `band` (default `_band`) above
     L zeta_1 = (terms_used - 1) zeta_1 over zeta_1 + `euler_maclaurin_ends`.
     """
     a, zeta1 = geometry.separation, check_range(geometry, state)
@@ -221,8 +226,8 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
         # capped so that a large a*T cannot overflow expm1; the bound only grows
         tail_err = s.last_term_magnitude / math.expm1(min(zeta1, 700.0))
     else:
-        w = _band(model, geometry, integrand_factory,
-                  (s.terms_used - 1) * zeta1, rel_tol)
+        w = band(model, geometry, integrand_factory,
+                 (s.terms_used - 1) * zeta1, rel_tol)
         ends, tail_err = euler_maclaurin_ends(s.edge_terms)
         value += ends + w.value / zeta1
         tail_err += w.abs_error_estimate / zeta1
@@ -240,11 +245,8 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
 
 def energy_T0(model: Model, geometry: Geometry,
               tol: ToleranceConfig = DEFAULT_TOL) -> ResultValue:
-    """Zero-temperature energy per area for any reflection model.
-
-    Also reports the correction factor E/E0 relative to the ideal metal in
-    the diagnostics.
-    """
+    """Zero-temperature energy per area for any reflection model, with the
+    correction factor E/E0 relative to the ideal metal in the diagnostics."""
     value, err, diag = _spectral(model, geometry, ThermalState(0.0), tol,
                                  _free_energy_integrand, 3)
     model.check_separation(geometry)  # after _spectral's range check
@@ -322,30 +324,26 @@ def force_sphere_plate(model: Model, geometry: Geometry, state: ThermalState,
 
 def entropy(model: Model, geometry: Geometry, state: ThermalState,
             tol: ToleranceConfig = DEFAULT_TOL) -> ResultValue:
-    """Entropy per unit area S = -dF/dT (J/(m^2 K)).
+    """Entropy per unit area S = -dF/dT (J/(m^2 K)) at T > 0, the ladder of
+    h(zeta_l) of the module docstring, with `free_energy`'s diagnostics; a
+    value indistinguishable from zero (error >= |value|) is flagged."""
+    temp = state.temperature
+    if temp <= 0.0:
+        raise ValueError("entropy requires T > 0")
 
-    One Richardson extrapolation level over central differences with steps
-    h and h/2, h = 1e-3 T (_ENTROPY_STEP).  The reported numeric_error
-    combines the Richardson correction with the propagated free-energy
-    errors; an entropy indistinguishable from zero (error >= |value|) is a
-    valid outcome near T = 0 and is flagged in the diagnostics.
-    """
-    temp, h = state.temperature, entropy_step(geometry, state)
+    def band(model, geometry, _, lo, rel_tol):  # int_lo^inf h = -lo I(lo)
+        i = integrate_semiinf(_free_energy_integrand(model, geometry, lo),
+                              lo, rel_tol)
+        return IntegralResult(-lo * i.value, lo * i.abs_error_estimate,
+                              i.evaluations)
 
-    def diff(step: float) -> tuple[float, float]:
-        lo = free_energy(model, geometry, ThermalState(temp - step), tol)
-        hi = free_energy(model, geometry, ThermalState(temp + step), tol)
-        d = (lo.value - hi.value) / (2.0 * step)
-        return d, (lo.numeric_error + hi.numeric_error) / (2.0 * step)
-
-    d1, _ = diff(h)
-    d2, sigma2 = diff(0.5 * h)
-    value = (4.0 * d2 - d1) / 3.0
-    err = abs(value - d2) + sigma2
-    return ResultValue(Quantity.ENTROPY_PER_AREA, value, err, {
-        "step": h,
-        "indistinguishable_from_zero": err >= abs(value),
-    })
+    value, err, diag = _spectral(model, geometry, state, tol,
+                                 _entropy_integrand, 3, band)
+    model.check_separation(geometry)
+    diag.update({k: diag[k] / temp for k in ("quad_err", "tail_err")},
+                indistinguishable_from_zero=err >= abs(value))
+    return ResultValue(Quantity.ENTROPY_PER_AREA, -value / temp, err / temp,
+                       diag)
 
 
 def records(quantity: Quantity, models, separations, temperatures,
@@ -357,14 +355,14 @@ def records(quantity: Quantity, models, separations, temperatures,
     sum, terms_used among them) and status, "ok" or, for a row failed in
     place with no values, "nonconvergence: ..." or "nonfinite: ...".  The
     energy quantities give E, E/E0 and, at T > 0, F (the row's error is
-    F's) and (F - E)/E, E computed once per (a, model name) and call.  A
-    ValueError (`check_range`) propagates."""
+    F's) and (F - E)/E, E computed once per (a, model name) and call, a
+    failure included.  A ValueError (`check_range`) propagates."""
     # the functions are read when called, so a patched attribute is seen
     single = {Quantity.PRESSURE_PLATES: ("pressure_N_per_m2", pressure_plates),
               Quantity.ENTROPY_PER_AREA: ("entropy_J_per_m2_K", entropy),
               Quantity.FORCE_SPHERE_PLATE: ("force_sphere_plate_N",
                                             force_sphere_plate)}.get(quantity)
-    energies: dict = {}  # (a, model name) -> E
+    energies: dict = {}  # (a, model name) -> E, or the error it raised
     rows = []
     for a, T, (name, model) in ((a, T, m) for a in separations
                                 for T in temperatures for m in models):
@@ -376,8 +374,13 @@ def records(quantity: Quantity, models, separations, temperatures,
                 values = {single[0]: result.value}
             else:
                 if (a, name) not in energies:
-                    energies[a, name] = energy_T0(model, geometry, tol)
+                    try:
+                        energies[a, name] = energy_T0(model, geometry, tol)
+                    except (NonConvergenceError, FloatingPointError) as exc:
+                        energies[a, name] = exc
                 result = e = energies[a, name]
+                if isinstance(e, Exception):
+                    raise e
                 values = {"energy_J_per_m2": e.value, "correction_factor":
                           e.diagnostics["correction_factor"]}
                 if T > 0.0:

@@ -267,9 +267,7 @@ def classify_regime(material: MaterialParams,
 
     v_over_w = material.fermi_velocity / omega_c
     delta_r = C_LIGHT / material.plasma_frequency
-    c_a = material.anomalous_constant
-    if c_a is None:
-        c_a = derive_anomalous_constant(material)
+    c_a = material.anomalous_constant or derive_anomalous_constant(material)
     delta_a = c_a * omega_c ** (-1.0 / 3.0)
 
     checks = (

@@ -13,9 +13,9 @@ raises FloatingPointError from its panel's K15 sum: every K15 weight is
 positive.
 
 `integrate_interval` maps [0, 2.5e-5] and 12 geometric panels up to 1 onto
-[lower, upper] and sums the panels' QUADPACK-rescaled |K15 - G7|.  Its
-rows (lower limits) share each integrand call; each keeps the first level
-that meets rel_tol, past which its values are neither summed nor checked.
+[lower, upper] and sums the panels' QUADPACK-rescaled |K15 - G7|.  Its rows
+(lower limits) share each integrand call; each keeps the first level that
+meets rel_tol of its int |f|, past which it is neither summed nor checked.
 For integrands decaying like exp(-y), `integrate_semiinf` stops at
 lower + max(40, ln(1/rel_tol) + 10): the tail left out is below ~4e-18.
 
@@ -170,9 +170,9 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
         # refining rows: sums over unit-length panels, scaled; values by fsum
         value[todo] = length[todo] * list(map(math.fsum, k.tolist()))
         err[todo] = length[todo] * e.sum(axis=1)
-        bound = np.maximum(rel_tol * np.abs(value[todo]), _INTERVAL_ABS_TOL)
+        resabs = length[todo] * a.sum(axis=1)  # int |f|, as rows cross 0
         unmet[todo] = err[todo] > np.maximum(
-            bound, length[todo] * 50.0 * _EPS * a.sum(axis=1))
+            max(rel_tol, 50.0 * _EPS) * resabs, _INTERVAL_ABS_TOL)
         if not unmet.any():
             break
     result = IntegralResult(*(v if np.ndim(lower) else float(v[0])

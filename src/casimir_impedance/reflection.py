@@ -100,7 +100,7 @@ class IdealMetal(ImpedanceModel):
     """Perfect conductor: Z identically zero."""
 
     def z(self, xi):
-        return np.zeros_like(xi, dtype=float)
+        return np.zeros_like(xi)
 
 
 @dataclass(frozen=True)
@@ -203,10 +203,10 @@ def x_factors_grid(model: Model, geometry: Geometry, zeta, y):
     of any reflection model, 4 y u / (y + u)^2 on its
     ``fresnel_inputs`` (u_par, u_perp), computed without the cancellation of
     forming 1 - r^2.  zeta >= 0 is a scalar or an array that broadcasts
-    against the array y > 0; zeta = 0 needs no special case.
+    against the array y, Re y > 0; zeta = 0 needs no special case.
     """
-    y = np.asarray(y, dtype=float)
-    if not np.all(y > 0.0):  # a NaN fails it too
+    y = np.asarray(y)
+    if not np.all(y.real > 0.0):  # a NaN fails it too
         raise ValueError("y must be positive")
     u_par, u_perp = model.fresnel_inputs(geometry, zeta, y)
     y4 = 4.0 * y  # one product for both polarizations

@@ -661,34 +661,38 @@ def test_out_of_range_grid_fails_before_the_first_record(capsys,
     assert calls == []
 
 
-def test_entropy_step_out_of_range_fails_before_the_first_record(
-        capsys, monkeypatch):
-    # 182,204,997.8 K passes check_range at 1 m but its step T + h does
-    # not: the grid exits 2 before the 1 um row, naming the given T; at
-    # 181,940,700 K, whose T + h is in range, both rows are computed
+def test_entropy_out_of_range_fails_before_the_first_record(capsys,
+                                                            monkeypatch):
+    # entropy takes no step in T, so check_range alone decides: at 1 m,
+    # 182,204,997.8 K (zeta_1 = 0.9999e12) computes both rows, with no
+    # free energy; 182,300,000 K (zeta_1 = 1.0004e12) exits 2 with
+    # check_range's message before the 1 um row
     from casimir_impedance import cli
 
     calls = []
 
-    def counting(*args, _real=cli.obs.free_energy):
+    def counting(*args, _real=cli.obs.entropy):
         calls.append(args)
         return _real(*args)
 
-    monkeypatch.setattr(cli.obs, "free_energy", counting)
+    def no_free_energy(*args):
+        raise AssertionError("entropy computed a free energy")
+
+    monkeypatch.setattr(cli.obs, "entropy", counting)
+    monkeypatch.setattr(cli.obs, "free_energy", no_free_energy)
     seps = ("--separation", "1e-6,1", "--format", "csv")
     code, out, err = run(capsys, "entropy", *seps,
-                         "--temperature", "182204997.84873796")
+                         "--temperature", "182300000")
     assert (code, out, calls) == (2, "", [])
-    assert err == ("error: entropy at 1.82205e+08 K steps to 1.82387e+08 K: "
-                   "temperature 1.82387e+08 K is outside the Matsubara "
+    assert err == ("error: temperature 1.823e+08 K is outside the Matsubara "
                    "ladder's range at separation 1 m: zeta_1 = 1e+12 must "
                    "lie in [1e-100, 1e12]\n")
     code, out, err = run(capsys, "entropy", *seps, "--temperature",
-                         "181940700")
+                         "182204997.84873796")
     assert (code, err) == (0, "")
     rows = out.strip().split("\n")[1:]
     assert len(rows) == 2 and all(row.endswith(",ok") for row in rows)
-    assert len(calls) == 8
+    assert len(calls) == 2
 
 
 def test_validity_warnings_once_each_without_source_location(capsys):
@@ -850,7 +854,7 @@ def test_readme_and_benchmark_command_lines_parse():
 def test_cli_reaches_observables_only_through_records():
     # one record path: cli.py reads observables only as attributes of the
     # module (never passed on, as getattr(obs, name) would need) and only
-    # records, the range checks and Quantity, so no second path to an
+    # records, the range check and Quantity, so no second path to an
     # observable can grow back in the CLI
     import ast
     from pathlib import Path
@@ -876,4 +880,4 @@ def test_cli_reaches_observables_only_through_records():
              if isinstance(node, ast.Name) and node.id == "obs"]
     assert len(names) == len(attributes)
     used.update(node.attr for node in attributes)
-    assert used == {"records", "check_range", "entropy_step", "Quantity"}
+    assert used == {"records", "check_range", "Quantity"}

@@ -30,7 +30,7 @@ from casimir_impedance.observables import (
     free_energy, lowT_asymptotics, pressure_plates, records,
     spectral_contribution, thermal_correction,
 )
-from oracles import free_energy_ideal
+from oracles import entropy_richardson, free_energy_ideal
 
 TIGHT = ToleranceConfig(1e-9)
 MED = ToleranceConfig(1e-8)
@@ -277,9 +277,12 @@ def test_records_failing_energy_fails_every_row_of_its_pair(monkeypatch):
     args = (Quantity.RELATIVE_THERMAL_CORRECTION, RECORD_MODELS,
             [1e-6, 2e-6, 3e-6], [0.0, 70.0, 300.0], FAST)
     clean = records(*args)
-    _count_calls(monkeypatch, "energy_T0", fail_at=(1.5e-6, 2.5e-6))
+    calls = _count_calls(monkeypatch, "energy_T0", fail_at=(1.5e-6, 2.5e-6))
     rows = records(*args)
     assert len(rows) == len(clean) == 18
+    # the failed E, too, is computed once per pair
+    assert calls == [(a, name) for a in (1e-6, 2e-6, 3e-6)
+                     for name in ("InfraredOptics", "AnomalousSkin")]
     for row, kept in zip(rows, clean):
         if row["a_m"] == 2e-6:
             place = {key: kept[key] for key in ("a_m", "T_K", "model")}
@@ -395,29 +398,76 @@ def test_entropy_vanishes_toward_zero_temperature():
     assert abs(s_cold.value) < 1e-3 * s_room.value
 
 
-def test_entropy_checks_its_step_temperatures_up_front(monkeypatch):
-    # a T inside check_range whose step T + h (or T - h) leaves the ladder's
-    # range fails before any free energy is computed, and the message names
-    # the given T; at both ends of the ladder's range and of the separation's
+def test_entropy_agrees_with_the_richardson_difference(monkeypatch):
+    # 90 records, six models x {0.15, 1, 5} um x {1, 3, 10, 70, 300} K at
+    # the default tol: the ladder of h = d(zeta I)/dzeta, computed with
+    # free_energy patched to raise, agrees with the Richardson difference
+    # of four free energies within both errors, and its own error is the
+    # smaller (the difference's value was up to 9% off, within its error)
+    from casimir_impedance.physcore import sigma_gaussian_from_si
+
+    def no_free_energy(*args):
+        raise AssertionError("entropy computed a free energy")
+
+    models = (IdealMetal(), NormalSkin(sigma_gaussian_from_si(4.1e7)),
+              GOLD_AS, GOLD_IR, Plasma(GOLD.plasma_frequency),
+              Drude(GOLD.plasma_frequency, 5.3e13))
+    cases = [(model, Geometry(a), ThermalState(temperature))
+             for model in models for a in (0.15e-6, 1e-6, 5e-6)
+             for temperature in (1.0, 3.0, 10.0, 70.0, 300.0)]
+    refs = [entropy_richardson(*case, DEFAULT) for case in cases]
+    monkeypatch.setattr(observables, "free_energy", no_free_energy)
+    results = [entropy(*case) for case in cases]
+    for case, res, ref in zip(cases, results, refs):
+        assert abs(res.value - ref.value) \
+            <= res.numeric_error + ref.numeric_error, case
+        assert res.numeric_error <= ref.numeric_error, case
+
+
+def test_entropy_matches_low_T_expansion_at_tight_tol():
+    # 1 um, tol 1e-10: infrared optics and the plasma dielectric, whose
+    # low-T expansions agree to its order, are within both errors of it
+    # from 0.1 to 10 K and resolved (err < 2% of |S|) down to 0.1 K, where
+    # the difference quotient's error was 3e2 times |S|
+    geometry, tol = Geometry(1e-6), ToleranceConfig(1e-10)
+    for temperature in (0.1, 1.0, 3.0, 10.0):
+        state = ThermalState(temperature)
+        _, analytic = lowT_asymptotics(GOLD, geometry, state, tol)
+        for model in (GOLD_IR, Plasma(GOLD.plasma_frequency)):
+            res = entropy(model, geometry, state, tol)
+            assert abs(res.value - analytic.value) \
+                <= res.numeric_error + analytic.numeric_error, temperature
+            assert res.numeric_error < 2e-2 * abs(res.value), temperature
+
+
+def test_entropy_checks_its_range_up_front(monkeypatch):
+    # entropy takes no step in T: a T inside check_range computes, up to
+    # both ends of the ladder's range at both ends of the separation's, and
+    # computes no free energy; a T just outside fails with check_range's
+    # own message, and T = 0 with entropy's
     import casimir_impedance.observables as obs
 
-    calls = []
-    monkeypatch.setattr(obs, "free_energy", lambda *args: calls.append(args))
+    def no_free_energy(*args):
+        raise AssertionError("entropy computed a free energy")
+
+    monkeypatch.setattr(obs, "free_energy", no_free_energy)
     for a in (1e-12, 1.0):
         geometry = Geometry(a)
         per_kelvin = obs.check_range(geometry, ThermalState(1.0))
-        for temp in (1e12 / per_kelvin * (1.0 - 5e-4),
-                     1e-100 / per_kelvin * (1.0 + 5e-4)):
-            obs.check_range(geometry, ThermalState(temp))  # passes alone
+        for zeta1, inward in ((1e12, 1.0 - 5e-4), (1e-100, 1.0 + 5e-4)):
+            res = entropy(IdealMetal(), geometry,
+                          ThermalState(zeta1 / per_kelvin * inward))
+            assert math.isfinite(res.value), (a, zeta1)
+            assert 0.0 < res.numeric_error < math.inf, (a, zeta1)
+            outside = ThermalState(zeta1 / per_kelvin / inward)
+            with pytest.raises(ValueError) as expected:
+                obs.check_range(geometry, outside)
             with pytest.raises(ValueError) as info:
-                entropy(GOLD_IR, geometry, ThermalState(temp))
-            assert str(info.value).startswith(f"entropy at {temp:.6g} K ")
+                entropy(IdealMetal(), geometry, outside)
+            assert str(info.value) == str(expected.value)
             assert "outside the Matsubara ladder's range" in str(info.value)
-    assert calls == []
     with pytest.raises(ValueError, match="entropy requires T > 0"):
         entropy(GOLD_IR, Geometry(1e-6), ThermalState(0.0))
-    h = obs.entropy_step(Geometry(1.0), ThermalState(181940700.0))
-    assert h == 1e-3 * 181940700.0
 
 
 def test_low_T_asymptotics_against_full_pipeline():
@@ -939,8 +989,8 @@ def test_early_hand_off_agrees_with_the_hand_off_at_euler_l(monkeypatch):
     # ladders whose floor ceil(10 / zeta_1) is past L = 64 (4050, 183 and
     # 87 at these (a, T)) hand off at l = 16, 32 or 64, whichever first
     # meets tol: every value of six models is within tol, and within its
-    # own error, of the same record handed off at L; entropy's ladders at
-    # T +- h may hand off at different l, and it agrees within both errors
+    # own error, of the same record handed off at L; entropy, whose terms
+    # cancel to leave S, agrees within both errors
     from casimir_impedance.physcore import sigma_gaussian_from_si
 
     models = (IdealMetal(), NormalSkin(sigma_gaussian_from_si(4.1e7)),

@@ -95,6 +95,29 @@ def test_error_estimate_honest_on_smooth_cases():
             res.abs_error_estimate, 1e-6 * abs(reference)) + 1e-14
 
 
+def test_row_whose_integral_is_zero_converges():
+    # f = d/dy [y^k e^-y] from 0 integrates to 0: a row that crosses zero
+    # is judged against rel_tol of int |f| = 2 k^k e^-k, not of its own
+    # value, which is rounding; both rows stop by level 1 (585 points), k =
+    # 3/2 with a sqrt edge at 0 (which missed tol after 10 levels when
+    # judged against its value), and k = 1 also as rows from l, where the
+    # integral is -l e^-l
+    for k, rel_tols in ((1.0, (1e-6, 1e-10)), (1.5, (1e-6,))):
+        def f(y, k=k):
+            return (k * y ** (k - 1.0) - y ** k) * np.exp(-y)
+
+        for rel_tol in rel_tols:
+            res = integrate_semiinf(f, 0.0, rel_tol)
+            assert abs(res.value) <= res.abs_error_estimate \
+                <= rel_tol * 2.0 * k ** k * math.exp(-k), (k, rel_tol)
+            assert res.evaluations <= 585, (k, rel_tol)
+    lowers = np.array([0.0, 1.0, 2.0])
+    rows = integrate_semiinf(f=lambda y: (1.0 - y) * np.exp(-y),
+                             lower=lowers, rel_tol=1e-10)
+    assert np.all(np.abs(rows.value + lowers * np.exp(-lowers))
+                  <= rows.abs_error_estimate)
+
+
 def test_nonconvergence_reports_best_estimate(monkeypatch):
     def spiky(y):
         return 1.0 / np.sqrt(np.abs(y - math.pi) + 1e-14)

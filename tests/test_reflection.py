@@ -213,6 +213,31 @@ def test_x_factors_grid_rejects_y_not_positive():
                            0.0, y)
 
 
+def test_x_factors_grid_complex_step_is_the_ray_derivative():
+    # entropy's complex step: at zeta (1 + i d), y + i d zeta the real part
+    # is X and Im / (d zeta) is (d/dzeta + d/dy) X, against a central
+    # difference along the ray, scaled to the values, for all six models
+    geometry, d = Geometry(1e-6), 1e-20
+    for model in (IdealMetal(), NormalSkin(1e17), AnomalousSkin(GOLD_CA),
+                  InfraredOptics(GOLD.plasma_frequency),
+                  Plasma(GOLD.plasma_frequency),
+                  Drude(GOLD.plasma_frequency, 5.3e13)):
+        for zeta in (0.3, 1.0, 5.0):
+            y = zeta + np.array([1e-3, 0.3, 1.0, 3.0, 10.0, 30.0])
+            h = 1e-5 * zeta
+            step = x_factors_grid(model, geometry, zeta * (1.0 + d * 1j),
+                                  y + d * zeta * 1j)
+            real = x_factors_grid(model, geometry, zeta, y)
+            ahead, behind = (x_factors_grid(model, geometry, zeta + s, y + s)
+                             for s in (h, -h))
+            for x, r, up, down in zip(step, real, ahead, behind):
+                scale = max(np.max(np.abs(r)), 1e-300)
+                assert np.allclose(x.real, r, rtol=1e-14, atol=0.0)
+                assert np.max(np.abs(x.imag / (d * zeta)
+                                     - (up - down) / (2.0 * h))) \
+                    <= 1e-8 * scale / zeta, (model, zeta)
+
+
 def test_plasma_frequency_range_keeps_the_sqrt_inputs_finite():
     # the plasma-frequency models form sqrt(y^2 + w_p^2), w_p = 2 a omega_p
     # / c, without np.hypot's rescaling: omega_p in [1e-100, 1e100] rad/s
