@@ -100,11 +100,14 @@ def _free_energy_integrand(model: Model, geometry: Geometry, zeta):
 
     def f(y: np.ndarray) -> np.ndarray:
         xpar, xperp = x_factors_grid(model, geometry, zeta, y)
-        em = np.exp(-y)
         with np.errstate(over="ignore"):  # y > 709: 1/inf = 0 is right
             t = 1.0 / np.expm1(y)
-        return y * (2.0 * np.log1p(-em)
-                    + np.log1p(xpar * t) + np.log1p(xperp * t))
+        for x in (xpar, xperp):  # in place: X's arrays are the kernel's own
+            np.log1p(np.multiply(x, t, out=x), out=x)
+        # X_par depends on zeta in every model: it has the shape of (zeta, y)
+        xpar += 2.0 * np.log1p(-np.exp(-y))
+        xpar += xperp
+        return np.multiply(xpar, y, out=xpar)
 
     return f
 
@@ -138,9 +141,14 @@ def _pressure_integrand(model: Model, geometry: Geometry, zeta):
         xpar, xperp = x_factors_grid(model, geometry, zeta, y)
         em = np.exp(-y)
         one_minus_em = -np.expm1(-y)
-        par = (1.0 - xpar) * em / (one_minus_em + xpar * em)
-        perp = (1.0 - xperp) * em / (one_minus_em + xperp * em)
-        return y * y * (par + perp)
+        for x in (xpar, xperp):  # in place: X's arrays are the kernel's own
+            r2_em = 1.0 - x
+            r2_em *= em
+            x *= em
+            x += one_minus_em
+            np.divide(r2_em, x, out=x)
+        xpar += xperp
+        return np.multiply(xpar, y * y, out=xpar)
 
     return f
 
@@ -211,8 +219,7 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     done: list[IntegralResult] = []
 
     def terms(ls: np.ndarray) -> np.ndarray:
-        # one call per block, a zeta row per l; the first block starts at
-        # l = 0, the row at zeta = 0 (matsubara_sum halves it)
+        # one call per block, a zeta row per l, from the row zeta = 0 (l = 0)
         zeta = ls * zeta1
         done.append(integrate_semiinf(integrand_factory(
             model, geometry, zeta[:, None, None]), zeta, rel_tol))
@@ -342,8 +349,8 @@ def entropy(model: Model, geometry: Geometry, state: ThermalState,
     model.check_separation(geometry)
     diag.update({k: diag[k] / temp for k in ("quad_err", "tail_err")},
                 indistinguishable_from_zero=err >= abs(value))
-    return ResultValue(Quantity.ENTROPY_PER_AREA, -value / temp, err / temp,
-                       diag)
+    return ResultValue(Quantity.ENTROPY_PER_AREA, 0.0 - value / temp,
+                       err / temp, diag)  # 0 - x: +0, not -0, if x = 0
 
 
 def records(quantity: Quantity, models, separations, temperatures,

@@ -4,13 +4,12 @@ summation.
 Both rules put 15-point Kronrod nodes on graded level-0 panels, estimate
 the error from the embedded 7-point Gauss rule and halve every panel, one
 level at a time, until the error meets rel_tol.  The integrand is called on
-whole panels, at most _CHUNK points at a time.
-Panel sums are np.einsum contractions of aligned values (numpy's own loops,
-never BLAS; the wedge contracts its y nodes first, then its s nodes), and
-panel values are added in ascending order by fsum, so identical inputs give
-bit-identical results, whatever the chunk.  A non-finite integrand value
-raises FloatingPointError from its panel's K15 sum: every K15 weight is
-positive.
+whole panels, at most _CHUNK points at a time.  Panel sums are np.einsum
+contractions of aligned values (numpy's own loops, never BLAS; the wedge
+contracts its y nodes first, then its s nodes), and panel values are added
+in ascending order by fsum, so identical inputs give bit-identical results,
+whatever the chunk.  A non-finite integrand value raises FloatingPointError
+from its panel's K15 sum: every K15 weight is positive.
 
 `integrate_interval` maps [0, 2.5e-5] and 12 geometric panels up to 1 onto
 [lower, upper] and sums the panels' QUADPACK-rescaled |K15 - G7|.  Its rows
@@ -18,6 +17,9 @@ positive.
 meets rel_tol of its int |f|, past which it is neither summed nor checked.
 For integrands decaying like exp(-y), `integrate_semiinf` stops at
 lower + max(40, ln(1/rel_tol) + 10): the tail left out is below ~4e-18.
+`matsubara_sum` asks for its rows in calls of at most 33; the first reaches
+2 past e^(-zeta_1 l) = rel_tol e^(-4), so a ladder that stops within 33
+terms, falling like a polynomial times e^(-zeta_1 l), as a rule makes one.
 
 `integrate_wedge` takes the band int_lo^Y dy int_lo^y dzeta (lo = 0 by
 default) with zeta = lo + (y - lo) s^3, a grading that removes the
@@ -125,20 +127,21 @@ class NonConvergenceError(RuntimeError):
         self.result = result
 
 
-def _qk15_panels(fx: np.ndarray, w_k: np.ndarray, w_g: np.ndarray):
+def _qk15_panels(fx: np.ndarray, w_k: np.ndarray, w_g: np.ndarray,
+                 widths: np.ndarray):
     """(K15 value, error, resabs) per panel of ``fx`` (rows, panels, 15)
-    under K15 and G7 weights (panels, 15) and (panels, 7); the error is
-    QUADPACK's rescaled |K15 - G7|, floored at 50*eps*resabs (rounding)."""
+    under K15 and G7 weights (panels, 15) and (panels, 7) on panels of
+    ``widths``: QUADPACK's rescaled |K15 - G7|, at least 50 eps resabs."""
     resk = np.einsum("rpn,pn->rp", fx, w_k)
-    if not np.all(np.isfinite(resk)):  # every K15 weight is positive
+    if not np.isfinite(resk).all():  # every K15 weight is positive
         raise FloatingPointError("integrand returned a non-finite value")
     resabs = np.einsum("rpn,pn->rp", np.abs(fx), w_k)
-    mean = (resk / w_k.sum(axis=-1))[..., None]
-    resasc = np.einsum("rpn,pn->rp", np.abs(fx - mean), w_k)
+    dev = fx - (resk / widths)[..., None]
+    resasc = np.einsum("rpn,pn->rp", np.abs(dev, out=dev), w_k)
     err = np.abs(resk - np.einsum("rpn,pn->rp", fx[..., 1::2], w_g))
-    mask = resasc != 0.0
-    scaled = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=mask)
-    err = np.where(mask, resasc * np.minimum(1.0, scaled ** 1.5), err)
+    with np.errstate(divide="ignore", invalid="ignore"):  # resasc = 0
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where(resasc != 0.0, scaled, err)
     return resk, np.maximum(err, 50.0 * _EPS * resabs), resabs
 
 
@@ -152,28 +155,30 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
     """
     lo, length = (np.atleast_1d(np.asarray(x, dtype=float))
                   for x in (lower, upper - lower))
-    if not (0.0 < rel_tol <= 1e-2 and np.all(length > 0.0)):
+    if not (0.0 < rel_tol <= 1e-2 and (length > 0.0).all()):
         raise ValueError("need rel_tol in (0, 1e-2] and upper > lower")
     rows, evaluations = len(lo), 0
     value, err, unmet = np.zeros(rows), np.zeros(rows), np.ones(rows, bool)
     step = max(1, _CHUNK // (15 * rows))
+    lo3, length3 = lo[:, None, None], length[:, None, None]
+    floor = max(rel_tol, 50.0 * _EPS)
     for level in range(_INTERVAL_LEVELS):
-        u, w_k, w_g = _u_rule(level)
+        u, w_k, w_g, widths = _u_rule(level)
         todo = slice(None) if unmet.all() else np.flatnonzero(unmet)
-        parts = []
-        for i in range(0, len(u), step):  # whole panels of every row
-            y = lo[:, None, None] + length[:, None, None] * u[i:i + step]
-            parts.append(_qk15_panels(np.require(f(y), float, "A")[todo],
-                                      w_k[i:i + step], w_g[i:i + step]))
+        parts = [_qk15_panels(  # whole panels of every row
+            np.require(f(lo3 + length3 * u[i:i + step]), float, "A")[todo],
+            w_k[i:i + step], w_g[i:i + step], widths[i:i + step])
+            for i in range(0, len(u), step)]
         evaluations += rows * u.size
-        k, e, a = (np.concatenate(p, axis=1) for p in zip(*parts))
+        k, e, a = parts[0] if len(parts) == 1 else (
+            np.concatenate(p, axis=1) for p in zip(*parts))
         # refining rows: sums over unit-length panels, scaled; values by fsum
-        value[todo] = length[todo] * list(map(math.fsum, k.tolist()))
-        err[todo] = length[todo] * e.sum(axis=1)
-        resabs = length[todo] * a.sum(axis=1)  # int |f|, as rows cross 0
-        unmet[todo] = err[todo] > np.maximum(
-            max(rel_tol, 50.0 * _EPS) * resabs, _INTERVAL_ABS_TOL)
-        if not unmet.any():
+        scale = length[todo]
+        value[todo] = scale * list(map(math.fsum, k.tolist()))
+        err[todo] = e = scale * e.sum(axis=1)
+        unmet[todo] = missed = e > np.maximum(  # against int |f|: rows cross 0
+            floor * (scale * a.sum(axis=1)), _INTERVAL_ABS_TOL)
+        if not missed.any():
             break
     result = IntegralResult(*(v if np.ndim(lower) else float(v[0])
                               for v in (value, err)), evaluations)
@@ -193,7 +198,7 @@ def integrate_semiinf(f: Callable[[np.ndarray], np.ndarray],
                       lower, rel_tol: float) -> IntegralResult:
     """Integrate ``f`` over [lower, infinity), rows and all, assuming
     exp(-y) decay: `integrate_interval` up to ``tail_cutoff``."""
-    if np.any(np.asarray(lower) < 0.0):
+    if (np.asarray(lower) < 0.0).any():
         raise ValueError("lower must be non-negative")
     return integrate_interval(f, lower, tail_cutoff(lower, rel_tol), rel_tol)
 
@@ -203,7 +208,7 @@ def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
     """Primed sum 0.5*t_0 + sum_{l>=1} t_l with convergence control.
 
     ``terms`` maps an array of indices l to their terms, at most
-    _MATSUBARA_BLOCK per call: l = 0 to 2 past e^(-zeta_1 l) = rel_tol
+    _MATSUBARA_BLOCK per call: l = 0 to 2 past e^(-zeta_1 l) = rel_tol e^(-4)
     (zeta_1 = 10 / l_floor), then as many as the last two terms' ratio
     predicts.  Terms are taken in ascending order and added with exact
     summation.  The sum stops once l >= l_floor and |t_l| <= rel_tol *
@@ -225,7 +230,7 @@ def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
     def ask(l: int, n: int) -> list:  # t_l, ..., t_(l+n-1), reversed
         n = min(max(n, l_floor + 1 - l), _MATSUBARA_BLOCK, hand_off + 1 - l)
         return np.asarray(terms(np.arange(l, l + n)), float).tolist()[::-1]
-    block = ask(0, math.ceil(l_floor * math.log(1.0 / rel_tol) / 10.0) + 3)
+    block = ask(0, math.ceil(l_floor * (math.log(1 / rel_tol) + 4) / 10) + 3)
     kept = [0.5 * block.pop()]
     running, consecutive = kept[0], 0
     while consecutive < 3 or len(kept) <= l_floor:
@@ -260,15 +265,17 @@ def euler_maclaurin_ends(edge_terms) -> tuple[float, float]:
 
 
 def _gk_panels(edges: np.ndarray, level: int, jacobian=np.ones_like):
-    """K15 nodes and K15 and G7 weights, (panels, 15), (panels, 15) and
-    (panels, 7), on the panels of ``edges`` each split into 2**level equal
-    parts, read-only; each weight includes ``jacobian`` at its node."""
+    """K15 nodes, K15 and G7 weights and K15 weight sums, (panels, 15),
+    (panels, 15), (panels, 7) and (panels,), on the panels of ``edges`` each
+    split into 2**level equal parts, read-only; each weight includes
+    ``jacobian`` at its node (with 1, the sums are the panel widths)."""
     fine = np.append(np.linspace(edges[:-1], edges[1:], 2 ** level + 1)[:-1].T,
                      edges[-1])
     halfw = 0.5 * np.diff(fine)[:, None]
     s = fine[:-1, None] + halfw * (1.0 + _NODES)
     jac = jacobian(s)
-    rule = (s, halfw * _W_K * jac, halfw * _W_G * jac[:, 1::2])
+    w_k = halfw * _W_K * jac
+    rule = (s, w_k, halfw * _W_G * jac[:, 1::2], w_k.sum(axis=-1))
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -297,8 +304,8 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                          "upper > lo + 1e-3")
     evaluations = 0
     for level in range(_WEDGE_LEVELS):
-        s, ws_k, ws_g = _s_rule(level)
-        y, wy_k, wy_g = _y_rule(upper - lo, level)  # y - lo and its weights
+        s, ws_k, ws_g, _ = _s_rule(level)
+        y, wy_k, wy_g, _ = _y_rule(upper - lo, level)  # y - lo, its weights
         grade = s.ravel() ** _WEDGE_GRADING
         step = max(1, _CHUNK // (15 * s.size))
         cells, diffs, resabs = [], [], []
@@ -313,7 +320,7 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
             wk, wg = wy_k[i:i + step], wy_g[i:i + step]
             k = np.einsum("ySj,Sj->yS", np.einsum("yiSj,yi->ySj", fx, wk),
                           ws_k)
-            if not np.all(np.isfinite(k)):  # every K15 weight is positive
+            if not np.isfinite(k).all():  # every K15 weight is positive
                 raise FloatingPointError("integrand returned a non-finite "
                                          "value")
             g = np.einsum("ySj,Sj->yS", np.einsum(

@@ -148,8 +148,9 @@ class InfraredOptics(ImpedanceModel):
 
     def fresnel_inputs(self, geometry, zeta, y):
         w_p = 2.0 * geometry.separation * self.omega_p / C_LIGHT
-        h = np.sqrt(zeta * zeta + w_p * w_p)  # np.hypot: 4-5x the time
-        return zeta * zeta / h, h  # zeta Z and zeta/Z
+        zeta2 = zeta * zeta
+        h = np.sqrt(zeta2 + w_p * w_p)  # np.hypot: 4-5x the time
+        return zeta2 / h, h  # zeta Z and zeta/Z
 
     def check_separation(self, geometry):
         lam_p = 2.0 * math.pi * C_LIGHT / self.omega_p
@@ -200,17 +201,22 @@ class Drude(Model):
 
 def x_factors_grid(model: Model, geometry: Geometry, zeta, y):
     """Transparency factors (X_par, X_perp) = (1 - r_par^2, 1 - r_perp^2)
-    of any reflection model, 4 y u / (y + u)^2 on its
-    ``fresnel_inputs`` (u_par, u_perp), computed without the cancellation of
-    forming 1 - r^2.  zeta >= 0 is a scalar or an array that broadcasts
-    against the array y, Re y > 0; zeta = 0 needs no special case.
+    of any reflection model, 4 y u / (y + u)^2 on its ``fresnel_inputs``
+    (u_par, u_perp) without the cancellation of 1 - r^2, new arrays that
+    the caller may overwrite.  zeta >= 0 is a scalar or an array that
+    broadcasts against the array y, Re y > 0; zeta = 0 needs no special case.
     """
     y = np.asarray(y)
-    if not np.all(y.real > 0.0):  # a NaN fails it too
+    if not (y.real > 0.0).all():  # a NaN fails it too
         raise ValueError("y must be positive")
-    u_par, u_perp = model.fresnel_inputs(geometry, zeta, y)
     y4 = 4.0 * y  # one product for both polarizations
-    return y4 * u_par / (y + u_par) ** 2, y4 * u_perp / (y + u_perp) ** 2
+    xs = []
+    for u in model.fresnel_inputs(geometry, zeta, y):
+        x, den = y4 * u, y + u  # new arrays: squared and divided in place
+        den *= den
+        x /= den
+        xs.append(x)
+    return tuple(xs)
 
 
 def zero_freq_r_sq(model: Model, k_perp):

@@ -8,6 +8,10 @@ metal's closed-form free energy; `energy_T0_nested_quad` and `free_energy_direct
 independent numeric references for the two spectral forms.
 `entropy_richardson` is the entropy as a Richardson-extrapolated central
 difference of free energies, the reference of the package's entropy ladder.
+`x_factors_out_of_place`, `free_energy_integrand_out_of_place` and
+`pressure_integrand_out_of_place` write the X kernel and the two
+y-integrands as plain expressions, each operation into a new array, in the
+order that the package's in-place forms keep.
 """
 
 from __future__ import annotations
@@ -402,3 +406,30 @@ def entropy_richardson(model, geometry: Geometry, state: ThermalState,
     value = (4.0 * d2 - d1) / 3.0
     return ResultValue(Quantity.ENTROPY_PER_AREA, value,
                        abs(value - d2) + sigma2, {"step": h})
+
+
+def x_factors_out_of_place(model, geometry: Geometry, zeta, y):
+    """(X_par, X_perp) = 4 y u / (y + u)^2 on ``model.fresnel_inputs``."""
+    u_par, u_perp = model.fresnel_inputs(geometry, zeta, y)
+    y4 = 4.0 * y
+    return y4 * u_par / (y + u_par) ** 2, y4 * u_perp / (y + u_perp) ** 2
+
+
+def free_energy_integrand_out_of_place(model, geometry: Geometry, zeta, y):
+    """y [2 ln(1 - e^-y) + sum_p ln(1 + X_p / (e^y - 1))]."""
+    xpar, xperp = x_factors_out_of_place(model, geometry, zeta, y)
+    em = np.exp(-y)
+    with np.errstate(over="ignore"):  # y > 709: 1/inf = 0
+        t = 1.0 / np.expm1(y)
+    return y * (2.0 * np.log1p(-em)
+                + np.log1p(xpar * t) + np.log1p(xperp * t))
+
+
+def pressure_integrand_out_of_place(model, geometry: Geometry, zeta, y):
+    """y^2 sum_p (1 - X_p) e^-y / ((1 - e^-y) + X_p e^-y)."""
+    xpar, xperp = x_factors_out_of_place(model, geometry, zeta, y)
+    em = np.exp(-y)
+    one_minus_em = -np.expm1(-y)
+    par = (1.0 - xpar) * em / (one_minus_em + xpar * em)
+    perp = (1.0 - xperp) * em / (one_minus_em + xperp * em)
+    return y * y * (par + perp)

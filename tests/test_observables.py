@@ -470,6 +470,34 @@ def test_entropy_checks_its_range_up_front(monkeypatch):
         entropy(GOLD_IR, Geometry(1e-6), ThermalState(0.0))
 
 
+def test_entropy_reads_plus_zero_where_its_ladder_cancels(capsys):
+    # at the low end of the ladder's range (zeta_1 = 1e-100) every term
+    # rounds to the l = 0 one and the hand-off's head, ends and band cancel
+    # to exactly 0: the entropy is +0 (CSV "0"), never -0; at the high end
+    # (zeta_1 = 1e12) the l = 0 term alone gives S > 0
+    from casimir_impedance import cli
+
+    for model in (IdealMetal(), GOLD_IR):
+        for a in (1e-12, 1.0):
+            geometry = Geometry(a)
+            per_kelvin = observables.check_range(geometry, ThermalState(1.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # below the plasma wavelength
+                low, high = (entropy(model, geometry, ThermalState(
+                    zeta1 / per_kelvin * inward)) for zeta1, inward in (
+                        (1e-100, 1.0 + 5e-4), (1e12, 1.0 - 5e-4)))
+            assert low.value == 0.0, (model, a)
+            assert math.copysign(1.0, low.value) == 1.0, (model, a)
+            assert low.diagnostics["indistinguishable_from_zero"]
+            assert high.value > 0.0, (model, a)
+    assert cli.main(["entropy", "--model", "infrared-optics", "--separation",
+                     "1e-12", "--temperature", "2e-92", "--format",
+                     "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    column = header.split(",").index("entropy_J_per_m2_K")
+    assert row.split(",")[column] == "0"
+
+
 def test_low_T_asymptotics_against_full_pipeline():
     geometry = Geometry(1e-6)
     state = ThermalState(30.0)
@@ -835,12 +863,12 @@ def test_matsubara_block_size_does_not_change_results(monkeypatch):
 
 
 def test_matsubara_blocks_are_sized_to_the_ladder(monkeypatch):
-    # l = 0 shares the first integrand call; later blocks hold the rows the
-    # ladder still needs (short ladders overshoot by at most 3 rows), no
-    # call holds more than 33 rows, and a ladder whose floor is past l = 64
-    # takes exactly the rows of its hand-off: 17 in one call at l = 16, or
-    # 17 + 16 in two at l = 32 (3 K, 1 um: 17; 10 K, 1 um, tol 1e-10: 33
-    # for F, 17 for P)
+    # l = 0 shares the first integrand call; a ladder that stops within 33
+    # terms takes all its rows in that one call, overshooting by at most 7
+    # rows, no call holds more than 33 rows, and a ladder whose floor is
+    # past l = 64 takes exactly the rows of its hand-off: 17 in one call at
+    # l = 16, or 17 + 16 in two at l = 32 (3 K, 1 um: 17; 10 K, 1 um, tol
+    # 1e-10: 33 for F, 17 for P)
     import casimir_impedance.observables as obs
 
     lowers = []
@@ -865,13 +893,84 @@ def test_matsubara_blocks_are_sized_to_the_ladder(monkeypatch):
             assert np.array_equal(np.concatenate(lowers),
                                   np.arange(rows) * lowers[0][1])
             if short:
-                assert used < 33 and used <= rows <= used + 3, (a, f)
+                assert used < 33 and len(lowers) == 1, (a, f)
+                assert used <= rows <= used + 7, (a, f)
             else:
                 assert used == rows, (a, f)
                 assert [len(lo) for lo in lowers] == {
                     17: [17], 33: [17, 16]}[used], (a, f)
                 handed_off.append(used)
     assert sorted(handed_off) == [17, 17, 17, 33]
+
+
+def test_short_ladders_take_one_call_on_the_thermal_grid(monkeypatch):
+    # the benchmark's thermal grid (12 separations 0.15-5 um; 3, 10, 70 and
+    # 300 K): every infrared-optics free energy and pressure whose ladder
+    # stops within 33 terms makes exactly one integrate_semiinf call, whose
+    # rows past the stop are at most 7
+    import casimir_impedance.observables as obs
+
+    rows = []
+
+    def recording(f, lower, rel_tol):
+        rows.append(len(lower))
+        return integrate_semiinf(f, lower, rel_tol)
+
+    monkeypatch.setattr(obs, "integrate_semiinf", recording)
+    short = 0
+    for a in np.geomspace(0.15e-6, 5e-6, 12):
+        for temperature in (3.0, 10.0, 70.0, 300.0):
+            for f in (free_energy, pressure_plates):
+                rows.clear()
+                used = f(GOLD_IR, Geometry(a), ThermalState(temperature)
+                         ).diagnostics["terms_used"]
+                if used <= 33:
+                    short += 1
+                    assert len(rows) == 1, (a, temperature, f, rows)
+                    assert used <= rows[0] <= used + 7, (a, temperature, f)
+    assert short == 80  # of the 96 records
+
+
+def test_in_place_kernels_are_the_out_of_place_forms_bit_for_bit():
+    # x_factors_grid and the free-energy and pressure integrands write into
+    # their own arrays; against the same formulas with a new array for every
+    # operation (tests/oracles.py) every value is equal, for all six models:
+    # on a Matsubara block with the zeta = 0 row and y past 709, on a wedge
+    # chunk, and (X alone) on the entropy's complex (zeta, y)
+    from oracles import (
+        free_energy_integrand_out_of_place, pressure_integrand_out_of_place,
+        x_factors_out_of_place,
+    )
+
+    geometry, wp = Geometry(0.5e-6), GOLD.plasma_frequency
+    u = quadrature._u_rule(0)[0]
+    lo = np.arange(10)[:, None, None] * 80.0  # rows up to 720 + 40
+    block = (lo, lo + 40.0 * u)
+    s, y = quadrature._s_rule(0)[0], quadrature._y_rule(40.0, 0)[0][:3]
+    m = y[:, :, None]
+    wedge = (m * s.ravel() ** 3, m)
+    assert block[1].max() > 709.0 and block[0][0, 0, 0] == 0.0
+    for model in (IdealMetal(), NormalSkin(1e17), GOLD_AS, GOLD_IR,
+                  Plasma(wp), Drude(wp, 5.3e13)):
+        for zeta, y in (block, wedge):
+            for ours, theirs in (
+                    (observables._free_energy_integrand(model, geometry, zeta)(
+                        y), free_energy_integrand_out_of_place(
+                            model, geometry, zeta, y)),
+                    (observables._pressure_integrand(model, geometry, zeta)(
+                        y), pressure_integrand_out_of_place(
+                            model, geometry, zeta, y)),
+                    *zip(observables.x_factors_grid(model, geometry, zeta, y),
+                         x_factors_out_of_place(model, geometry, zeta, y))):
+                assert np.isfinite(ours).all(), model
+                assert np.array_equal(ours, theirs), model  # shapes too
+        step = 1e-20 * block[0] * 1j
+        for ours, theirs in zip(
+                observables.x_factors_grid(model, geometry, block[0] + step,
+                                           block[1] + step),
+                x_factors_out_of_place(model, geometry, block[0] + step,
+                                       block[1] + step)):
+            assert np.iscomplexobj(ours) and np.array_equal(ours, theirs)
 
 
 def test_matsubara_terms_evaluate_kernels_in_chunks(monkeypatch):
