@@ -19,10 +19,7 @@ from .reflection import (
     AnomalousSkin, Drude, IdealMetal, ImpedanceModel, InfraredOptics, Model,
     NormalSkin, Plasma, zero_freq_r_sq,
 )
-from .quadrature import (
-    IntegralResult, NonConvergenceError, SumResult, integrate_interval,
-    integrate_semiinf, integrate_wedge, matsubara_sum,
-)
+from .quadrature import NonConvergenceError
 from .observables import (
     Quantity, ResultValue, ZETA3,
     energy_T0, energy_ideal, entropy, force_sphere_plate, free_energy,

@@ -23,12 +23,13 @@ representation (not by differentiating F numerically):
     P = -(k_B T / 8 pi a^3) * sum'_l int y^2 dy sum_p r_p^2 e^-y/(1 - r_p^2 e^-y)
 
 and the sphere-plate force through the proximity relation F = 2 pi R F_pp.
-One driver, `_spectral`, evaluates both forms for either y-integrand:
-the primed Matsubara sum at T > 0 (its remainder by Euler-Maclaurin past
-l = 64, or past l = 16 or 32 where a ladder's floor is 64 or more and the
-ends' error bound already meets tol there) and, at T = 0, the zeta
-integral with the order swapped, int_0^inf dy int_0^y dzeta, by the
-graded tensor rule `integrate_wedge`.
+Each y-integrand is a plain vectorized g(model, geometry, zeta, y).  One
+driver, `_spectral`, binds it once per record, evaluates both forms with it
+and then runs the model's separation check: the primed Matsubara sum at
+T > 0 (its remainder by Euler-Maclaurin past l = 64, or past l = 16 or 32
+where a ladder's floor is 64 or more and the ends' error bound already
+meets tol there) and, at T = 0, the zeta integral with the order swapped,
+int_0^inf dy int_0^y dzeta, by the graded tensor rule `integrate_wedge`.
 Every observable reaches the quadrature through it, the entropy S = -dF/dT
 as the ladder -(k_B / 8 pi a^2) sum'_l h(zeta_l), h = d(zeta I)/dzeta
 (zeta_1 is proportional to T), whose remainder past L is -L I(L zeta_1).
@@ -44,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -94,63 +96,50 @@ class ResultValue:
     diagnostics: Mapping[str, object]
 
 
-def _free_energy_integrand(model: Model, geometry: Geometry, zeta):
-    """y * [2 ln(1-e^-y) + sum_p ln(1 + X_p/(e^y - 1))] as a vectorized
-    function of y."""
-
-    def f(y: np.ndarray) -> np.ndarray:
-        xpar, xperp = x_factors_grid(model, geometry, zeta, y)
-        with np.errstate(over="ignore"):  # y > 709: 1/inf = 0 is right
-            t = 1.0 / np.expm1(y)
-        for x in (xpar, xperp):  # in place: X's arrays are the kernel's own
-            np.log1p(np.multiply(x, t, out=x), out=x)
-        # X_par depends on zeta in every model: it has the shape of (zeta, y)
-        xpar += 2.0 * np.log1p(-np.exp(-y))
-        xpar += xperp
-        return np.multiply(xpar, y, out=xpar)
-
-    return f
+def _free_energy_integrand(model: Model, geometry: Geometry, zeta, y):
+    """y * [2 ln(1-e^-y) + sum_p ln(1 + X_p/(e^y - 1))], vectorized."""
+    xpar, xperp = x_factors_grid(model, geometry, zeta, y)
+    with np.errstate(over="ignore"):  # y > 709: 1/inf = 0 is right
+        t = 1.0 / np.expm1(y)
+    for x in (xpar, xperp):  # in place: X's arrays are the kernel's own
+        np.log1p(np.multiply(x, t, out=x), out=x)
+    # X_par depends on zeta in every model: it has the shape of (zeta, y)
+    xpar += 2.0 * np.log1p(-np.exp(-y))
+    xpar += xperp
+    return np.multiply(xpar, y, out=xpar)
 
 
-def _entropy_integrand(model: Model, geometry: Geometry, zeta):
+def _entropy_integrand(model: Model, geometry: Geometry, zeta, y):
     """g + zeta (d/dzeta + d/dy) g = g + zeta g / y + y sum_p (zeta (1 - X_p)
     + zeta dX_p) / (e^y - 1 + X_p), g the free-energy integrand: its
     y-integral from zeta is h(zeta).  zeta dX along the ray is Im X(zeta (1
     + i d), y + i d zeta) / d, d = _STEP; the logarithms stay real."""
-
-    def f(y: np.ndarray) -> np.ndarray:
-        step = _STEP * zeta * 1j
-        xs = x_factors_grid(model, geometry, zeta + step, y + step)
-        with np.errstate(over="ignore"):  # y > 709: X/inf = 0 is right
-            em1 = np.expm1(y)
-        g = y * (2.0 * np.log1p(-np.exp(-y))
-                 + sum(np.log1p(x.real / em1) for x in xs))
-        return g + zeta * g / y + y * sum(
-            (zeta * (1.0 - x.real) + x.imag / _STEP) / (em1 + x.real)
-            for x in xs)
-
-    return f
+    step = _STEP * zeta * 1j
+    xs = x_factors_grid(model, geometry, zeta + step, y + step)
+    with np.errstate(over="ignore"):  # y > 709: X/inf = 0 is right
+        em1 = np.expm1(y)
+    g = y * (2.0 * np.log1p(-np.exp(-y))
+             + sum(np.log1p(x.real / em1) for x in xs))
+    return g + zeta * g / y + y * sum(
+        (zeta * (1.0 - x.real) + x.imag / _STEP) / (em1 + x.real)
+        for x in xs)
 
 
-def _pressure_integrand(model: Model, geometry: Geometry, zeta):
+def _pressure_integrand(model: Model, geometry: Geometry, zeta, y):
     """y^2 * sum_p r_p^2 e^-y / (1 - r_p^2 e^-y), written through
     X = 1 - r^2 so the denominator 1 - r^2 e^-y = (1-e^-y) + X e^-y is
     cancellation-free."""
-
-    def f(y: np.ndarray) -> np.ndarray:
-        xpar, xperp = x_factors_grid(model, geometry, zeta, y)
-        em = np.exp(-y)
-        one_minus_em = -np.expm1(-y)
-        for x in (xpar, xperp):  # in place: X's arrays are the kernel's own
-            r2_em = 1.0 - x
-            r2_em *= em
-            x *= em
-            x += one_minus_em
-            np.divide(r2_em, x, out=x)
-        xpar += xperp
-        return np.multiply(xpar, y * y, out=xpar)
-
-    return f
+    xpar, xperp = x_factors_grid(model, geometry, zeta, y)
+    em = np.exp(-y)
+    one_minus_em = -np.expm1(-y)
+    for x in (xpar, xperp):  # in place: X's arrays are the kernel's own
+        r2_em = 1.0 - x
+        r2_em *= em
+        x *= em
+        x += one_minus_em
+        np.divide(r2_em, x, out=x)
+    xpar += xperp
+    return np.multiply(xpar, y * y, out=xpar)
 
 
 def energy_ideal(geometry: Geometry) -> ResultValue:
@@ -179,38 +168,39 @@ def check_range(geometry: Geometry, state: ThermalState) -> float:
     return zeta1
 
 
-def _band(model: Model, geometry: Geometry, integrand_factory, lo: float,
-          rel_tol: float) -> IntegralResult:
-    """The T = 0 spectrum above zeta = lo, int_lo^Y dy int_lo^y dzeta of
-    the y-integrand by `integrate_wedge`, Y = tail_cutoff(lo, rel_tol); 0
-    past the cutoff of lo = 0, where it is below e^-40 of the whole."""
+def _band(g, lo: float, rel_tol: float) -> IntegralResult:
+    """The T = 0 spectrum above zeta = lo, int_lo^Y dy int_lo^y dzeta g(zeta,
+    y) by `integrate_wedge`, Y = tail_cutoff(lo, rel_tol); 0 past the
+    cutoff of lo = 0, where it is below e^-40 of the whole."""
     if lo >= tail_cutoff(0.0, rel_tol):
         return IntegralResult(0.0, 0.0, 0)
-    return integrate_wedge(
-        lambda zeta, y: integrand_factory(model, geometry, zeta)(y),
-        tail_cutoff(lo, rel_tol), rel_tol, lo)
+    return integrate_wedge(g, tail_cutoff(lo, rel_tol), rel_tol, lo)
 
 
 def _spectral(model: Model, geometry: Geometry, state: ThermalState,
-              tol: ToleranceConfig, integrand_factory, power: int,
+              tol: ToleranceConfig, integrand, power: int,
               band=_band) -> tuple[float, float, dict]:
     """(value, absolute error, diagnostics) of an observable's spectral
-    form in physical units: (hbar c / 32 pi^2 a^power) times the `_band`
-    above zeta = 0 at T = 0, and (k_B T / 8 pi a^(power-1)) times the
-    primed Matsubara sum of the y-integrals at T > 0, whose floor
-    ceil(10 / zeta_1) covers the dominant spectral window zeta <= 10; every
-    integral and the sum's stop rule use tol.quadrature_rel_tol.  Its error
-    is the per-term quadrature errors (quad_err) plus a remainder bound
-    (tail_err): last_term / (e^zeta_1 - 1) for a ladder that stops by
-    itself (the terms decay at least like e^(-zeta_1 l)), while one that
-    `matsubara_sum` hands off at l = L (64, or 16 or 32 for a floor past
-    64) adds the Euler-Maclaurin remainder, `band` (default `_band`) above
-    L zeta_1 = (terms_used - 1) zeta_1 over zeta_1 + `euler_maclaurin_ends`.
+    form in physical units, `integrand` bound once to the model and
+    geometry: (hbar c / 32 pi^2 a^power) times the `_band` above zeta = 0
+    at T = 0, and (k_B T / 8 pi a^(power-1)) times the primed Matsubara sum
+    of the y-integrals at T > 0, whose floor ceil(10 / zeta_1) covers the
+    dominant spectral window zeta <= 10; every integral and the sum's stop
+    rule use tol.quadrature_rel_tol.  Its error is the per-term quadrature
+    errors (quad_err) plus a remainder bound (tail_err): last_term /
+    (e^zeta_1 - 1) for a ladder that stops by itself (the terms decay at
+    least like e^(-zeta_1 l)), while one that `matsubara_sum` hands off at
+    l = L (64, or 16 or 32 for a floor past 64) adds the Euler-Maclaurin
+    remainder, `band` (default `_band`) above L zeta_1 = (terms_used - 1)
+    zeta_1 over zeta_1 + `euler_maclaurin_ends`.  Then the model's
+    `check_separation` runs, so a record that raises warns nothing.
     """
     a, zeta1 = geometry.separation, check_range(geometry, state)
     rel_tol = tol.quadrature_rel_tol
+    g = partial(integrand, model, geometry)
     if state.temperature <= 0.0:
-        w = _band(model, geometry, integrand_factory, 0.0, rel_tol)
+        w = _band(g, 0.0, rel_tol)
+        model.check_separation(geometry)
         prefac = HBAR * C_LIGHT / (32.0 * math.pi ** 2 * a ** power)
         return prefac * w.value, prefac * w.abs_error_estimate, {
             "evaluations": w.evaluations}
@@ -221,8 +211,8 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     def terms(ls: np.ndarray) -> np.ndarray:
         # one call per block, a zeta row per l, from the row zeta = 0 (l = 0)
         zeta = ls * zeta1
-        done.append(integrate_semiinf(integrand_factory(
-            model, geometry, zeta[:, None, None]), zeta, rel_tol))
+        done.append(integrate_semiinf(partial(g, zeta[:, None, None]), zeta,
+                                      rel_tol))
         return done[-1].value
 
     s = matsubara_sum(terms, rel_tol, l_floor)
@@ -233,12 +223,12 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
         # capped so that a large a*T cannot overflow expm1; the bound only grows
         tail_err = s.last_term_magnitude / math.expm1(min(zeta1, 700.0))
     else:
-        w = band(model, geometry, integrand_factory,
-                 (s.terms_used - 1) * zeta1, rel_tol)
+        w = band(g, (s.terms_used - 1) * zeta1, rel_tol)
         ends, tail_err = euler_maclaurin_ends(s.edge_terms)
         value += ends + w.value / zeta1
         tail_err += w.abs_error_estimate / zeta1
         evaluations += w.evaluations
+    model.check_separation(geometry)
     # (8 pi a) a, not 8 pi a^2: the free energy's 17-digit CSV shows the ulp
     denom = (8.0 * math.pi * a * a if power == 3
              else 8.0 * math.pi * a ** (power - 1))
@@ -256,7 +246,6 @@ def energy_T0(model: Model, geometry: Geometry,
     correction factor E/E0 relative to the ideal metal in the diagnostics."""
     value, err, diag = _spectral(model, geometry, ThermalState(0.0), tol,
                                  _free_energy_integrand, 3)
-    model.check_separation(geometry)  # after _spectral's range check
     e0 = energy_ideal(geometry).value
     return ResultValue(Quantity.ENERGY_PER_AREA, value, err,
                        {"correction_factor": value / e0, **diag})
@@ -273,7 +262,6 @@ def free_energy(model: Model, geometry: Geometry, state: ThermalState,
         raise ValueError("free_energy requires T > 0; use energy_T0 at T = 0")
     value, err, diag = _spectral(model, geometry, state, tol,
                                  _free_energy_integrand, 3)
-    model.check_separation(geometry)
     return ResultValue(Quantity.FREE_ENERGY_PER_AREA, value, err, diag)
 
 
@@ -311,7 +299,6 @@ def pressure_plates(model: Model, geometry: Geometry, state: ThermalState,
     """
     value, err, diag = _spectral(model, geometry, state, tol,
                                  _pressure_integrand, 4)
-    model.check_separation(geometry)
     return ResultValue(Quantity.PRESSURE_PLATES, -value, err, diag)
 
 
@@ -338,15 +325,14 @@ def entropy(model: Model, geometry: Geometry, state: ThermalState,
     if temp <= 0.0:
         raise ValueError("entropy requires T > 0")
 
-    def band(model, geometry, _, lo, rel_tol):  # int_lo^inf h = -lo I(lo)
-        i = integrate_semiinf(_free_energy_integrand(model, geometry, lo),
-                              lo, rel_tol)
+    def band(_, lo, rel_tol):  # int_lo^inf h = -lo I(lo)
+        i = integrate_semiinf(partial(_free_energy_integrand, model,
+                                      geometry, lo), lo, rel_tol)
         return IntegralResult(-lo * i.value, lo * i.abs_error_estimate,
                               i.evaluations)
 
     value, err, diag = _spectral(model, geometry, state, tol,
                                  _entropy_integrand, 3, band)
-    model.check_separation(geometry)
     diag.update({k: diag[k] / temp for k in ("quad_err", "tail_err")},
                 indistinguishable_from_zero=err >= abs(value))
     return ResultValue(Quantity.ENTROPY_PER_AREA, 0.0 - value / temp,
@@ -469,7 +455,7 @@ def spectral_contribution(model: Model, geometry: Geometry,
     if lo < 0.0 or not hi > lo:
         raise ValueError("window must satisfy 0 <= zeta_lo < zeta_hi")
     check_range(geometry, ThermalState(0.0))
-    full, above_lo, above_hi = (_band(model, geometry, _free_energy_integrand,
-                                      z, tol.quadrature_rel_tol).value
+    g = partial(_free_energy_integrand, model, geometry)
+    full, above_lo, above_hi = (_band(g, z, tol.quadrature_rel_tol).value
                                 for z in (0.0, lo, hi))
     return (above_lo - above_hi) / full

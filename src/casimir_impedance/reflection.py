@@ -159,7 +159,7 @@ class InfraredOptics(ImpedanceModel):
                 f"separation {geometry.separation:.3g} m is not above the "
                 f"plasma wavelength {lam_p:.3g} m; results there are outside "
                 "the validity range of the surface-impedance description",
-                stacklevel=3)
+                stacklevel=4)
 
 
 @dataclass(frozen=True)

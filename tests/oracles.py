@@ -2,7 +2,8 @@
 coefficients, dielectric and dispersion functions in physical (not scaled)
 variables, computed independently of the package's vectorized kernels.
 `impedance_imag_axis` and `x_factors` are scalar wrappers of `model.z` and
-`x_factors_grid`.  `zero_freq_closed_form` states each model's
+`x_factors_grid`; `x_factors_mp` is X = 1 - r^2 from the definitions at
+50 digits.  `zero_freq_closed_form` states each model's
 zero-frequency limit in closed form.  `free_energy_ideal` is the ideal
 metal's closed-form free energy; `energy_T0_nested_quad` and `free_energy_direct_ladder` are
 independent numeric references for the two spectral forms.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +28,8 @@ from casimir_impedance.physcore import (
     C_LIGHT, Geometry, ThermalState, effective_temperature,
 )
 from casimir_impedance.reflection import (
-    Drude, ImpedanceModel, InfraredOptics, Plasma, x_factors_grid,
+    AnomalousSkin, Drude, IdealMetal, ImpedanceModel, InfraredOptics,
+    NormalSkin, Plasma, x_factors_grid,
 )
 from casimir_impedance.observables import (
     ZETA3, Quantity, ResultValue, energy_ideal, free_energy,
@@ -195,6 +198,39 @@ def zero_freq_closed_form(model, k_perp: float) -> ReflectionPair:
     if isinstance(model, ImpedanceModel):
         return ReflectionPair(1.0, 1.0)
     raise TypeError(f"not a reflection model: {model!r}")
+
+
+def x_factors_mp(model, a: float, zeta: float, y: float) -> tuple:
+    """(X_par, X_perp) = 1 - r^2 at 50 digits, rounded to floats, at zeta >
+    0 and y >= zeta: r_p from the definitions in physical units at xi = c
+    zeta / 2a and q = y / 2a, the impedance boundary condition with Z(i
+    xi) written out per model, or the Fresnel coefficients of eps(i xi)
+    with k^2 = k_perp^2 + eps xi^2 / c^2.  No step is the package's
+    4 y u / (y + u)^2 form, and none reads a model's own formulas."""
+    from mpmath import mp, mpf, sqrt
+
+    with mp.workdps(50):
+        c = mpf(C_LIGHT)
+        xi, q = mpf(zeta) * c / (2 * mpf(a)), mpf(y) / (2 * mpf(a))
+        if isinstance(model, (Plasma, Drude)):
+            wp2 = mpf(model.omega_p) ** 2
+            eps = 1 + (wp2 / xi ** 2 if isinstance(model, Plasma)
+                       else wp2 / (xi * (xi + mpf(model.gamma))))
+            k = sqrt(q ** 2 - (xi / c) ** 2 + eps * (xi / c) ** 2)
+            r = ((eps * q - k) / (eps * q + k), (q - k) / (q + k))
+        else:
+            z = {
+                IdealMetal: lambda: mpf(0),
+                NormalSkin: lambda: sqrt(xi / (4 * mp.pi
+                                               * mpf(model.sigma))),
+                AnomalousSkin: lambda: (4 / (3 * sqrt(3)) * mpf(model.c_a)
+                                        * xi ** (mpf(2) / 3) / c),
+                InfraredOptics: lambda: xi / sqrt(mpf(model.omega_p) ** 2
+                                                  + xi ** 2),
+            }[type(model)]()
+            r = ((c * q - z * xi) / (c * q + z * xi),
+                 (xi - z * c * q) / (xi + z * c * q))
+        return tuple(float(1 - rp ** 2) for rp in r)
 
 
 def x_factors(model: ImpedanceModel, geometry: Geometry,
@@ -375,12 +411,12 @@ def free_energy_direct_ladder(model, geometry: Geometry, temperature: float,
     a = geometry.separation
     zeta1 = 4.0 * math.pi * a * K_B * temperature / (HBAR * C_LIGHT)
     last = math.ceil(40.0 / zeta1)
-    terms = [0.5 * integrate_semiinf(
-        _free_energy_integrand(model, geometry, 0.0), 0.0, rel_tol).value]
+    g = partial(_free_energy_integrand, model, geometry)
+    terms = [0.5 * integrate_semiinf(partial(g, 0.0), 0.0, rel_tol).value]
     for start in range(1, last + 1, block):
         zeta = np.arange(start, min(start + block, last + 1)) * zeta1
-        terms.extend(np.atleast_1d(integrate_semiinf(_free_energy_integrand(
-            model, geometry, zeta[:, None, None]), zeta, rel_tol).value))
+        terms.extend(np.atleast_1d(integrate_semiinf(
+            partial(g, zeta[:, None, None]), zeta, rel_tol).value))
     return K_B * temperature / (8.0 * math.pi * a * a) * math.fsum(terms)
 
 

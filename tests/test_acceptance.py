@@ -28,6 +28,7 @@ and bands.
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def test_criterion_8_matsubara_truncation():
     values = []
     for l in range(201):
         integral = integrate_semiinf(
-            _free_energy_integrand(GOLD_IR, geometry, l * zeta1),
+            partial(_free_energy_integrand, GOLD_IR, geometry, l * zeta1),
             l * zeta1, 1e-10)
         values.append((0.5 if l == 0 else 1.0) * integral.value)
     s41 = math.fsum(values[:41])

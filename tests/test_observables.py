@@ -30,7 +30,9 @@ from casimir_impedance.observables import (
     free_energy, lowT_asymptotics, pressure_plates, records,
     spectral_contribution, thermal_correction,
 )
-from oracles import entropy_richardson, free_energy_ideal
+from oracles import (
+    entropy_richardson, free_energy_ideal, zero_freq_closed_form,
+)
 
 TIGHT = ToleranceConfig(1e-9)
 MED = ToleranceConfig(1e-8)
@@ -98,6 +100,35 @@ def test_free_energy_ideal_classical_limit():
     assert closed.value == pytest.approx(classical, rel=1e-2, abs=0.0)
     numeric = free_energy(IdealMetal(), geometry, ThermalState(temp), TIGHT)
     assert numeric.value == pytest.approx(closed.value, rel=1e-9, abs=0.0)
+    # every model at a = 20 um, 300 K (zeta_1 = 32.9): F is its l = 0 term
+    # F0 = (k_B T / 16 pi a^2) sum_p int_0^inf y ln(1 - r_p^2(0) e^-y) dy,
+    # the next term below |F0| zeta_1^2 e^-zeta_1.  r^2 = 1 gives -zeta(3)
+    # (ideal metal and both skin effects: the classical limit above), the
+    # Drude r_perp^2 = 0 half of it, and infrared optics and plasma their
+    # r_perp^2(k_perp = y/2a) of oracles.zero_freq_closed_form
+    from scipy.integrate import quad
+
+    a, temp = 20e-6, 300.0
+    geometry, state = Geometry(a), ThermalState(temp)
+    zeta1 = observables.check_range(geometry, state)
+    assert zeta1 == pytest.approx(32.9, abs=0.05)
+    classical = -K_B * temp * ZETA3 / (8.0 * math.pi * a * a)
+    wp = GOLD.plasma_frequency
+    for model, f0 in ((IdealMetal(), classical),
+                      (NormalSkin(1e17), classical), (GOLD_AS, classical),
+                      (Drude(wp, 5.3e13), 0.5 * classical),
+                      (GOLD_IR, None), (Plasma(wp), None)):
+        if f0 is None:
+            perp = quad(lambda y: y * math.log1p(-zero_freq_closed_form(
+                model, y / (2.0 * a)).r_perp_sq * math.exp(-y)),
+                0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            f0 = 0.5 * classical + K_B * temp / (16.0 * math.pi * a * a) * perp
+            assert 0.5 < f0 / classical < 1.0  # r_perp^2(0) < 1
+        for tol in (ToleranceConfig(1e-6), ToleranceConfig(1e-10)):
+            res = free_energy(model, geometry, state, tol)
+            assert abs(res.value - f0) <= (
+                res.numeric_error + abs(f0) * zeta1 ** 2 * math.exp(-zeta1)
+            ), (model, tol)
 
 
 def test_free_energy_ideal_error_covers_high_temperature_limit():
@@ -554,6 +585,29 @@ def test_free_energy_warns_below_plasma_wavelength():
         energy_T0(GOLD_IR, Geometry(0.1e-6), MED)
 
 
+def test_plasma_wavelength_warning_points_at_the_caller():
+    # below lambda_p every observable warns once, and the warning names the
+    # line that called it: at T = 0, on ladders handed off to
+    # Euler-Maclaurin (3 and 300 K) and on ladders that stop by themselves
+    # (1000 K), which all leave _spectral by different branches
+    geometry, t0 = Geometry(0.1e-6), ThermalState(0.0)
+    calls = [lambda: energy_T0(GOLD_IR, geometry),
+             lambda: pressure_plates(GOLD_IR, geometry, t0)]
+    for state in (ThermalState(3.0), ThermalState(300.0),
+                  ThermalState(1000.0)):
+        calls += [lambda s=state: free_energy(GOLD_IR, geometry, s),
+                  lambda s=state: pressure_plates(GOLD_IR, geometry, s),
+                  lambda s=state: entropy(GOLD_IR, geometry, s)]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert len(caught) == 1
+        assert "plasma wavelength" in str(caught[0].message)
+        assert (caught[0].filename, caught[0].lineno) == (
+            __file__, call.__code__.co_firstlineno)
+
+
 def test_drude_free_energy_runs():
     res = free_energy(Drude(GOLD.plasma_frequency, 5.3e13), Geometry(1e-6),
                       ThermalState(300.0), MED)
@@ -954,12 +1008,13 @@ def test_in_place_kernels_are_the_out_of_place_forms_bit_for_bit():
                   Plasma(wp), Drude(wp, 5.3e13)):
         for zeta, y in (block, wedge):
             for ours, theirs in (
-                    (observables._free_energy_integrand(model, geometry, zeta)(
-                        y), free_energy_integrand_out_of_place(
-                            model, geometry, zeta, y)),
-                    (observables._pressure_integrand(model, geometry, zeta)(
-                        y), pressure_integrand_out_of_place(
-                            model, geometry, zeta, y)),
+                    (observables._free_energy_integrand(
+                        model, geometry, zeta, y),
+                     free_energy_integrand_out_of_place(
+                         model, geometry, zeta, y)),
+                    (observables._pressure_integrand(model, geometry, zeta, y),
+                     pressure_integrand_out_of_place(
+                         model, geometry, zeta, y)),
                     *zip(observables.x_factors_grid(model, geometry, zeta, y),
                          x_factors_out_of_place(model, geometry, zeta, y))):
                 assert np.isfinite(ours).all(), model

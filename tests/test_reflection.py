@@ -19,7 +19,7 @@ from casimir_impedance.reflection import (
 from oracles import (
     ReflectionPair, SpectralPoint, dispersion_functions, eps_imag_axis,
     impedance_imag_axis, refl_impedance, refl_lifshitz, x_factors,
-    zero_freq_closed_form,
+    x_factors_mp, zero_freq_closed_form,
 )
 
 GOLD_CA = derive_anomalous_constant(GOLD)
@@ -203,6 +203,25 @@ def test_x_factors_grid_is_the_fresnel_form_bit_for_bit():
             got = x_factors_grid(model, geometry, zeta, y)
             for x, u in zip(got, model.fresnel_inputs(geometry, zeta, y)):
                 assert np.array_equal(x, 4.0 * y * u / (y + u) ** 2), model
+
+
+def test_x_factors_grid_against_50_digit_definitions():
+    # X = 1 - r^2 of all six models against the impedance and Fresnel
+    # definitions at 50 digits, from r^2 ~ 0 to r^2 exponentially close to
+    # 1 (X down to 4e-20, where 1 - r^2 in doubles would keep no digit);
+    # zeta = 0 is the zero-frequency tests' row.  The kernel's worst
+    # is 1.7e-15 (anomalous skin)
+    wp = GOLD.plasma_frequency
+    for model in (IdealMetal(), NormalSkin(1e17), AnomalousSkin(GOLD_CA),
+                  InfraredOptics(wp), Plasma(wp), Drude(wp, 5e13)):
+        for a in (1e-9, 1e-6, 1e-3):
+            for zeta in np.geomspace(1e-6, 1e3, 10):
+                y = np.geomspace(max(zeta, 1e-3), 1e3, 10)
+                got = x_factors_grid(model, Geometry(a), zeta, y)
+                for j, yj in enumerate(y):
+                    for x, ref in zip(got, x_factors_mp(model, a, zeta, yj)):
+                        assert abs(x[j] - ref) <= 1e-14 * abs(ref), (
+                            model, a, zeta, yj, x[j], ref)
 
 
 def test_x_factors_grid_rejects_y_not_positive():
