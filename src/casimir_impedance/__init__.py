@@ -16,8 +16,8 @@ from .physcore import (
     transition_frequency,
 )
 from .reflection import (
-    AnomalousSkin, Drude, IdealMetal, ImpedanceModel, InfraredOptics, Model,
-    NormalSkin, Plasma, zero_freq_r_sq,
+    AnomalousSkin, Drude, IdealMetal, InfraredOptics, Model, NormalSkin,
+    Plasma, zero_freq_r_sq,
 )
 from .quadrature import NonConvergenceError
 from .observables import (

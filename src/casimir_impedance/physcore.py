@@ -91,13 +91,13 @@ class MaterialParams:
     def from_file(cls, path: str | Path) -> "MaterialParams":
         """Parse a plain-text ``key=value`` material file.
 
-        Recognized keys: omega_p, v_f, sigma, c_a.  Blank lines and lines
-        starting with '#' are ignored; unknown keys are rejected.
+        Recognized keys: omega_p, v_f, sigma, c_a; '#' starts a comment
+        anywhere on a line, and unknown keys are rejected.
         """
         values: dict[str, float] = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.partition("#")[0].strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")

@@ -41,9 +41,10 @@ with the metal-side wavenumber u = w/eps (TM, par) and u = w (TE, perp)
 for a dielectric, and u = zeta Z (par) and u = zeta/Z (perp) for an
 impedance; X stays accurate when r^2 is exponentially close to 1.  Every
 model derives from `Model` and supplies its (u_par, u_perp) as
-``fresnel_inputs(geometry, zeta, y)``, an `ImpedanceModel` from its
-``z(xi)`` (Z(i xi) on an array xi >= 0, zeta/Z = 0 where Z = 0), and one
-kernel, `x_factors_grid`, turns them into (X_par, X_perp).  The inputs are
+``fresnel_inputs(geometry, zeta, y)``, each impedance model zeta Z and
+zeta/Z of its own Z(i c zeta / 2a) with principal roots (so a complex
+zeta, the entropy's step, is an argument too), and one kernel,
+`x_factors_grid`, turns them into (X_par, X_perp).  The inputs are
 finite at zeta >= 0, so zeta = 0 is an ordinary argument and gives each
 model's limit, the l = 0 Matsubara term: X = 0 for the ideal metal and the
 skin-effect impedances, r_perp^2(0) > 0 for the plasma dielectric and for
@@ -67,7 +68,7 @@ import numpy as np
 from .physcore import C_LIGHT, Geometry
 
 __all__ = [
-    "Model", "ImpedanceModel", "IdealMetal", "NormalSkin", "AnomalousSkin",
+    "Model", "IdealMetal", "NormalSkin", "AnomalousSkin",
     "InfraredOptics", "Plasma", "Drude", "x_factors_grid", "zero_freq_r_sq",
 ]
 
@@ -86,27 +87,18 @@ class Model:
         """Warn where the model stops applying; silent by default."""
 
 
-class ImpedanceModel(Model):
-    """Base class of the impedance models; subclasses define z(xi)."""
-
-    def fresnel_inputs(self, geometry: Geometry, zeta, y):
-        """(zeta Z, zeta/Z) at zeta >= 0, with zeta/Z = 0 where Z = 0."""
-        z = self.z(np.asarray(zeta * C_LIGHT / (2.0 * geometry.separation)))
-        return zeta * z, np.divide(zeta, z, out=np.zeros_like(z), where=z > 0)
-
-
 @dataclass(frozen=True)
-class IdealMetal(ImpedanceModel):
+class IdealMetal(Model):
     """Perfect conductor: Z identically zero."""
 
-    def z(self, xi):
-        return np.zeros_like(xi)
+    def fresnel_inputs(self, geometry, zeta, y):
+        return 0.0 * zeta, 0.0 * zeta
 
 
 @dataclass(frozen=True)
-class NormalSkin(ImpedanceModel):
+class NormalSkin(Model):
     """Local-conductivity (normal skin effect) metal; sigma in Gaussian
-    units (s^-1)."""
+    units (s^-1).  Z = sqrt(k zeta), k = c / (8 pi sigma a)."""
 
     sigma: float
 
@@ -114,14 +106,16 @@ class NormalSkin(ImpedanceModel):
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
 
-    def z(self, xi):
-        return np.sqrt(xi / (4.0 * math.pi * self.sigma))
+    def fresnel_inputs(self, geometry, zeta, y):
+        k = C_LIGHT / (8.0 * math.pi * self.sigma * geometry.separation)
+        z = np.sqrt(k * zeta)  # Z; zeta/Z = sqrt(zeta / k) = z / k
+        return zeta * z, z / k
 
 
 @dataclass(frozen=True)
-class AnomalousSkin(ImpedanceModel):
+class AnomalousSkin(Model):
     """Nonlocal (anomalous skin effect) metal with a spherical Fermi
-    surface; c_a in m (rad/s)^(1/3)."""
+    surface; c_a in m (rad/s)^(1/3).  Z = k zeta^(2/3)."""
 
     c_a: float
 
@@ -129,12 +123,15 @@ class AnomalousSkin(ImpedanceModel):
         if not 0.0 < self.c_a < math.inf:
             raise ValueError("c_a must be positive and finite")
 
-    def z(self, xi):
-        return _ANOM_PREFACTOR * self.c_a * xi ** (2.0 / 3.0) / C_LIGHT
+    def fresnel_inputs(self, geometry, zeta, y):
+        k = (_ANOM_PREFACTOR * self.c_a / C_LIGHT
+             * (C_LIGHT / (2.0 * geometry.separation)) ** (2.0 / 3.0))
+        t = zeta ** (1.0 / 3.0)  # principal root: np.cbrt rejects complex
+        return k * zeta * t * t, t / k
 
 
 @dataclass(frozen=True)
-class InfraredOptics(ImpedanceModel):
+class InfraredOptics(Model):
     """Collisionless free-electron plasma; omega_p in rad/s.  At zero
     frequency r_perp^2 keeps a material dependence."""
 
@@ -142,9 +139,6 @@ class InfraredOptics(ImpedanceModel):
 
     def __post_init__(self) -> None:
         _check_omega_p(self.omega_p)
-
-    def z(self, xi):
-        return xi / np.hypot(self.omega_p, xi)
 
     def fresnel_inputs(self, geometry, zeta, y):
         w_p = 2.0 * geometry.separation * self.omega_p / C_LIGHT

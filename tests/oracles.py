@@ -1,10 +1,11 @@
 """Scalar one-point helpers that the tests use as references: reflection
 coefficients, dielectric and dispersion functions in physical (not scaled)
 variables, computed independently of the package's vectorized kernels.
-`impedance_imag_axis` and `x_factors` are scalar wrappers of `model.z` and
-`x_factors_grid`; `x_factors_mp` is X = 1 - r^2 from the definitions at
-50 digits.  `zero_freq_closed_form` states each model's
-zero-frequency limit in closed form.  `free_energy_ideal` is the ideal
+`impedance_imag_axis` writes Z(i xi) of each impedance model in closed
+form and reads no model method; `x_factors` is a scalar wrapper of
+`x_factors_grid`, and `x_factors_mp` is X = 1 - r^2 from the definitions
+at 50 digits.  `zero_freq_closed_form` states each model's zero-frequency
+limit in closed form.  `free_energy_ideal` is the ideal
 metal's closed-form free energy; `energy_T0_nested_quad` and `free_energy_direct_ladder` are
 independent numeric references for the two spectral forms.
 `entropy_richardson` is the entropy as a Richardson-extrapolated central
@@ -28,8 +29,8 @@ from casimir_impedance.physcore import (
     C_LIGHT, Geometry, ThermalState, effective_temperature,
 )
 from casimir_impedance.reflection import (
-    AnomalousSkin, Drude, IdealMetal, ImpedanceModel, InfraredOptics,
-    NormalSkin, Plasma, x_factors_grid,
+    AnomalousSkin, Drude, IdealMetal, InfraredOptics, Model, NormalSkin,
+    Plasma, x_factors_grid,
 )
 from casimir_impedance.observables import (
     ZETA3, Quantity, ResultValue, energy_ideal, free_energy,
@@ -43,7 +44,21 @@ class ImpedanceValue:
     z: float
 
 
-def impedance_imag_axis(model: ImpedanceModel, xi: float) -> ImpedanceValue:
+def _impedance(model, xi: float) -> float:
+    """Z(i xi) of an impedance model, written out per model."""
+    if isinstance(model, IdealMetal):
+        return 0.0
+    if isinstance(model, NormalSkin):
+        return math.sqrt(xi / (4.0 * math.pi * model.sigma))
+    if isinstance(model, AnomalousSkin):
+        return (4.0 / (3.0 * math.sqrt(3.0)) * model.c_a
+                * xi ** (2.0 / 3.0) / C_LIGHT)
+    if isinstance(model, InfraredOptics):
+        return xi / math.hypot(model.omega_p, xi)
+    raise TypeError(f"not an impedance model: {model!r}")
+
+
+def impedance_imag_axis(model, xi: float) -> ImpedanceValue:
     """Evaluate Z(i xi) for a single imaginary frequency xi >= 0 (rad/s).
 
     Warns when the result exceeds 0.3: the impedance boundary condition
@@ -52,14 +67,14 @@ def impedance_imag_axis(model: ImpedanceModel, xi: float) -> ImpedanceValue:
     """
     if xi < 0.0:
         raise ValueError("imaginary frequency must be non-negative")
-    z = float(model.z(np.asarray(xi, dtype=float)))
+    z = _impedance(model, xi)
     if z > 0.3:
         warnings.warn(f"|Z| = {z:.3g} is not small; the impedance boundary "
                       "condition assumes |Z| << 1", stacklevel=2)
     return ImpedanceValue(z)
 
 
-def dimensionless_impedance(model: ImpedanceModel, geometry: Geometry,
+def dimensionless_impedance(model, geometry: Geometry,
                             zeta: float) -> ImpedanceValue:
     """Z at the scaled frequency zeta = 2 a xi / c, i.e. Z(i c zeta / (2a))."""
     if zeta < 0.0:
@@ -195,7 +210,7 @@ def zero_freq_closed_form(model, k_perp: float) -> ReflectionPair:
         return ReflectionPair(1.0, ((k_perp - k0) / (k_perp + k0)) ** 2)
     if isinstance(model, Drude):
         return ReflectionPair(1.0, 0.0)
-    if isinstance(model, ImpedanceModel):
+    if isinstance(model, (IdealMetal, NormalSkin, AnomalousSkin)):
         return ReflectionPair(1.0, 1.0)
     raise TypeError(f"not a reflection model: {model!r}")
 
@@ -233,7 +248,7 @@ def x_factors_mp(model, a: float, zeta: float, y: float) -> tuple:
         return tuple(float(1 - rp ** 2) for rp in r)
 
 
-def x_factors(model: ImpedanceModel, geometry: Geometry,
+def x_factors(model: Model, geometry: Geometry,
               zeta: float, y: float) -> tuple[float, float]:
     """Scalar (X_par, X_perp) at one (zeta, y); requires y > 0."""
     if y <= 0.0:
@@ -374,7 +389,7 @@ def energy_T0_nested_quad(model, geometry: Geometry,
                 return ((eps * y - w) / (eps * y + w)) ** 2, \
                     ((y - w) / (y + w)) ** 2
         else:
-            z = float(model.z(np.asarray(xi)))
+            z = _impedance(model, xi)
 
             def r_sq(y):
                 return ((y - z * zeta) / (y + z * zeta)) ** 2, \

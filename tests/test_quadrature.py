@@ -324,13 +324,13 @@ def test_euler_maclaurin_ends_on_geometric_terms():
     # sum_{l>=L} e^-al - int_L^inf e^-al dl = e^-aL (1/(1 - e^-a) - 1/a)
     from mpmath import exp, mp, mpf
 
-    mp.dps = 40
     big_l = 64
     for a in (0.02, 0.1, 0.3):
         ends, bound = euler_maclaurin_ends(
             np.exp(-a * np.arange(big_l - 6, big_l + 1)))
-        x = mpf(a)
-        exact = float(exp(-x * big_l) * (1 / (1 - exp(-x)) - 1 / x))
+        with mp.workdps(40):
+            x = mpf(a)
+            exact = float(exp(-x * big_l) * (1 / (1 - exp(-x)) - 1 / x))
         assert abs(ends - exact) <= bound <= 1e-4 * exact, a
 
 

@@ -43,3 +43,21 @@ def test_quoted_low_temperature_record_cost():
     assert res.diagnostics["terms_used"] == terms
     assert res.diagnostics["evaluations"] == points
     assert points - band == terms * 195  # 13 panels x 15 nodes a row
+
+
+def test_material_file_example_loads(tmp_path, capsys):
+    # the README's material file, verbatim: '#' starts a comment anywhere
+    # on a line, so the optional sigma and c_a are read, and the CLI runs
+    # normal skin on it
+    from casimir_impedance import MaterialParams
+    from casimir_impedance.cli import main
+
+    section = README.read_text().split("## Material files", 1)[1]
+    path = tmp_path / "gold_like.txt"
+    path.write_text(re.search(r"```\n(.*?)```", section, re.S).group(1))
+    mat = MaterialParams.from_file(path)
+    assert (mat.plasma_frequency, mat.fermi_velocity) == (1.37e16, 1.4e6)
+    assert (mat.conductivity, mat.anomalous_constant) == (2.1e17, 8.8e-4)
+    assert main(["energy", "--material", str(path), "--model", "normal-skin",
+                 "--separation", "1e-6"]) == 0
+    assert "error" not in capsys.readouterr().err

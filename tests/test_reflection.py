@@ -187,6 +187,32 @@ def test_lifshitz_x_grid_matches_scalar_coefficients():
                                                        rel=1e-11, abs=1e-13)
 
 
+def test_impedance_fresnel_inputs_are_zeta_z_and_zeta_over_z():
+    # each impedance model writes (zeta Z, zeta/Z) in the scaled variables
+    # itself; against Z(i xi) in closed form at xi = c zeta / 2a, and at
+    # zeta = 0 against the limit: 0, or w_p = 2 a omega_p / c for zeta/Z of
+    # infrared optics
+    zetas = np.concatenate(([0.0], np.geomspace(1e-6, 1e3, 10)))
+    wp = GOLD.plasma_frequency
+    for model in (IdealMetal(), NormalSkin(1e17), AnomalousSkin(GOLD_CA),
+                  InfraredOptics(wp)):
+        for a in (1e-9, 1e-6, 1e-3):
+            got = model.fresnel_inputs(Geometry(a), zetas, None)
+            for j, zeta in enumerate(zetas):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # Z > 0.3 at a = 1 nm
+                    z = impedance_imag_axis(
+                        model, zeta * C_LIGHT / (2.0 * a)).z
+                if z > 0.0:
+                    want = (zeta * z, zeta / z)
+                else:
+                    limit = 2.0 * a * wp / C_LIGHT \
+                        if isinstance(model, InfraredOptics) else 0.0
+                    want = (0.0, limit)
+                for u, ref in zip(got, want):
+                    assert abs(u[j] - ref) <= 1e-15 * ref, (model, a, zeta)
+
+
 def test_x_factors_grid_is_the_fresnel_form_bit_for_bit():
     # 4 y u / (y + u)^2 on each model's Fresnel inputs, written out term by
     # term: the shared 4 y of the kernel changes no bit of either factor,
@@ -331,9 +357,8 @@ def test_no_model_type_tests_in_src():
     # every model meets the code through fresnel_inputs and its own
     # methods: no isinstance test in src/ may name a reflection model, and
     # the zero-frequency limit has one home, reflection.zero_freq_r_sq
-    models = {"Model", "ImpedanceModel", "IdealMetal",
-              "NormalSkin", "AnomalousSkin", "InfraredOptics", "Plasma",
-              "Drude"}
+    models = {"Model", "IdealMetal", "NormalSkin", "AnomalousSkin",
+              "InfraredOptics", "Plasma", "Drude"}
     src = Path(__file__).resolve().parents[1] / "src"
     found, limits = [], []
     for path in sorted(src.rglob("*.py")):
@@ -371,8 +396,9 @@ def test_every_fresnel_inputs_is_a_model_in_reflection():
                 owners.append((path.name, node.name))
     assert sorted(owners) == [
         ("reflection.py", name) for name in
-        ("Drude", "ImpedanceModel", "InfraredOptics", "Plasma")]
-    assert len(classes) == 8
+        ("AnomalousSkin", "Drude", "IdealMetal", "InfraredOptics",
+         "NormalSkin", "Plasma")]
+    assert len(classes) == 7
     for name in classes:
         assert issubclass(getattr(reflection, name), reflection.Model), name
 
