@@ -21,9 +21,8 @@ from .reflection import (
 )
 from .quadrature import NonConvergenceError
 from .observables import (
-    Quantity, ResultValue, ZETA3,
-    energy_T0, energy_ideal, entropy, force_sphere_plate, free_energy,
-    lowT_asymptotics, pressure_plates, records, spectral_contribution,
+    Quantity, ResultValue, energy_T0, energy_ideal, entropy,
+    force_sphere_plate, free_energy, pressure_plates, records,
     thermal_correction,
 )
 

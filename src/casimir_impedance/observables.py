@@ -51,10 +51,10 @@ from typing import Mapping
 import numpy as np
 
 from .physcore import (
-    C_LIGHT, HBAR, K_B, Geometry, MaterialParams, ThermalState,
-    ToleranceConfig, effective_temperature, matsubara_frequency,
+    C_LIGHT, HBAR, K_B, Geometry, ThermalState, ToleranceConfig,
+    matsubara_frequency,
 )
-from .reflection import InfraredOptics, Model, x_factors_grid
+from .reflection import Model, x_factors_grid
 from .quadrature import (  # integrate_interval: perfbench/spans.py wraps it
     IntegralResult, NonConvergenceError, euler_maclaurin_ends,
     integrate_interval, integrate_semiinf, integrate_wedge, matsubara_sum,
@@ -64,13 +64,10 @@ from .quadrature import (  # integrate_interval: perfbench/spans.py wraps it
 lifshitz_x_grid = x_factors_grid  # perfbench/spans.py wraps it
 
 __all__ = [
-    "Quantity", "ResultValue", "ZETA3", "energy_ideal", "energy_T0",
-    "free_energy", "thermal_correction", "pressure_plates",
-    "force_sphere_plate", "entropy", "records", "lowT_asymptotics",
-    "spectral_contribution", "check_range",
+    "Quantity", "ResultValue", "energy_ideal", "energy_T0", "free_energy",
+    "thermal_correction", "pressure_plates", "force_sphere_plate",
+    "entropy", "records", "check_range",
 ]
-
-ZETA3 = 1.2020569031595943  # Riemann zeta(3)
 
 DEFAULT_TOL = ToleranceConfig()
 _STEP = 1e-20  # entropy's complex step, relative to zeta
@@ -305,15 +302,18 @@ def pressure_plates(model: Model, geometry: Geometry, state: ThermalState,
 def force_sphere_plate(model: Model, geometry: Geometry, state: ThermalState,
                        tol: ToleranceConfig = DEFAULT_TOL) -> ResultValue:
     """Sphere-plate force via the proximity relation F = 2 pi R F_pp(a)
-    (2 pi R E(a) at T = 0); requires geometry.sphere_radius."""
-    if geometry.sphere_radius is None:
+    (2 pi R E(a) at T = 0); requires geometry.sphere_radius.  The relation's
+    own error, of order a/R, is not in numeric_error; a_over_R states it."""
+    radius = geometry.sphere_radius
+    if radius is None:
         raise ValueError("force_sphere_plate requires geometry.sphere_radius")
     base = (free_energy(model, geometry, state, tol)
             if state.temperature > 0.0 else energy_T0(model, geometry, tol))
-    scale = 2.0 * math.pi * geometry.sphere_radius
+    scale = 2.0 * math.pi * radius
     return ResultValue(
         Quantity.FORCE_SPHERE_PLATE, scale * base.value,
-        scale * base.numeric_error, dict(base.diagnostics))
+        scale * base.numeric_error,
+        {**base.diagnostics, "a_over_R": geometry.separation / radius})
 
 
 def entropy(model: Model, geometry: Geometry, state: ThermalState,
@@ -391,71 +391,3 @@ def records(quantity: Quantity, models, separations, temperatures,
             rows.append({**row, "status": f"nonfinite: {exc}"})
     return rows
 
-
-def lowT_asymptotics(material: MaterialParams, geometry: Geometry,
-                     state: ThermalState,
-                     tol: ToleranceConfig = DEFAULT_TOL,
-                     ) -> tuple[ResultValue, ResultValue]:
-    """Perturbative low-temperature free energy and entropy in the
-    collisionless-plasma (infrared optics) regime.
-
-    With t = T/T_eff and the penetration depth delta_r = c/omega_p,
-
-        F(a,T) = E(a) - (hbar c zeta(3) / 16 pi a^3)
-                   [ (1 + 2 delta_r/a) t^3
-                     - (pi^3 / 45 zeta(3)) (1 + 4 delta_r/a) t^4 ],
-        S(a,T) = (3 k_B zeta(3) / 8 pi a^2) t^2
-                   [ (1 + 2 delta_r/a)
-                     - (4 pi^3 / 135 zeta(3)) (1 + 4 delta_r/a) t ],
-
-    valid for t << 1; rejected for T >= 0.1 T_eff.  E(a) is the numeric
-    zero-temperature energy with the plasma-frequency impedance.
-    """
-    temp = state.temperature
-    t_eff = effective_temperature(geometry)
-    if temp >= 0.1 * t_eff:
-        raise ValueError(
-            f"low-T expansion requires T < 0.1 T_eff = {0.1 * t_eff:.4g} K")
-    a = geometry.separation
-    t = temp / t_eff
-    delta_r = C_LIGHT / material.plasma_frequency
-    base = energy_T0(InfraredOptics(material.plasma_frequency), geometry, tol)
-
-    scale_f = HBAR * C_LIGHT * ZETA3 / (16.0 * math.pi * a ** 3)
-    bracket = ((1.0 + 2.0 * delta_r / a) * t ** 3
-               - (math.pi ** 3 / (45.0 * ZETA3))
-               * (1.0 + 4.0 * delta_r / a) * t ** 4)
-    f_value = base.value - scale_f * bracket
-    # next omitted order is O(t^5) in the bracket
-    f_err = base.numeric_error + scale_f * t ** 5
-
-    scale_s = 3.0 * K_B * ZETA3 / (8.0 * math.pi * a * a)
-    s_value = scale_s * t * t * (
-        (1.0 + 2.0 * delta_r / a)
-        - (4.0 * math.pi ** 3 / (135.0 * ZETA3))
-        * (1.0 + 4.0 * delta_r / a) * t)
-    s_err = scale_s * t ** 4
-
-    diag = {"t": t, "delta_r_over_a": delta_r / a}
-    return (ResultValue(Quantity.FREE_ENERGY_PER_AREA, f_value, f_err, diag),
-            ResultValue(Quantity.ENTROPY_PER_AREA, s_value, s_err, diag))
-
-
-def spectral_contribution(model: Model, geometry: Geometry,
-                          window: tuple[float, float],
-                          tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Fraction of the zero-temperature energy contributed by scaled
-    frequencies zeta = xi/omega_c inside (zeta_lo, zeta_hi).
-
-    zeta_hi may be inf.  With B(lo) the energy's `_band` above zeta = lo
-    (B(inf) = 0) it is (B(zeta_lo) - B(zeta_hi)) / B(0), so windows
-    partition additively.
-    """
-    lo, hi = window
-    if lo < 0.0 or not hi > lo:
-        raise ValueError("window must satisfy 0 <= zeta_lo < zeta_hi")
-    check_range(geometry, ThermalState(0.0))
-    g = partial(_free_energy_integrand, model, geometry)
-    full, above_lo, above_hi = (_band(g, z, tol.quadrature_rel_tol).value
-                                for z in (0.0, lo, hi))
-    return (above_lo - above_hi) / full

@@ -124,8 +124,9 @@ class AnomalousSkin(Model):
             raise ValueError("c_a must be positive and finite")
 
     def fresnel_inputs(self, geometry, zeta, y):
+        # cbrt squared: ** (2/3) scales its exponent's rounding by ln(c/2a)
         k = (_ANOM_PREFACTOR * self.c_a / C_LIGHT
-             * (C_LIGHT / (2.0 * geometry.separation)) ** (2.0 / 3.0))
+             * np.cbrt(C_LIGHT / (2.0 * geometry.separation)) ** 2)
         t = zeta ** (1.0 / 3.0)  # principal root: np.cbrt rejects complex
         return k * zeta * t * t, t / k
 

@@ -5,9 +5,13 @@ variables, computed independently of the package's vectorized kernels.
 form and reads no model method; `x_factors` is a scalar wrapper of
 `x_factors_grid`, and `x_factors_mp` is X = 1 - r^2 from the definitions
 at 50 digits.  `zero_freq_closed_form` states each model's zero-frequency
-limit in closed form.  `free_energy_ideal` is the ideal
-metal's closed-form free energy; `energy_T0_nested_quad` and `free_energy_direct_ladder` are
-independent numeric references for the two spectral forms.
+limit in closed form.  `free_energy_ideal` is the ideal metal's
+closed-form free energy, with `ZETA3` = zeta(3); `energy_T0_nested_quad`
+and `free_energy_direct_ladder` are independent numeric references for
+the two spectral forms.  `lowT_asymptotics` is the paper's low-temperature
+expansion of the infrared-optics free energy and entropy, added to a
+numeric E(a); `spectral_contribution` is the fraction of E(a) from a
+window of zeta, the quantity of acceptance criterion 7.
 `entropy_richardson` is the entropy as a Richardson-extrapolated central
 difference of free energies, the reference of the package's entropy ladder.
 `x_factors_out_of_place`, `free_energy_integrand_out_of_place` and
@@ -26,15 +30,19 @@ from functools import partial
 import numpy as np
 
 from casimir_impedance.physcore import (
-    C_LIGHT, Geometry, ThermalState, effective_temperature,
+    C_LIGHT, HBAR, K_B, Geometry, MaterialParams, ThermalState,
+    ToleranceConfig, effective_temperature,
 )
 from casimir_impedance.reflection import (
     AnomalousSkin, Drude, IdealMetal, InfraredOptics, Model, NormalSkin,
     Plasma, x_factors_grid,
 )
 from casimir_impedance.observables import (
-    ZETA3, Quantity, ResultValue, energy_ideal, free_energy,
+    DEFAULT_TOL, Quantity, ResultValue, _band, _free_energy_integrand,
+    check_range, energy_T0, energy_ideal, free_energy,
 )
+
+ZETA3 = 1.2020569031595943  # Riemann zeta(3)
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,7 @@ def _impedance(model, xi: float) -> float:
         return math.sqrt(xi / (4.0 * math.pi * model.sigma))
     if isinstance(model, AnomalousSkin):
         return (4.0 / (3.0 * math.sqrt(3.0)) * model.c_a
-                * xi ** (2.0 / 3.0) / C_LIGHT)
+                * np.cbrt(xi) ** 2 / C_LIGHT)
     if isinstance(model, InfraredOptics):
         return xi / math.hypot(model.omega_p, xi)
     raise TypeError(f"not an impedance model: {model!r}")
@@ -299,6 +307,75 @@ def free_energy_ideal(geometry: Geometry, state: ThermalState) -> ResultValue:
                        {"closed_form": True, "terms_used": l})
 
 
+def lowT_asymptotics(material: MaterialParams, geometry: Geometry,
+                     state: ThermalState,
+                     tol: ToleranceConfig = DEFAULT_TOL,
+                     ) -> tuple[ResultValue, ResultValue]:
+    """Perturbative low-temperature free energy and entropy in the
+    collisionless-plasma (infrared optics) regime.
+
+    With t = T/T_eff and the penetration depth delta_r = c/omega_p,
+
+        F(a,T) = E(a) - (hbar c zeta(3) / 16 pi a^3)
+                   [ (1 + 2 delta_r/a) t^3
+                     - (pi^3 / 45 zeta(3)) (1 + 4 delta_r/a) t^4 ],
+        S(a,T) = (3 k_B zeta(3) / 8 pi a^2) t^2
+                   [ (1 + 2 delta_r/a)
+                     - (4 pi^3 / 135 zeta(3)) (1 + 4 delta_r/a) t ],
+
+    valid for t << 1; rejected for T >= 0.1 T_eff.  E(a) is the numeric
+    zero-temperature energy with the plasma-frequency impedance.
+    """
+    temp = state.temperature
+    t_eff = effective_temperature(geometry)
+    if temp >= 0.1 * t_eff:
+        raise ValueError(
+            f"low-T expansion requires T < 0.1 T_eff = {0.1 * t_eff:.4g} K")
+    a = geometry.separation
+    t = temp / t_eff
+    delta_r = C_LIGHT / material.plasma_frequency
+    base = energy_T0(InfraredOptics(material.plasma_frequency), geometry, tol)
+
+    scale_f = HBAR * C_LIGHT * ZETA3 / (16.0 * math.pi * a ** 3)
+    bracket = ((1.0 + 2.0 * delta_r / a) * t ** 3
+               - (math.pi ** 3 / (45.0 * ZETA3))
+               * (1.0 + 4.0 * delta_r / a) * t ** 4)
+    f_value = base.value - scale_f * bracket
+    # next omitted order is O(t^5) in the bracket
+    f_err = base.numeric_error + scale_f * t ** 5
+
+    scale_s = 3.0 * K_B * ZETA3 / (8.0 * math.pi * a * a)
+    s_value = scale_s * t * t * (
+        (1.0 + 2.0 * delta_r / a)
+        - (4.0 * math.pi ** 3 / (135.0 * ZETA3))
+        * (1.0 + 4.0 * delta_r / a) * t)
+    s_err = scale_s * t ** 4
+
+    diag = {"t": t, "delta_r_over_a": delta_r / a}
+    return (ResultValue(Quantity.FREE_ENERGY_PER_AREA, f_value, f_err, diag),
+            ResultValue(Quantity.ENTROPY_PER_AREA, s_value, s_err, diag))
+
+
+def spectral_contribution(model: Model, geometry: Geometry,
+                          window: tuple[float, float],
+                          tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Fraction of the zero-temperature energy contributed by scaled
+    frequencies zeta = xi/omega_c inside (zeta_lo, zeta_hi).
+
+    zeta_hi may be inf.  With B(lo) the energy's `_band` above zeta = lo
+    (B(inf) = 0) it is (B(zeta_lo) - B(zeta_hi)) / B(0), so windows
+    partition additively.
+    """
+    lo, hi = window
+    if lo < 0.0 or not hi > lo:
+        raise ValueError("window must satisfy 0 <= zeta_lo < zeta_hi")
+    check_range(geometry, ThermalState(0.0))
+    g = partial(_free_energy_integrand, model, geometry)
+    full, above_lo, above_hi = (_band(g, z, tol.quadrature_rel_tol).value
+                                for z in (0.0, lo, hi))
+    return (above_lo - above_hi) / full
+
+
 def dispersion_functions(z: ImpedanceValue | float, point: SpectralPoint,
                          geometry: Geometry) -> DispersionEval:
     """Dispersion functions of the two polarizations at imaginary frequency.
@@ -375,8 +452,6 @@ def energy_T0_nested_quad(model, geometry: Geometry,
     """
     from scipy import integrate
 
-    from casimir_impedance.physcore import HBAR
-
     a = geometry.separation
 
     def inner(zeta: float) -> float:
@@ -419,8 +494,6 @@ def free_energy_direct_ladder(model, geometry: Geometry, temperature: float,
     a row per l (the package's y-rule; the summation is what it checks),
     and the terms are added with math.fsum.
     """
-    from casimir_impedance.observables import _free_energy_integrand
-    from casimir_impedance.physcore import HBAR, K_B
     from casimir_impedance.quadrature import integrate_semiinf
 
     a = geometry.separation

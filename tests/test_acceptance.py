@@ -43,13 +43,13 @@ from casimir_impedance.reflection import (
 )
 from casimir_impedance.quadrature import integrate_semiinf
 from casimir_impedance.observables import (
-    ZETA3, energy_T0, energy_ideal, entropy, free_energy, lowT_asymptotics,
-    pressure_plates, spectral_contribution, thermal_correction,
-    _free_energy_integrand,
+    energy_T0, energy_ideal, entropy, free_energy, pressure_plates,
+    thermal_correction, _free_energy_integrand,
 )
 from oracles import (
-    ReflectionPair, SpectralPoint, dispersion_functions, free_energy_ideal,
-    impedance_imag_axis, refl_impedance, x_factors,
+    ZETA3, ReflectionPair, SpectralPoint, dispersion_functions,
+    free_energy_ideal, impedance_imag_axis, lowT_asymptotics,
+    refl_impedance, spectral_contribution, x_factors,
 )
 
 GOLD_CA = derive_anomalous_constant(GOLD)

@@ -151,6 +151,37 @@ def test_sphere_plate_requires_radius(capsys):
     assert "--radius" in capsys.readouterr().err
 
 
+def test_sphere_plate_states_a_over_r_and_keeps_its_csv(capsys, monkeypatch):
+    # force_sphere_plate states a/R, the scale of the proximity relation's
+    # own error, at T = 0 and T > 0; the CSV has no column for it, so the
+    # sphere-plate bytes are those of the same forces without it
+    import casimir_impedance.observables as obs
+    from casimir_impedance.physcore import Geometry, ThermalState
+    from casimir_impedance.reflection import InfraredOptics
+
+    for a in (0.3e-6, 1e-6):
+        for temperature in (0.0, 300.0):
+            res = obs.force_sphere_plate(
+                InfraredOptics(1.37e16), Geometry(a, 2e-4),
+                ThermalState(temperature))
+            assert res.diagnostics["a_over_R"] == a / 2e-4
+    argv = ("sphere-plate", "--model", "infrared-optics", "--separation",
+            "0.3e-6:1e-6:2", "--temperature", "0,300", "--radius", "2e-4",
+            "--format", "csv")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    force = obs.force_sphere_plate
+
+    def without_a_over_r(*args):
+        res = force(*args)
+        return obs.ResultValue(res.quantity, res.value, res.numeric_error, {
+            k: v for k, v in res.diagnostics.items() if k != "a_over_R"})
+
+    monkeypatch.setattr(obs, "force_sphere_plate", without_a_over_r)
+    code, bare, _ = run(capsys, *argv)
+    assert code == 0 and out == bare and len(out.splitlines()) == 5
+
+
 def test_entropy_command(capsys):
     code, out, _ = run(capsys, "entropy", "--model", "infrared-optics",
                        "--separation", "1e-6", "--temperature", "300",
@@ -519,6 +550,7 @@ def test_csv_bytes_kept_by_the_euler_maclaurin_cap(capsys, monkeypatch):
     # sum of the quadrature and tail parts
     import casimir_impedance.observables as obs
     from casimir_impedance.physcore import Geometry, ThermalState
+    from casimir_impedance.reflection import InfraredOptics
 
     argv = ("sweep", "--model", "infrared-optics,lifshitz-drude",
             "--gamma", "5.3e13", "--separation", "1e-6:3e-6:2",
@@ -533,7 +565,7 @@ def test_csv_bytes_kept_by_the_euler_maclaurin_cap(capsys, monkeypatch):
                        "--temperature", "10", "--format", "csv")
     assert code == 0
     row = dict(zip(CSV_COLUMNS, out.strip().split("\n")[1].split(",")))
-    res = obs.free_energy(obs.InfraredOptics(1.37e16), Geometry(1e-6),
+    res = obs.free_energy(InfraredOptics(1.37e16), Geometry(1e-6),
                           ThermalState(10.0))
     assert row["err_estimate"] == f"{res.numeric_error:.17g}"
     assert res.diagnostics["tail"] == "euler_maclaurin"
@@ -881,3 +913,49 @@ def test_cli_reaches_observables_only_through_records():
     assert len(names) == len(attributes)
     used.update(node.attr for node in attributes)
     assert used == {"records", "check_range", "Quantity"}
+
+
+def test_observables_api_is_read_outside_tests():
+    # every public name of observables has a reader that is not a test: a
+    # name or attribute in src/ or perfbench/ (a definition, __all__ and
+    # the package root's re-export are not reads) or a mention in the
+    # README, so no test-only reference ships as library API
+    import ast
+    import re
+    from pathlib import Path
+
+    from casimir_impedance import observables
+
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for path in [*(root / "src").rglob("*.py"), *(root / "perfbench").rglob(
+            "*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    readme = (root / "README.md").read_text()
+    unread = [name for name in observables.__all__ if name not in read
+              and not re.search(rf"\b{name}\b", readme)]
+    assert unread == []
+
+
+def test_observables_imports_no_concrete_model():
+    # the observable layer reaches the models only through the base class
+    # and the one X kernel
+    import ast
+    from pathlib import Path
+
+    from casimir_impedance import observables
+
+    imported = set()
+    for node in ast.walk(ast.parse(Path(observables.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert "reflection" not in names
+            if (node.module or "").endswith("reflection"):
+                imported |= names
+        assert not isinstance(node, ast.Import) or all(
+            "reflection" not in alias.name for alias in node.names)
+    assert imported == {"Model", "x_factors_grid"}

@@ -26,12 +26,12 @@ from casimir_impedance.quadrature import (
     IntegralResult, NonConvergenceError, integrate_semiinf,
 )
 from casimir_impedance.observables import (
-    ZETA3, Quantity, energy_T0, energy_ideal, entropy, force_sphere_plate,
-    free_energy, lowT_asymptotics, pressure_plates, records,
-    spectral_contribution, thermal_correction,
+    Quantity, energy_T0, energy_ideal, entropy, force_sphere_plate,
+    free_energy, pressure_plates, records, thermal_correction,
 )
 from oracles import (
-    entropy_richardson, free_energy_ideal, zero_freq_closed_form,
+    ZETA3, entropy_richardson, free_energy_ideal, lowT_asymptotics,
+    spectral_contribution, zero_freq_closed_form,
 )
 
 TIGHT = ToleranceConfig(1e-9)

@@ -236,7 +236,7 @@ def test_x_factors_grid_against_50_digit_definitions():
     # definitions at 50 digits, from r^2 ~ 0 to r^2 exponentially close to
     # 1 (X down to 4e-20, where 1 - r^2 in doubles would keep no digit);
     # zeta = 0 is the zero-frequency tests' row.  The kernel's worst
-    # is 1.7e-15 (anomalous skin)
+    # is 9.5e-16 (anomalous skin)
     wp = GOLD.plasma_frequency
     for model in (IdealMetal(), NormalSkin(1e17), AnomalousSkin(GOLD_CA),
                   InfraredOptics(wp), Plasma(wp), Drude(wp, 5e13)):
