@@ -184,13 +184,15 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     of the y-integrals at T > 0, whose floor ceil(10 / zeta_1) covers the
     dominant spectral window zeta <= 10; every integral and the sum's stop
     rule use tol.quadrature_rel_tol.  Its error is the per-term quadrature
-    errors (quad_err) plus a remainder bound (tail_err): last_term /
-    (e^zeta_1 - 1) for a ladder that stops by itself (the terms decay at
-    least like e^(-zeta_1 l)), while one that `matsubara_sum` hands off at
-    l = L (64, or 16 or 32 for a floor past 64) adds the Euler-Maclaurin
-    remainder, `band` (default `_band`) above L zeta_1 = (terms_used - 1)
-    zeta_1 over zeta_1 + `euler_maclaurin_ends`.  Then the model's
-    `check_separation` runs, so a record that raises warns nothing.
+    errors (quad_err) plus a remainder bound (tail_err): for a ladder that
+    stops by itself at l = L, |t_L| rho/(1 - rho), rho = max(|t_L/t_(L-1)|,
+    e^-zeta_1) (e^-zeta_1 if that is >= 1), as terms like poly(l) e^(-zeta_1
+    l) fall by ratios that decrease toward e^-zeta_1; for one that
+    `matsubara_sum` hands off at l = L (64, or 16 or 32 for a floor past
+    64), the Euler-Maclaurin remainder, `band` (default `_band`) above L
+    zeta_1 = (terms_used - 1) zeta_1 over zeta_1 + `euler_maclaurin_ends`.
+    Then the model's `check_separation` runs: a record that raises warns
+    nothing.
     """
     a, zeta1 = geometry.separation, check_range(geometry, state)
     rel_tol = tol.quadrature_rel_tol
@@ -217,8 +219,12 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     quad_err = math.fsum(np.concatenate(
         [r.abs_error_estimate for r in done])[:s.terms_used])  # no overshoot
     if not s.edge_terms:
-        # capped so that a large a*T cannot overflow expm1; the bound only grows
-        tail_err = s.last_term_magnitude / math.expm1(min(zeta1, 700.0))
+        # 1/rho - 1 of either rho; expm1 capped (a large a*T overflows it)
+        prev, last = np.abs(np.concatenate([r.value for r in done])[
+            s.terms_used - 2:s.terms_used]).tolist()
+        seen = prev / last - 1.0 if last else 0.0
+        geometric = math.expm1(min(zeta1, 700.0))
+        tail_err = last / (seen if 0.0 < seen < geometric else geometric)
     else:
         w = band(g, (s.terms_used - 1) * zeta1, rel_tol)
         ends, tail_err = euler_maclaurin_ends(s.edge_terms)

@@ -9,12 +9,17 @@ contractions of aligned values (numpy's own loops, never BLAS; the wedge
 contracts its y nodes first, then its s nodes), and panel values are added
 in ascending order by fsum, so identical inputs give bit-identical results,
 whatever the chunk.  A non-finite integrand value raises FloatingPointError
-from its panel's K15 sum: every K15 weight is positive.
+from its panel's K15 sum: every K15 weight is positive.  With D the summed
+|K15 - G7| of an integral's panels and R the K15 integral of |f|, the error
+is 10 R min(1, D/R)^(3/2), at least 50 eps R: K15 is exact to degree 23 and
+G7 to 13, so for analytic f K15's error goes like G7's to the power 24/14
+(Laurie, BIT 23 (1983)).
 
-`integrate_interval` maps [0, 2.5e-5] and 12 geometric panels up to 1 onto
-[lower, upper] and sums the panels' QUADPACK-rescaled |K15 - G7|.  Its rows
-(lower limits) share each integrand call; each keeps the first level that
-meets rel_tol of its int |f|, past which it is neither summed nor checked.
+`integrate_interval` maps u = t^2, t on 5 panels with edges 0, 0.01, 0.04,
+0.15, 0.4 and 1 (75 points), onto [lower, upper]: a y ln y edge becomes
+t^3 ln t.  Its rows (lower limits) share each integrand call; each keeps
+the first level that meets rel_tol of its int |f|, past which it is
+neither summed nor checked.
 For integrands decaying like exp(-y), `integrate_semiinf` stops at
 lower + max(40, ln(1/rel_tol) + 10): the tail left out is below ~4e-18.
 `matsubara_sum` asks for its rows in calls of at most 33; the first reaches
@@ -26,13 +31,10 @@ default) with zeta = lo + (y - lo) s^3, a grading that removes the
 zeta^(1/2) and zeta^(2/3) edge behaviour of the skin-effect impedances,
 on K15 x K15 nodes in each pair of a y panel ([lo, lo + 1e-3], then 8
 geometric panels up to Y) and an s panel ([0, 0.03], [0.03, 0.3],
-[0.3, 1]): 6,075 points at level 0.  With D the summed
-|K15 x K15 - G7 x G7| of every pair and R the K15 integral of |f|, its
-error is 10 R min(1, D/R)^(3/2), at least 50 eps R: K15 is exact to degree
-23 and G7 to 13, so for analytic f K15's error goes like G7's to the power
-24/14 (Laurie, BIT 23 (1983)).  Its f maps (zeta, y) that broadcast, y one
-value per y node, to an array of their broadcast shape: factors of y alone
-cost one evaluation per y node.  Rule tables are built lazily, read-only.
+[0.3, 1]): 6,075 points at level 0, D over the pairs.  Its f maps (zeta,
+y) that broadcast, y one value per y node, to an array of their broadcast
+shape: factors of y alone cost one evaluation per y node.  Rule tables are
+built lazily, read-only.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])          # (15,)
 _W_K = np.concatenate([_WGK[:-1], _WGK[::-1]])             # (15,)
 _W_G = np.concatenate([_WG, _WG[-2::-1]])                  # (7,) on [1::2]
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 _CHUNK = 1 << 13  # most points per f call (past ~16,000 each costs ~1.5x)
 
 # integrate_wedge: level-0 y and s panel edges (y: 8 geometric panels above
@@ -88,9 +90,9 @@ _WEDGE_ABS_TOL = 1e-15
 # underflow (far past a ladder's stop) meet neither rel_tol nor 50 eps resabs
 _INTERVAL_ABS_TOL = 1e-300
 
-# integrate_interval: level-0 edges on [0, 1] (0, then 12 geometric panels
-# above 2.5e-5), levels; matsubara_sum: rows per call, last l
-_INTERVAL_EDGES = np.append(0.0, np.geomspace(2.5e-5, 1.0, 13))
+# integrate_interval: level-0 t panel edges on [0, 1] (u = t^2), levels;
+# matsubara_sum: rows per call, last l
+_U_T_EDGES = np.array([0.0, 0.01, 0.04, 0.15, 0.4, 1.0])
 _INTERVAL_LEVELS = 10
 _MATSUBARA_BLOCK = 33
 _EULER_L = 64
@@ -127,22 +129,11 @@ class NonConvergenceError(RuntimeError):
         self.result = result
 
 
-def _qk15_panels(fx: np.ndarray, w_k: np.ndarray, w_g: np.ndarray,
-                 widths: np.ndarray):
-    """(K15 value, error, resabs) per panel of ``fx`` (rows, panels, 15)
-    under K15 and G7 weights (panels, 15) and (panels, 7) on panels of
-    ``widths``: QUADPACK's rescaled |K15 - G7|, at least 50 eps resabs."""
-    resk = np.einsum("rpn,pn->rp", fx, w_k)
-    if not np.isfinite(resk).all():  # every K15 weight is positive
-        raise FloatingPointError("integrand returned a non-finite value")
-    resabs = np.einsum("rpn,pn->rp", np.abs(fx), w_k)
-    dev = fx - (resk / widths)[..., None]
-    resasc = np.einsum("rpn,pn->rp", np.abs(dev, out=dev), w_k)
-    err = np.abs(resk - np.einsum("rpn,pn->rp", fx[..., 1::2], w_g))
-    with np.errstate(divide="ignore", invalid="ignore"):  # resasc = 0
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where(resasc != 0.0, scaled, err)
-    return resk, np.maximum(err, 50.0 * _EPS * resabs), resabs
+def _gk_error(d: float, r: float) -> float:
+    """The module docstring's error from D and R (24/14 taken as 3/2 with a
+    factor 10; R = 0: f is 0 on every node)."""
+    ratio = min(1.0, d / r) if r else 0.0
+    return max(10.0 * r * ratio ** 1.5, 50.0 * _EPS * r)
 
 
 def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
@@ -163,21 +154,25 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
     lo3, length3 = lo[:, None, None], length[:, None, None]
     floor = max(rel_tol, 50.0 * _EPS)
     for level in range(_INTERVAL_LEVELS):
-        u, w_k, w_g, widths = _u_rule(level)
+        u, w_k, w_g = _u_rule(level)
         todo = slice(None) if unmet.all() else np.flatnonzero(unmet)
-        parts = [_qk15_panels(  # whole panels of every row
-            np.require(f(lo3 + length3 * u[i:i + step]), float, "A")[todo],
-            w_k[i:i + step], w_g[i:i + step], widths[i:i + step])
-            for i in range(0, len(u), step)]
+        fx = [np.require(f(lo3 + length3 * u[i:i + step]), float, "A")[todo]
+              for i in range(0, len(u), step)]  # whole panels of every row
+        fx = fx[0] if len(fx) == 1 else np.concatenate(fx, axis=1)
         evaluations += rows * u.size
-        k, e, a = parts[0] if len(parts) == 1 else (
-            np.concatenate(p, axis=1) for p in zip(*parts))
-        # refining rows: sums over unit-length panels, scaled; values by fsum
+        # refining rows' panel sums over [0, 1] in u, scaled; values by fsum
+        k = np.einsum("rpn,pn->rp", fx, w_k)
+        if not np.isfinite(k).all():  # every K15 weight is positive
+            raise FloatingPointError("integrand returned a non-finite value")
         scale = length[todo]
         value[todo] = scale * list(map(math.fsum, k.tolist()))
-        err[todo] = e = scale * e.sum(axis=1)
+        resabs = scale * np.einsum("rpn,pn->r", np.abs(fx), w_k)
+        d = scale * np.abs(k - np.einsum("rpn,pn->rp", fx[..., 1::2],
+                                         w_g)).sum(axis=1)
+        err[todo] = e = np.array(list(map(_gk_error, d.tolist(),
+                                          resabs.tolist())))
         unmet[todo] = missed = e > np.maximum(  # against int |f|: rows cross 0
-            floor * (scale * a.sum(axis=1)), _INTERVAL_ABS_TOL)
+            floor * resabs, _INTERVAL_ABS_TOL)
         if not missed.any():
             break
     result = IntegralResult(*(v if np.ndim(lower) else float(v[0])
@@ -264,26 +259,27 @@ def euler_maclaurin_ends(edge_terms) -> tuple[float, float]:
     return math.fsum(t * _EM_WEIGHTS), abs(np.diff(t, 6)[0]) / 50.0
 
 
-def _gk_panels(edges: np.ndarray, level: int, jacobian=np.ones_like):
-    """K15 nodes, K15 and G7 weights and K15 weight sums, (panels, 15),
-    (panels, 15), (panels, 7) and (panels,), on the panels of ``edges`` each
-    split into 2**level equal parts, read-only; each weight includes
-    ``jacobian`` at its node (with 1, the sums are the panel widths)."""
+def _gk_panels(edges: np.ndarray, level: int, jacobian, node=None):
+    """K15 nodes, K15 and G7 weights, (panels, 15), (panels, 15) and
+    (panels, 7), on the panels of ``edges`` each split into 2**level equal
+    parts, read-only; each weight includes ``jacobian`` at its node, and the
+    nodes are ``node`` of the panels' nodes (by default those nodes)."""
     fine = np.append(np.linspace(edges[:-1], edges[1:], 2 ** level + 1)[:-1].T,
                      edges[-1])
     halfw = 0.5 * np.diff(fine)[:, None]
     s = fine[:-1, None] + halfw * (1.0 + _NODES)
     jac = jacobian(s)
-    w_k = halfw * _W_K * jac
-    rule = (s, w_k, halfw * _W_G * jac[:, 1::2], w_k.sum(axis=-1))
+    rule = (s if node is None else node(s), halfw * _W_K * jac,
+            halfw * _W_G * jac[:, 1::2])
     for a in rule:
         a.flags.writeable = False
     return rule
 
 
-# the fixed panels once per level; the wedge's s panels with dzeta/(m ds) =
-# p s^(p-1), its y panels as m = y - lo, Jacobian m, per (upper - lo, level)
-_u_rule = functools.cache(lambda level: _gk_panels(_INTERVAL_EDGES, level))
+# u = t^2 once per level; the wedge's s panels with dzeta/(m ds) = p
+# s^(p-1), its y panels as m = y - lo, Jacobian m, per (upper - lo, level)
+_u_rule = functools.cache(lambda level: _gk_panels(
+    _U_T_EDGES, level, lambda t: 2.0 * t, lambda t: t * t))
 _s_rule = functools.cache(lambda level, p=_WEDGE_GRADING: _gk_panels(
     _WEDGE_S_EDGES, level, lambda s: p * s ** (p - 1)))
 _y_rule = functools.lru_cache(maxsize=16)(lambda width, level: _gk_panels(
@@ -304,8 +300,8 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                          "upper > lo + 1e-3")
     evaluations = 0
     for level in range(_WEDGE_LEVELS):
-        s, ws_k, ws_g, _ = _s_rule(level)
-        y, wy_k, wy_g, _ = _y_rule(upper - lo, level)  # y - lo, its weights
+        s, ws_k, ws_g = _s_rule(level)
+        y, wy_k, wy_g = _y_rule(upper - lo, level)  # y - lo, its weights
         grade = s.ravel() ** _WEDGE_GRADING
         step = max(1, _CHUNK // (15 * s.size))
         cells, diffs, resabs = [], [], []
@@ -331,10 +327,7 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 "yiSj,yi->ySj", np.abs(fx), wk), ws_k).ravel().tolist())
         evaluations += y.size * s.size
         value, d, r = (math.fsum(x) for x in (cells, diffs, resabs))
-        # K15's error goes like G7's to the power 24/14 (degrees 23 and 13),
-        # taken as 3/2 with a factor 10; r = 0: f is 0 on every node
-        ratio = min(1.0, d / r) if r else 0.0
-        err = max(10.0 * r * ratio ** 1.5, 50.0 * _EPS * r)
+        err = _gk_error(d, r)
         if err <= max(rel_tol * abs(value), _WEDGE_ABS_TOL):
             return IntegralResult(value, err, evaluations)
     raise NonConvergenceError(

@@ -485,27 +485,30 @@ def energy_T0_nested_quad(model, geometry: Geometry,
 
 
 def free_energy_direct_ladder(model, geometry: Geometry, temperature: float,
-                              rel_tol: float = 1e-11,
-                              block: int = 512) -> float:
+                              rel_tol: float = 1e-11) -> float:
     """Free energy per area as the primed Matsubara sum of the y-integrals
     taken term by term up to l zeta_1 = 40, where the terms have fallen
     below e^-40 of the first: no stop rule and no Euler-Maclaurin
-    remainder.  Each block of indices is one `integrate_semiinf` call with
-    a row per l (the package's y-rule; the summation is what it checks),
-    and the terms are added with math.fsum.
+    remainder.  Each term is int_0^40 g(zeta_l, zeta_l + u) du by scipy's
+    adaptive Gauss-Kronrod (21-point) rules on the pieces [0, 1], [1, 5]
+    and [5, 40]: the l = 0 term, with its y ln y edge, by `quad`, and the
+    others together by `quad_vec`, to rel_tol of the largest.  It shares
+    no y-rule with the package; the terms are added with math.fsum.
     """
-    from casimir_impedance.quadrature import integrate_semiinf
+    from scipy import integrate
 
     a = geometry.separation
     zeta1 = 4.0 * math.pi * a * K_B * temperature / (HBAR * C_LIGHT)
-    last = math.ceil(40.0 / zeta1)
     g = partial(_free_energy_integrand, model, geometry)
-    terms = [0.5 * integrate_semiinf(partial(g, 0.0), 0.0, rel_tol).value]
-    for start in range(1, last + 1, block):
-        zeta = np.arange(start, min(start + block, last + 1)) * zeta1
-        terms.extend(np.atleast_1d(integrate_semiinf(
-            partial(g, zeta[:, None, None]), zeta, rel_tol).value))
-    return K_B * temperature / (8.0 * math.pi * a * a) * math.fsum(terms)
+    zeta = np.arange(1, math.ceil(40.0 / zeta1) + 1) * zeta1
+    first = integrate.quad(lambda u: g(np.zeros(1), np.array([u]))[0],
+                           0.0, 40.0, epsabs=0.0, epsrel=rel_tol,
+                           points=(1.0, 5.0), limit=200)[0]
+    rest = integrate.quad_vec(lambda u: g(zeta, zeta + u), 0.0, 40.0,
+                              epsabs=0.0, epsrel=rel_tol, norm="max",
+                              points=(1.0, 5.0))[0]
+    return K_B * temperature / (8.0 * math.pi * a * a) * math.fsum(
+        [0.5 * first, *rest.tolist()])
 
 
 def entropy_richardson(model, geometry: Geometry, state: ThermalState,

@@ -42,7 +42,7 @@ def test_quoted_low_temperature_record_cost():
     assert math.ceil(10.0 / check_range(geometry, state)) == floor
     assert res.diagnostics["terms_used"] == terms
     assert res.diagnostics["evaluations"] == points
-    assert points - band == terms * 195  # 13 panels x 15 nodes a row
+    assert points - band == terms * 75  # 5 panels x 15 nodes a row
 
 
 def test_material_file_example_loads(tmp_path, capsys):
