@@ -1,5 +1,6 @@
 """The README's library example runs against the current API, and the
-cost it quotes for a low-temperature record is the current one."""
+costs it quotes for a low-temperature record and for the T = 0 wedge are
+the current ones."""
 
 import math
 import re
@@ -43,6 +44,32 @@ def test_quoted_low_temperature_record_cost():
     assert res.diagnostics["terms_used"] == terms
     assert res.diagnostics["evaluations"] == points
     assert points - band == terms * 75  # 5 panels x 15 nodes a row
+
+
+def test_quoted_wedge_layout_and_level_zero_cost():
+    # the wedge bullet's y layout, its level-0 point count and its "N
+    # values instead of M" (one value per y node against every point) are
+    # recomputed from the rule, so they cannot go stale either
+    import numpy as np
+    from casimir_impedance import quadrature
+
+    text = " ".join(README.read_text().split())
+    y0, panels, points = re.search(
+        r"every pair of a `y` panel \(`\[0, ([\de.-]+)\]`, then (\d+) "
+        r"geometric panels .*?\): ([\d,]+) points\.", text).groups()
+    y_values, per_point = re.search(
+        r"once per `y` node, ([\d,]+) values instead of ([\d,]+) at level 0",
+        text).groups()
+    upper = quadrature.tail_cutoff(0.0, 1e-6)
+    y_nodes = quadrature._y_rule(upper, 0)[0].size
+    res = quadrature.integrate_wedge(
+        lambda zeta, y: (zeta + y) * np.exp(-y), upper, 1e-6)
+    assert res.evaluations == y_nodes * quadrature._s_rule(0)[0].size
+    assert (float(y0), int(panels)) == (quadrature._WEDGE_Y0,
+                                        quadrature._WEDGE_Y_PANELS)
+    assert int(points.replace(",", "")) == res.evaluations
+    assert int(per_point.replace(",", "")) == res.evaluations
+    assert int(y_values.replace(",", "")) == y_nodes
 
 
 def test_material_file_example_loads(tmp_path, capsys):
