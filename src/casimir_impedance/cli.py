@@ -59,13 +59,15 @@ ZERO_FREQ_FORMS = {"impedance-normal": "normal-skin",
                    "lifshitz-plasma": "lifshitz-plasma",
                    "lifshitz-drude": "lifshitz-drude"}
 
+GRID_MAX = 10 ** 6  # most points of a start:stop:count grid
+
 
 def _fmt(x) -> str:
     return "" if x is None else f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _parse_grid(text: str, *, log: bool, what: str) -> list[float]:
-    """A single value, a comma list, or start:stop:count (count >= 2)."""
+    """A value, a comma list, or start:stop:count (2 to GRID_MAX points)."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -75,8 +77,8 @@ def _parse_grid(text: str, *, log: bool, what: str) -> list[float]:
             count = int(parts[2])
         except ValueError:
             raise ValueError(f"{what}: bad grid {text!r}") from None
-        if count < 2:
-            raise ValueError(f"{what}: grid count must be >= 2")
+        if not 2 <= count <= GRID_MAX:
+            raise ValueError(f"{what}: grid count must be in [2, {GRID_MAX}]")
         if not -math.inf < start < stop < math.inf:
             raise ValueError(f"{what}: grid requires finite start < stop")
         if log:
@@ -277,10 +279,10 @@ OPTIONS = {
                 "%s; sweep accepts a comma list" % ", ".join(MODEL_NAMES))),
     "--separation": (_GRID_COMMANDS, dict(required=True, help="separation in "
                      "m: value, comma list, or start:stop:count "
-                     "(log-spaced)")),
+                     "(log-spaced, count <= %d)" % GRID_MAX)),
     "--temperature": (_GRID_COMMANDS, dict(help="temperature in K: value, "
-                      "comma list, or start:stop:count (linear); the regime "
-                      "classification does not depend on it")),
+                      "comma list, or start:stop:count (linear, count <= %d);"
+                      " the regime classification ignores it" % GRID_MAX)),
     "--radius": (("sphere-plate",), dict(type=float, required=True,
                                          help="sphere radius in m")),
     "--sigma": (RECORD_COMMANDS, dict(type=float, help="conductivity in "
@@ -290,7 +292,7 @@ OPTIONS = {
     "--rel-tol": (RECORD_COMMANDS, dict(type=float, help="relative tolerance "
                   "of every integral and of the Matsubara sum (default 1e-6)")),
     "--kperp": (("zero-freq",), dict(default="1e5:1e8:7", help="transverse "
-                "wavenumber grid in rad/m")),
+                "wavenumber grid in rad/m (count <= %d)" % GRID_MAX)),
     "--output": (_ALL_COMMANDS, dict(help="output path (default: stdout)")),
     "--format": ((*RECORD_COMMANDS, "zero-freq"), dict(
         choices=("csv", "human"), help="output format (default: csv for "

@@ -216,12 +216,12 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
 
     s = matsubara_sum(terms, rel_tol, l_floor)
     value, evaluations = s.value, sum(r.evaluations for r in done)
-    quad_err = math.fsum(np.concatenate(
-        [r.abs_error_estimate for r in done])[:s.terms_used])  # no overshoot
+    quad_err = math.fsum([e for r in done for e in  # no overshoot
+                          r.abs_error_estimate.tolist()][:s.terms_used])
     if not s.edge_terms:
         # 1/rho - 1 of either rho; expm1 capped (a large a*T overflows it)
-        prev, last = np.abs(np.concatenate([r.value for r in done])[
-            s.terms_used - 2:s.terms_used]).tolist()
+        prev, last = map(abs, [t for r in done for t in r.value.tolist()][
+            s.terms_used - 2:s.terms_used])
         seen = prev / last - 1.0 if last else 0.0
         geometric = math.expm1(min(zeta1, 700.0))
         tail_err = last / (seen if 0.0 < seen < geometric else geometric)

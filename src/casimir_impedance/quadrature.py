@@ -17,9 +17,10 @@ G7 to 13, so for analytic f K15's error goes like G7's to the power 24/14
 
 `integrate_interval` maps u = t^2, t on 5 panels with edges 0, 0.01, 0.04,
 0.15, 0.4 and 1 (75 points), onto [lower, upper]: a y ln y edge becomes
-t^3 ln t.  Its rows (lower limits) share each integrand call; each keeps
-the first level that meets rel_tol of its int |f|, past which it is
-neither summed nor checked.
+t^3 ln t.  Its rows (lower limits) share each integrand call; a level takes
+D from one contraction with K15 - G7 weights and every row's error and stop
+test in one array expression.  Each row keeps the first level that meets
+rel_tol of its int |f|, past which it is neither summed nor checked.
 For integrands decaying like exp(-y), `integrate_semiinf` stops at
 lower + max(40, ln(1/rel_tol) + 10): the tail left out is below ~4e-18.
 
@@ -28,10 +29,9 @@ zeta = lo + (y - lo) s^3, that removes the zeta^(1/2) and zeta^(2/3) edge
 behaviour of the skin-effect impedances, on K15 x K15 nodes in each pair of
 a y panel ([lo, lo + 1e-2], then 6 geometric panels up to Y) and an s panel
 ([0, 0.03], [0.03, 0.3], [0.3, 1]): 4,725 points at level 0, D over the
-pairs; a factor of y alone costs one evaluation per y node.  The former
-[lo, lo + 1e-3] and 8 panels (6,075 points) covered no more integrals.
-With 5 panels 55 of the 120 T = 0 benchmark records need level 1; s panels
-[0, 0.1, 1] leave 21 of 300 integrals uncovered at rel_tol 1e-12.
+pairs; a factor of y alone costs one evaluation per y node.  With 5 y
+panels 55 of the 120 T = 0 benchmark records need level 1; s panels [0,
+0.1, 1] leave 21 of 300 integrals uncovered at rel_tol 1e-12.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ _EULER_L = 64
 _EM_D1 = np.array([10.0, -72.0, 225.0, -400.0, 450.0, -360.0, 147.0]) / 60.0
 _EM_D3 = np.array([15.0, -104.0, 307.0, -496.0, 461.0, -232.0, 49.0]) / 8.0
 _EM_D5 = np.array([5.0, -32.0, 85.0, -120.0, 95.0, -40.0, 7.0]) / 2.0
-_EM_WEIGHTS = np.eye(7)[6] / 2 - _EM_D1 / 12 + _EM_D3 / 720 - _EM_D5 / 30240
+_EM_WEIGHTS = (np.eye(7)[6] / 2 - _EM_D1 / 12 + _EM_D3 / 720
+               - _EM_D5 / 30240).tolist()
 
 
 @dataclass(frozen=True)
@@ -127,11 +128,11 @@ class NonConvergenceError(RuntimeError):
         self.result = result
 
 
-def _gk_error(d: float, r: float) -> float:
-    """The module docstring's error from D and R (24/14 taken as 3/2 with a
-    factor 10; R = 0: f is 0 on every node)."""
-    ratio = min(1.0, d / r) if r else 0.0
-    return max(10.0 * r * ratio ** 1.5, 50.0 * _EPS * r)
+def _gk_error(d, r):
+    """The module docstring's error from D and R, floats or arrays (24/14 as
+    3/2, factor 10; min(D, R)/R is min(1, D/R), 0 at R = 0: f = 0 there)."""
+    return np.maximum(10.0 * r * (np.minimum(d, r) / (r + (r == 0.0)))
+                      ** 1.5, 50.0 * _EPS * r)
 
 
 def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
@@ -142,18 +143,16 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
     Raises NonConvergenceError (with the best estimate attached) when a row
     misses the tolerance after _INTERVAL_LEVELS levels.
     """
-    lo, length = (np.atleast_1d(np.asarray(x, dtype=float))
-                  for x in (lower, upper - lower))
-    if not (0.0 < rel_tol <= 1e-2 and (length > 0.0).all()):
+    lo, length = (np.array(x, float, ndmin=1) for x in (lower, upper - lower))
+    if not (0.0 < rel_tol <= 1e-2 and length.min() > 0.0):  # NaN fails
         raise ValueError("need rel_tol in (0, 1e-2] and upper > lower")
-    rows, evaluations = len(lo), 0
-    value, err, unmet = np.zeros(rows), np.zeros(rows), np.ones(rows, bool)
+    rows, evaluations, todo = len(lo), 0, slice(None)  # the refining rows
+    value, err = np.zeros(rows), np.zeros(rows)
     step = max(1, _CHUNK // (15 * rows))
     lo3, length3 = lo[:, None, None], length[:, None, None]
     floor = max(rel_tol, 50.0 * _EPS)
     for level in range(_INTERVAL_LEVELS):
-        u, w_k, w_g = _u_rule(level)
-        todo = slice(None) if unmet.all() else np.flatnonzero(unmet)
+        u, w_k, w_d = _u_rule(level)
         fx = [np.require(f(lo3 + length3 * u[i:i + step]), float, "A")[todo]
               for i in range(0, len(u), step)]  # whole panels of every row
         fx = fx[0] if len(fx) == 1 else np.concatenate(fx, axis=1)
@@ -165,20 +164,20 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
         scale = length[todo]
         value[todo] = scale * list(map(math.fsum, k.tolist()))
         resabs = scale * np.einsum("rpn,pn->r", np.abs(fx), w_k)
-        d = scale * np.abs(k - np.einsum("rpn,pn->rp", fx[..., 1::2],
-                                         w_g)).sum(axis=1)
-        err[todo] = e = np.array(list(map(_gk_error, d.tolist(),
-                                          resabs.tolist())))
-        unmet[todo] = missed = e > np.maximum(  # against int |f|: rows cross 0
+        err[todo] = e = _gk_error(scale * np.abs(np.einsum(  # D: one contraction
+            "rpn,pn->rp", fx, w_d)).sum(axis=1), resabs)
+        missed = e > np.maximum(  # against int |f|: rows cross 0
             floor * resabs, _INTERVAL_ABS_TOL)
-        if not missed.any():
+        if not (unmet := missed.any()):
             break
+        if not missed.all():  # a slice, no gather, until a row is done
+            todo = np.arange(rows)[todo][missed]
     result = IntegralResult(*(v if np.ndim(lower) else float(v[0])
                               for v in (value, err)), evaluations)
-    if unmet.any():
+    if unmet:
         raise NonConvergenceError(
             f"no convergence to rel_tol={rel_tol:g} within {_INTERVAL_LEVELS}"
-            f" levels (error estimate {max(err[unmet]):.3g})", result)
+            f" levels (error estimate {e[missed].max():.3g})", result)
     return result
 
 
@@ -254,8 +253,10 @@ def euler_maclaurin_ends(edge_terms) -> tuple[float, float]:
     on [L-6, L]; while the terms fall by less than e^0.35 per step, that is
     below |Delta^6 t_L| / 50, the bound returned.
     """
-    t = np.asarray(edge_terms, dtype=float)
-    return math.fsum(t * _EM_WEIGHTS), abs(np.diff(t, 6)[0]) / 50.0
+    t = diff = list(map(float, edge_terms))
+    for _ in range(6):  # np.diff(t, 6)'s order
+        diff = [b - a for a, b in zip(diff, diff[1:])]
+    return math.fsum(x * w for x, w in zip(t, _EM_WEIGHTS)), abs(diff[0]) / 50
 
 
 def _gk_panels(edges: np.ndarray, level: int, jacobian, node=None):
@@ -275,12 +276,19 @@ def _gk_panels(edges: np.ndarray, level: int, jacobian, node=None):
     return rule
 
 
-# u = t^2 once per level; the wedge's s panels with dzeta/(m ds) = p
-# s^(p-1), its y panels as m = y - lo, Jacobian m, per (upper - lo, level)
-_u_rule = functools.cache(lambda level: _gk_panels(
-    _U_T_EDGES, level, lambda t: 2.0 * t, lambda t: t * t))
+@functools.cache
+def _u_rule(level: int):  # nodes u = t^2, K15 and K15 - G7 weights
+    u, w_k, w_g = _gk_panels(_U_T_EDGES, level, lambda t: 2.0 * t, np.square)
+    w_d = w_k - np.insert(w_g, range(8), 0.0, axis=1)  # G7 on odd nodes
+    w_d.flags.writeable = False
+    return u, w_k, w_d
+
+
+# the wedge's s panels as their nodes' grading s^p, flat, dzeta/(m ds) = p
+# s^(p-1); its y panels as m = y - lo, Jacobian m, per (upper - lo, level)
 _s_rule = functools.cache(lambda level, p=_WEDGE_GRADING: _gk_panels(
-    _WEDGE_S_EDGES, level, lambda s: p * s ** (p - 1)))
+    _WEDGE_S_EDGES, level, lambda s: p * s ** (p - 1),
+    lambda s: (s ** p).ravel()))
 _y_rule = functools.lru_cache(maxsize=16)(lambda width, level: _gk_panels(
     np.append(0.0, np.geomspace(_WEDGE_Y0, width, _WEDGE_Y_PANELS + 1)),
     level, lambda m: m))
@@ -300,17 +308,17 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                          f"upper > lo + {_WEDGE_Y0:g}")
     evaluations = 0
     for level in range(_WEDGE_LEVELS):
-        s, ws_k, ws_g = _s_rule(level)
+        grade, ws_k, ws_g = _s_rule(level)  # s^p, its weights
         y, wy_k, wy_g = _y_rule(upper - lo, level)  # y - lo, its weights
-        grade = s.ravel() ** _WEDGE_GRADING
-        step = max(1, _CHUNK // (15 * s.size))
+        step = max(1, _CHUNK // (15 * grade.size))
         cells, diffs, resabs = [], [], []
         for i in range(0, len(y), step):  # whole y panels at a time
             m = y[i:i + step, :, None]  # y - lo; zeta = lo + m s^p
             # lo = 0: no array adds
             yc, zeta = (lo + m, lo + m * grade) if lo else (m, m * grade)
-            fx = np.broadcast_to(np.require(f(zeta, yc), float, "A"),
-                                 zeta.shape).reshape(len(yc), 15, *s.shape)
+            fx = np.require(f(zeta, yc), float, "A")  # compact f: broadcast
+            fx = (fx if fx.shape == zeta.shape else np.broadcast_to(
+                fx, zeta.shape)).reshape(len(yc), 15, -1, 15)
             # one K15 and one G7 sum per pair of a y panel and an s panel,
             # the y nodes contracted first, then the s nodes
             wk, wg = wy_k[i:i + step], wy_g[i:i + step]
@@ -325,9 +333,9 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
             diffs.extend(np.abs(k - g).ravel().tolist())
             resabs.extend(np.einsum("ySj,Sj->yS", np.einsum(
                 "yiSj,yi->ySj", np.abs(fx), wk), ws_k).ravel().tolist())
-        evaluations += y.size * s.size
+        evaluations += y.size * grade.size
         value, d, r = (math.fsum(x) for x in (cells, diffs, resabs))
-        err = _gk_error(d, r)
+        err = float(_gk_error(d, r))
         if err <= max(rel_tol * abs(value), _WEDGE_ABS_TOL):
             return IntegralResult(value, err, evaluations)
     raise NonConvergenceError(

@@ -202,7 +202,7 @@ def x_factors_grid(model: Model, geometry: Geometry, zeta, y):
     broadcasts against the array y, Re y > 0; zeta = 0 needs no special case.
     """
     y = np.asarray(y)
-    if not (y.real > 0.0).all():  # a NaN fails it too
+    if not y.real.min() > 0.0:  # a NaN fails it too
         raise ValueError("y must be positive")
     y4 = 4.0 * y  # one product for both polarizations
     xs = []

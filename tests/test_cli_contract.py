@@ -53,3 +53,33 @@ def test_cli_contract_holds_for_every_input(command, model, a, T, rel_tol):
         if column not in ("model", "status") and field:
             assert math.isfinite(float(field)), (argv, column, field)
     assert (code == 0) == (fields[-1] == "ok"), (argv, fields[-1])
+
+
+def test_grid_count_above_the_bound_exits_2_before_allocating():
+    # a start:stop:count grid past GRID_MAX points is a configuration
+    # error, caught before np.geomspace or np.linspace allocates the grid
+    import tracemalloc
+
+    from casimir_impedance.cli import GRID_MAX
+
+    grids = (("energy", "--separation", "1e-6:2e-6:{}"),
+             ("free-energy", "--temperature", "1:300:{}"),
+             ("zero-freq", "--kperp", "1e5:1e8:{}"))
+    for count in (10 ** 15, GRID_MAX + 1):
+        for command, flag, grid in grids:
+            argv = [command, flag, grid.format(count)]
+            if flag != "--separation" and command != "zero-freq":
+                argv += ["--separation", "1e-6"]
+            out, err = io.StringIO(), io.StringIO()
+            tracemalloc.start()
+            try:
+                with (contextlib.redirect_stdout(out),
+                      contextlib.redirect_stderr(err)):
+                    code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, out.getvalue()) == (2, ""), argv
+            assert err.getvalue() == (f"error: {flag}: grid count must be "
+                                      f"in [2, {GRID_MAX}]\n"), argv
+            assert peak < 1 << 20, (argv, peak)  # bytes

@@ -1008,9 +1008,9 @@ def test_in_place_kernels_are_the_out_of_place_forms_bit_for_bit():
     u = quadrature._u_rule(0)[0]
     lo = np.arange(10)[:, None, None] * 80.0  # rows up to 720 + 40
     block = (lo, lo + 40.0 * u)
-    s, y = quadrature._s_rule(0)[0], quadrature._y_rule(40.0, 0)[0][:3]
+    grade, y = quadrature._s_rule(0)[0], quadrature._y_rule(40.0, 0)[0][:3]
     m = y[:, :, None]
-    wedge = (m * s.ravel() ** 3, m)
+    wedge = (m * grade, m)
     assert block[1].max() > 709.0 and block[0][0, 0, 0] == 0.0
     for model in (IdealMetal(), NormalSkin(1e17), GOLD_AS, GOLD_IR,
                   Plasma(wp), Drude(wp, 5.3e13)):

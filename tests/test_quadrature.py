@@ -440,6 +440,72 @@ def test_array_lower_equals_scalar_calls_row_for_row():
     assert rows.evaluations >= len(lowers) * alone.evaluations
 
 
+def test_row_error_is_the_formula_on_k15_minus_g7_weights():
+    # D comes from one contraction with the weights K15 - G7; rebuilt here
+    # from the separate K15 and G7 rules, on rows that stop at different
+    # levels, each row keeps the fsum of its K15 panel sums as its value
+    # and _gk_error(D, R) as its error, and that D is the summed |K15 - G7|
+    # of separate sums up to their rounding (at D/R ~ 2e-10 that rounding
+    # alone moves D by up to ~1e-6 of itself)
+    def f(y):
+        return y * np.log1p(-np.exp(-y))
+
+    lowers, tol = np.array([0.0, 1e-3, 0.5, 3.0, 20.0]), 1e-10
+    rows = integrate_semiinf(f, lowers, tol)
+    length = tail_cutoff(lowers, tol) - lowers
+    y0, dy = lowers[:, None, None], length[:, None, None]
+    stopped = {}
+    for level in range(quadrature._INTERVAL_LEVELS):
+        u, w_k, w_g = quadrature._gk_panels(
+            quadrature._U_T_EDGES, level, lambda t: 2.0 * t, lambda t: t * t)
+        w_g15 = np.zeros_like(w_k)  # G7 on the 15 nodes
+        w_g15[:, 1::2] = w_g
+        w_d = w_k - w_g15
+        cached = quadrature._u_rule(level)
+        assert all(np.array_equal(a, b) for a, b in zip(cached, (u, w_k, w_d)))
+        fx = f(y0 + dy * u)
+        k = np.einsum("rpn,pn->rp", fx, w_k)
+        g = np.einsum("rpn,pn->rp", fx[..., 1::2], w_g)
+        d = length * np.abs(np.einsum("rpn,pn->rp", fx, w_d)).sum(axis=1)
+        r = length * np.einsum("rpn,pn->r", np.abs(fx), w_k)
+        # each 15-term sum is off by below 8 eps of its sum of |terms|
+        rounding = 16.0 * quadrature._EPS * length * np.einsum(
+            "rpn,pn->r", np.abs(fx), w_k + w_g15)
+        for i in set(range(len(lowers))) - set(stopped):
+            assert abs(d[i] - length[i] * np.abs(k[i] - g[i]).sum()) <= (
+                rounding[i]), (level, i)
+            e = quadrature._gk_error(float(d[i]), float(r[i]))
+            if e <= max(tol * r[i], quadrature._INTERVAL_ABS_TOL):
+                stopped[i] = level
+                assert rows.value[i] == length[i] * math.fsum(k[i])
+                assert rows.abs_error_estimate[i] == pytest.approx(
+                    e, rel=1e-12, abs=0.0)
+        if len(stopped) == len(lowers):
+            break
+    assert len(stopped) == len(lowers)
+    assert len(set(stopped.values())) > 1, stopped
+
+
+def test_euler_maclaurin_ends_keep_their_arithmetic():
+    # seven-term edges, geometric, alternating and with exact zeros: value
+    # and bound are those of the weights' fsum and of np.diff, bit for bit
+    rng = np.random.default_rng(29)
+    edges = []
+    for _ in range(200):
+        ratio, start = rng.uniform(0.2, 1.0), rng.lognormal(0.0, 20.0)
+        geometric = start * ratio ** np.arange(7.0)
+        edges += [geometric, geometric * (-1.0) ** np.arange(7),
+                  np.where(rng.random(7) < 0.4, 0.0, rng.normal(size=7))]
+    edges += [np.zeros(7), np.eye(7)[3]]
+    for t in edges:
+        want = (math.fsum(np.asarray(t) * quadrature._EM_WEIGHTS),
+                abs(np.diff(t, 6)[0]) / 50)
+        for given in (t, tuple(t.tolist())):
+            got = euler_maclaurin_ends(given)
+            assert [type(x) for x in got] == [float, float]
+            assert got == want, t
+
+
 def test_singular_zero_frequency_integrand_from_zero():
     # int_0^inf y ln(1 - e^-y) dy = -zeta(3): the l = 0 ideal-metal term,
     # log-singular at the lower limit
