@@ -26,9 +26,10 @@ and the sphere-plate force through the proximity relation F = 2 pi R F_pp.
 Each y-integrand is a plain vectorized g(model, geometry, zeta, y).  One
 driver, `_spectral`, binds it once per record, evaluates both forms with it
 and then runs the model's separation check: the primed Matsubara sum at
-T > 0 (its remainder by Euler-Maclaurin past l = 64, or past l = 16 or 32
-where a ladder's floor is 64 or more and the ends' error bound already
-meets tol there) and, at T = 0, the zeta integral with the order swapped,
+T > 0 (stopped where `matsubara_sum`'s remainder bound meets tol, or its
+remainder by Euler-Maclaurin past l = 64, or past l = 16 or 32 where a
+ladder's floor is 64 or more and the ends' error bound already meets tol
+there) and, at T = 0, the zeta integral with the order swapped,
 int_0^inf dy int_0^y dzeta, by the graded tensor rule `integrate_wedge`.
 Every observable reaches the quadrature through it, the entropy S = -dF/dT
 as the ladder -(k_B / 8 pi a^2) sum'_l h(zeta_l), h = d(zeta I)/dzeta
@@ -56,9 +57,8 @@ from .physcore import (
 )
 from .reflection import Model, x_factors_grid
 from .quadrature import (  # integrate_interval: perfbench/spans.py wraps it
-    IntegralResult, NonConvergenceError, euler_maclaurin_ends,
-    integrate_interval, integrate_semiinf, integrate_wedge, matsubara_sum,
-    tail_cutoff,
+    IntegralResult, NonConvergenceError, integrate_interval,
+    integrate_semiinf, integrate_wedge, matsubara_sum, tail_cutoff,
 )
 
 lifshitz_x_grid = x_factors_grid  # perfbench/spans.py wraps it
@@ -181,18 +181,15 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     form in physical units, `integrand` bound once to the model and
     geometry: (hbar c / 32 pi^2 a^power) times the `_band` above zeta = 0
     at T = 0, and (k_B T / 8 pi a^(power-1)) times the primed Matsubara sum
-    of the y-integrals at T > 0, whose floor ceil(10 / zeta_1) covers the
-    dominant spectral window zeta <= 10; every integral and the sum's stop
-    rule use tol.quadrature_rel_tol.  Its error is the per-term quadrature
-    errors (quad_err) plus a remainder bound (tail_err): for a ladder that
-    stops by itself at l = L, |t_L| rho/(1 - rho), rho = max(|t_L/t_(L-1)|,
-    e^-zeta_1) (e^-zeta_1 if that is >= 1), as terms like poly(l) e^(-zeta_1
-    l) fall by ratios that decrease toward e^-zeta_1; for one that
-    `matsubara_sum` hands off at l = L (64, or 16 or 32 for a floor past
-    64), the Euler-Maclaurin remainder, `band` (default `_band`) above L
-    zeta_1 = (terms_used - 1) zeta_1 over zeta_1 + `euler_maclaurin_ends`.
-    Then the model's `check_separation` runs: a record that raises warns
-    nothing.
+    of the y-integrals at T > 0 by `matsubara_sum`; every integral and the
+    sum's stop rule use tol.quadrature_rel_tol.  Its error is the per-term
+    quadrature errors (quad_err) plus the sum's remainder bound (tail_err):
+    for a ladder that stops by itself, the bound it stopped on; for one
+    handed off at l = L (64, or 16 or 32 for a floor ceil(10 / zeta_1)
+    past 64), the Euler-Maclaurin remainder, the sum's ends and their bound
+    plus `band` (default `_band`) above L zeta_1 = (terms_used - 1) zeta_1
+    over zeta_1.  Then the model's `check_separation` runs: a record that
+    raises warns nothing.
     """
     a, zeta1 = geometry.separation, check_range(geometry, state)
     rel_tol = tol.quadrature_rel_tol
@@ -204,7 +201,6 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
         return prefac * w.value, prefac * w.abs_error_estimate, {
             "evaluations": w.evaluations}
 
-    l_floor = math.ceil(10.0 / zeta1)
     done: list[IntegralResult] = []
 
     def terms(ls: np.ndarray) -> np.ndarray:
@@ -214,21 +210,14 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
                                       rel_tol))
         return done[-1].value
 
-    s = matsubara_sum(terms, rel_tol, l_floor)
-    value, evaluations = s.value, sum(r.evaluations for r in done)
+    s = matsubara_sum(terms, rel_tol, zeta1)
+    value, tail_err = s.value, s.tail_err
+    evaluations = sum(r.evaluations for r in done)
     quad_err = math.fsum([e for r in done for e in  # no overshoot
                           r.abs_error_estimate.tolist()][:s.terms_used])
-    if not s.edge_terms:
-        # 1/rho - 1 of either rho; expm1 capped (a large a*T overflows it)
-        prev, last = map(abs, [t for r in done for t in r.value.tolist()][
-            s.terms_used - 2:s.terms_used])
-        seen = prev / last - 1.0 if last else 0.0
-        geometric = math.expm1(min(zeta1, 700.0))
-        tail_err = last / (seen if 0.0 < seen < geometric else geometric)
-    else:
+    if s.ends is not None:
         w = band(g, (s.terms_used - 1) * zeta1, rel_tol)
-        ends, tail_err = euler_maclaurin_ends(s.edge_terms)
-        value += ends + w.value / zeta1
+        value += s.ends + w.value / zeta1
         tail_err += w.abs_error_estimate / zeta1
         evaluations += w.evaluations
     model.check_separation(geometry)
@@ -240,7 +229,7 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
         "terms_used": s.terms_used, "evaluations": evaluations,
         "last_term_magnitude": s.last_term_magnitude,
         "quad_err": prefac * quad_err, "tail_err": prefac * tail_err,
-        "tail": "euler_maclaurin" if s.edge_terms else "geometric"}
+        "tail": "geometric" if s.ends is None else "euler_maclaurin"}
 
 
 def energy_T0(model: Model, geometry: Geometry,

@@ -116,7 +116,8 @@ class SumResult:
     value: float
     terms_used: int
     last_term_magnitude: float
-    edge_terms: tuple = ()  # t_{L-6}, ..., t_L if handed off at L
+    tail_err: float  # the remainder bound
+    ends: float | None = None  # `euler_maclaurin_ends` if handed off at L
 
 
 class NonConvergenceError(RuntimeError):
@@ -196,54 +197,61 @@ def integrate_semiinf(f: Callable[[np.ndarray], np.ndarray],
 
 
 def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
-                  l_floor: int) -> SumResult:
-    """Primed sum 0.5*t_0 + sum_{l>=1} t_l with convergence control.
+                  zeta1: float) -> SumResult:
+    """Primed sum 0.5*t_0 + sum_{l>=1} t_l of a ladder t_l = t(l zeta_1)
+    with convergence control.
 
     ``terms`` maps an array of indices l to their terms, at most
-    _MATSUBARA_BLOCK per call: l = 0 to 2 past e^(-zeta_1 l) = rel_tol e^(-4)
-    (zeta_1 = 10 / l_floor; a ladder falling like a polynomial times that
-    exponential as a rule stops in it), then as many as the last two terms'
-    ratio predicts.  Terms are taken in ascending order and added with exact
-    summation.  The sum stops once l >= l_floor and |t_l| <= rel_tol *
-    |running sum| held for three consecutive indices, leaving out the rest
-    of the block; l_floor guarantees that the dominant spectral window is
-    covered however fast the early terms decay.  A ladder not stopped by
-    l = _EULER_L hands off there; one whose l_floor is at least _EULER_L
-    (it cannot stop before) hands off at the first L of _EULER_L / 4,
-    _EULER_L / 2 and _EULER_L where the `euler_maclaurin_ends` bound is at
-    most rel_tol * |sum over l < L|, and no block runs past the next such
-    L.  Its value is the sum over l < L and ``edge_terms`` holds t_{L-6},
-    ..., t_L (terms_used = L + 1).
+    _MATSUBARA_BLOCK per call: first l = 0 up to the first l where e^(-10 l
+    / l_floor) <= rel_tol e^(-4) (a ladder falling like a polynomial times
+    e^(-zeta_1 l) as a rule stops there), then as many as the last rho
+    predicts the stop needs.  Terms are taken in ascending order and added
+    with exact summation.  The sum stops at the first L >= l_floor =
+    ceil(10 / zeta_1) where rho = max(|t_L / t_(L-1)|, e^-zeta_1) < 1 and
+    the remainder bound |t_L| rho/(1 - rho), returned as ``tail_err``, is at
+    most rel_tol * |running sum|; the rest of the block is left out.  Terms
+    like poly(l) e^(-zeta_1 l) fall by ratios that decrease toward
+    e^-zeta_1, so rho bounds every later ratio; a ladder whose terms do not
+    fall never stops.  l_floor covers the dominant spectral window zeta <=
+    10, where a ladder may still turn (the entropy's h = d(zeta I)/dzeta
+    changes sign near zeta = 1-2).  A ladder not stopped by l = _EULER_L
+    hands off there; one whose l_floor is at least _EULER_L (it cannot stop
+    before) hands off at the first L of _EULER_L / 4, _EULER_L / 2 and
+    _EULER_L where the `euler_maclaurin_ends` bound is at most rel_tol *
+    |sum over l < L|, and no block runs past the next such L.  Its value is
+    the sum over l < L, ``ends`` the ends' value on t_(L-6), ..., t_L and
+    ``tail_err`` their bound (terms_used = L + 1).
     """
-    if not (0.0 < rel_tol <= 1e-2 and l_floor >= 0):
-        raise ValueError("need rel_tol in (0, 1e-2] and l_floor >= 0")
-
+    if not (0.0 < rel_tol <= 1e-2 and zeta1 > 0.0):
+        raise ValueError("need rel_tol in (0, 1e-2] and zeta1 > 0")
+    l_floor = math.ceil(10.0 / zeta1)
     hand_off = _EULER_L // 4 if l_floor >= _EULER_L else _EULER_L
+    gap_floor = math.expm1(min(zeta1, 700.0))  # 1/rho - 1 at e^-zeta_1, capped
 
     def ask(l: int, n: int) -> list:  # t_l, ..., t_(l+n-1), reversed
         n = min(max(n, l_floor + 1 - l), _MATSUBARA_BLOCK, hand_off + 1 - l)
         return np.asarray(terms(np.arange(l, l + n)), float).tolist()[::-1]
-    block = ask(0, math.ceil(l_floor * (math.log(1 / rel_tol) + 4) / 10) + 3)
-    kept = [0.5 * block.pop()]
-    running, consecutive = kept[0], 0
-    while consecutive < 3 or len(kept) <= l_floor:
-        if not block:  # to three small terms in a row at t_l / t_(l-1)
-            t, bound = abs(kept[-1]), rel_tol * abs(running)
-            decay = math.log(max(t / abs(kept[-2]), _EPS)) if kept[-2] else 0
-            block = ask(len(kept), 3 - consecutive if consecutive else
-                        math.ceil((math.log(bound) - math.log(t)) / decay)
-                        + 2 if decay < 0.0 < bound else _MATSUBARA_BLOCK)
-        kept.append(block.pop())
-        if len(kept) > hand_off:  # kept holds t_0/2, t_1, ..., t_L'
-            head, edge = math.fsum(kept[:-1]), tuple(kept[-len(_EM_WEIGHTS):])
-            if (hand_off == _EULER_L or euler_maclaurin_ends(edge)[1]
-                    <= rel_tol * abs(head)):
-                return SumResult(head, len(kept), abs(kept[-1]), edge)
+    block = ask(0, math.ceil(l_floor * (math.log(1 / rel_tol) + 4) / 10) + 1)
+    prev = block.pop()
+    kept, running = [0.5 * prev], 0.5 * prev  # kept: t_0/2, t_1, ..., t_L
+    while True:
+        kept.append(t := block.pop())
+        if len(kept) > hand_off:
+            head = math.fsum(kept[:-1])
+            ends, bound = euler_maclaurin_ends(kept[-len(_EM_WEIGHTS):])
+            if hand_off == _EULER_L or bound <= rel_tol * abs(head):
+                return SumResult(head, len(kept), abs(t), bound, ends)
             hand_off *= 2
-        running += kept[-1]
-        small = abs(kept[-1]) <= rel_tol * abs(running)
-        consecutive = consecutive + 1 if small else 0
-    return SumResult(math.fsum(kept), len(kept), abs(kept[-1]))
+        running += t
+        gap = min(abs(prev / t) - 1.0 if t else math.inf, gap_floor)
+        tail = abs(t) / gap if gap > 0.0 else math.inf  # |t| rho/(1 - rho)
+        target, prev = rel_tol * abs(running), t
+        if tail <= target and len(kept) > l_floor:
+            return SumResult(math.fsum(kept), len(kept), abs(t), tail)
+        if not block:  # to where the bound at the ratio rho meets target
+            block = ask(len(kept), _MATSUBARA_BLOCK if gap <= 0.0 or not target
+                        else math.ceil(math.log(max(tail / target, 1.0))
+                                       / math.log1p(gap)))
 
 
 def euler_maclaurin_ends(edge_terms) -> tuple[float, float]:

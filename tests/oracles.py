@@ -8,10 +8,12 @@ at 50 digits.  `zero_freq_closed_form` states each model's zero-frequency
 limit in closed form.  `free_energy_ideal` is the ideal metal's
 closed-form free energy, with `ZETA3` = zeta(3); `energy_T0_nested_quad`
 and `free_energy_direct_ladder` are independent numeric references for
-the two spectral forms.  `lowT_asymptotics` is the paper's low-temperature
-expansion of the infrared-optics free energy and entropy, added to a
-numeric E(a); `spectral_contribution` is the fraction of E(a) from a
-window of zeta, the quantity of acceptance criterion 7.
+the two spectral forms, and `entropy_direct_ladder` sums the entropy's
+ladder of the package's integrand with no stop rule.  `lowT_asymptotics`
+is the paper's low-temperature expansion of the infrared-optics free
+energy and entropy, added to a numeric E(a); `spectral_contribution` is
+the fraction of E(a) from a window of zeta, the quantity of acceptance
+criterion 7.
 `entropy_richardson` is the entropy as a Richardson-extrapolated central
 difference of free energies, the reference of the package's entropy ladder.
 `x_factors_out_of_place`, `free_energy_integrand_out_of_place` and
@@ -38,8 +40,9 @@ from casimir_impedance.reflection import (
     Plasma, x_factors_grid,
 )
 from casimir_impedance.observables import (
-    DEFAULT_TOL, Quantity, ResultValue, _band, _free_energy_integrand,
-    check_range, energy_T0, energy_ideal, free_energy,
+    DEFAULT_TOL, Quantity, ResultValue, _band, _entropy_integrand,
+    _free_energy_integrand, check_range, energy_T0, energy_ideal,
+    free_energy,
 )
 
 ZETA3 = 1.2020569031595943  # Riemann zeta(3)
@@ -495,20 +498,39 @@ def free_energy_direct_ladder(model, geometry: Geometry, temperature: float,
     others together by `quad_vec`, to rel_tol of the largest.  It shares
     no y-rule with the package; the terms are added with math.fsum.
     """
+    a = geometry.separation
+    return K_B * temperature / (8.0 * math.pi * a * a) * _direct_ladder(
+        partial(_free_energy_integrand, model, geometry), geometry,
+        temperature, rel_tol, 40.0)
+
+
+def entropy_direct_ladder(model, geometry: Geometry, temperature: float,
+                          rel_tol: float = 1e-12) -> float:
+    """Entropy per area -(k_B / 8 pi a^2) sum'_l h(zeta_l) up to l zeta_1 =
+    45, each h(zeta_l) the y-integral of the package's entropy integrand by
+    the rules of `free_energy_direct_ladder`: no stop rule and no
+    remainder."""
+    a = geometry.separation
+    return -K_B / (8.0 * math.pi * a * a) * _direct_ladder(
+        partial(_entropy_integrand, model, geometry), geometry, temperature,
+        rel_tol, 45.0)
+
+
+def _direct_ladder(g, geometry: Geometry, temperature: float,
+                   rel_tol: float, top: float) -> float:
+    """sum'_l int_0^40 g(zeta_l, zeta_l + u) du over l zeta_1 <= top."""
     from scipy import integrate
 
     a = geometry.separation
     zeta1 = 4.0 * math.pi * a * K_B * temperature / (HBAR * C_LIGHT)
-    g = partial(_free_energy_integrand, model, geometry)
-    zeta = np.arange(1, math.ceil(40.0 / zeta1) + 1) * zeta1
+    zeta = np.arange(1, math.ceil(top / zeta1) + 1) * zeta1
     first = integrate.quad(lambda u: g(np.zeros(1), np.array([u]))[0],
                            0.0, 40.0, epsabs=0.0, epsrel=rel_tol,
                            points=(1.0, 5.0), limit=200)[0]
     rest = integrate.quad_vec(lambda u: g(zeta, zeta + u), 0.0, 40.0,
                               epsabs=0.0, epsrel=rel_tol, norm="max",
                               points=(1.0, 5.0))[0]
-    return K_B * temperature / (8.0 * math.pi * a * a) * math.fsum(
-        [0.5 * first, *rest.tolist()])
+    return math.fsum([0.5 * first, *rest.tolist()])
 
 
 def entropy_richardson(model, geometry: Geometry, state: ThermalState,

@@ -471,6 +471,22 @@ def test_entropy_matches_low_T_expansion_at_tight_tol():
             assert res.numeric_error < 2e-2 * abs(res.value), temperature
 
 
+@pytest.mark.xfail(strict=True, reason="an early Euler-Maclaurin hand-off "
+                   "at l = 32 under-covers this entropy by 3.4x")
+def test_early_hand_off_covers_a_normal_skin_entropy():
+    # zeta_1 = 0.121, so the floor is 83 and the ladder hands off at L =
+    # 32, where the ends' bound meets tol 1e-10; the value is 4.3e-9 off a
+    # ladder of every row to l zeta_1 = 45 at 1e-12, 3.4x its error (at
+    # tol 1e-11 it hands off at 64 and is covered)
+    from oracles import entropy_direct_ladder
+
+    model, geometry = NormalSkin(3.2e17), Geometry(3.162277660168379e-07)
+    res = entropy(model, geometry, ThermalState(70.0), ToleranceConfig(1e-10))
+    ref = entropy_direct_ladder(model, geometry, 70.0)
+    assert res.diagnostics["terms_used"] == 33
+    assert abs(res.value - ref) <= res.numeric_error
+
+
 def test_entropy_checks_its_range_up_front(monkeypatch):
     # entropy takes no step in T: a T inside check_range computes, up to
     # both ends of the ladder's range at both ends of the separation's, and
@@ -990,7 +1006,7 @@ def test_short_ladders_take_one_call_on_the_thermal_grid(monkeypatch):
                     short += 1
                     assert len(rows) == 1, (a, temperature, f, rows)
                     assert used <= rows[0] <= used + 7, (a, temperature, f)
-    assert short == 80  # of the 96 records
+    assert short == 81  # of the 96 records
 
 
 def test_in_place_kernels_are_the_out_of_place_forms_bit_for_bit():
@@ -1084,18 +1100,22 @@ def test_long_ladders_match_direct_ladder_oracle():
                 assert abs(res.value - ref) <= res.numeric_error, case
 
 
-def test_underflowing_matsubara_rows_do_not_fail_the_sum():
-    # at 15 um and 284.8 K the ladder stops after 4 terms, while the rows
-    # further down its first block have values near 1e-308 and errors
-    # below 3e-308 that neither rel_tol nor the underflowed eps floor meet
+def test_underflowing_matsubara_rows_do_not_fail_the_sum(monkeypatch):
+    # at 15 um and 4,300 K (zeta_1 = 354) the ladder stops after 2 terms,
+    # while the row l = 2 of its first block has a value near 1e-305 and an
+    # error near 4e-306 that neither rel_tol nor the underflowed eps floor
+    # meet: without _INTERVAL_ABS_TOL the record raises
     from oracles import free_energy_direct_ladder
 
-    geometry, temperature = Geometry(15e-6), 284.8035868435802
+    geometry, temperature = Geometry(15e-6), 4300.0
     res = free_energy(GOLD_IR, geometry, ThermalState(temperature))
     ref = free_energy_direct_ladder(GOLD_IR, geometry, temperature)
-    assert res.diagnostics["terms_used"] == 4
+    assert res.diagnostics["terms_used"] == 2
     assert abs(res.value - ref) <= res.numeric_error
     assert abs(res.value - ref) <= 1e-6 * abs(ref)
+    monkeypatch.setattr(quadrature, "_INTERVAL_ABS_TOL", 0.0)
+    with pytest.raises(NonConvergenceError):
+        free_energy(GOLD_IR, geometry, ThermalState(temperature))
 
 
 @pytest.mark.parametrize("rel_tol", [1e-9, 1e-10])
@@ -1118,9 +1138,11 @@ def test_near_transparent_plasma_rows_meet_tol(rel_tol):
 
 def _force_hand_off_at_euler_l(monkeypatch):
     """Every ladder that reaches L/4 or L/2 runs on to L = _EULER_L: the
-    ends' bound that `matsubara_sum` tests never meets tol."""
+    ends' bound that `matsubara_sum` tests never meets tol.  The ends keep
+    their value, and a ladder handed off reports that infinite bound."""
+    ends = quadrature.euler_maclaurin_ends
     monkeypatch.setattr(quadrature, "euler_maclaurin_ends",
-                        lambda edge_terms: (0.0, math.inf))
+                        lambda edge_terms: (ends(edge_terms)[0], math.inf))
 
 
 def test_euler_maclaurin_cap_leaves_short_ladders_alone(monkeypatch):
@@ -1152,8 +1174,9 @@ def test_early_hand_off_agrees_with_the_hand_off_at_euler_l(monkeypatch):
     # ladders whose floor ceil(10 / zeta_1) is past L = 64 (4050, 183 and
     # 87 at these (a, T)) hand off at l = 16, 32 or 64, whichever first
     # meets tol: every value of six models is within tol, and within its
-    # own error, of the same record handed off at L; entropy, whose terms
-    # cancel to leave S, agrees within both errors
+    # own error, of the same record handed off at L, as is the entropy,
+    # whose terms cancel to leave S (the records at L report the infinite
+    # bound of `_force_hand_off_at_euler_l`)
     from casimir_impedance.physcore import sigma_gaussian_from_si
 
     models = (IdealMetal(), NormalSkin(sigma_gaussian_from_si(4.1e7)),
@@ -1180,8 +1203,7 @@ def test_early_hand_off_agrees_with_the_hand_off_at_euler_l(monkeypatch):
         assert dev <= tol.quadrature_rel_tol * abs(ref.value), case
         assert dev <= res.numeric_error, case
     for res, ref in zip(early[len(cases):], at_l[len(cases):]):
-        assert abs(res.value - ref.value) \
-            <= res.numeric_error + ref.numeric_error
+        assert abs(res.value - ref.value) <= res.numeric_error
 
 
 def test_error_splits_into_quadrature_and_tail_parts(monkeypatch):

@@ -137,38 +137,43 @@ def test_rejects_bad_tolerance_and_bounds():
         integrate_semiinf(lambda y: np.exp(-y), -1.0, 1e-6)
     with pytest.raises(ValueError):
         integrate_interval(lambda y: np.exp(-y), 1.0, 1.0, 1e-6)
-    for rel_tol, l_floor in ((0.0, 0), (0.5, 0), (1e-6, -1)):
+    for rel_tol, zeta1 in ((0.0, 1.0), (0.5, 1.0), (1e-6, 0.0), (1e-6, -1.0)):
         with pytest.raises(ValueError):
-            matsubara_sum(lambda ls: 0.5 ** ls, rel_tol, l_floor)
+            matsubara_sum(lambda ls: 0.5 ** ls, rel_tol, zeta1)
 
 
 def test_half_weight_convention():
-    res = matsubara_sum(lambda ls: np.where(ls == 0, 1.0, 0.0), 1e-6, 0)
+    # zeta_1 = 10: the floor ceil(10 / zeta_1) is l = 1
+    res = matsubara_sum(lambda ls: np.where(ls == 0, 1.0, 0.0), 1e-6, 10.0)
     assert res.value == 0.5
-    assert res.terms_used >= 1
+    assert res.terms_used == 2 and res.tail_err == 0.0
 
 
 def test_geometric_series():
-    # 0.5 + sum_{l>=1} 2^-l = 1.5
-    res = matsubara_sum(lambda l: 0.5 ** l, 1e-12, 0)
+    # 0.5 + sum_{l>=1} 2^-l = 1.5; at zeta_1 = 1, rho = |t_L / t_(L-1)| =
+    # 1/2 and the bound |t_L| rho/(1 - rho) is t_L, the remainder itself
+    res = matsubara_sum(lambda l: 0.5 ** l, 1e-12, 1.0)
     assert res.value == pytest.approx(1.5, rel=1e-11)
     assert res.last_term_magnitude <= 1e-12 * 1.5 * 1.01
+    assert res.tail_err == res.last_term_magnitude == 1.5 - res.value
 
 
 def test_sum_floor_is_respected():
-    res = matsubara_sum(lambda l: 0.5 ** l, 1e-6, 40)
-    assert res.terms_used >= 41 and res.edge_terms == ()
-    # a floor above L: the ladder hands off at L' = L/4 = 16 with t_10, ...,
-    # t_16, as the ends' bound |Delta^6 t_16| / 50 = 3e-7 meets rel_tol there
+    # zeta_1 = 0.25: no stop before the floor l = 40
+    res = matsubara_sum(lambda l: 0.5 ** l, 1e-6, 0.25)
+    assert res.terms_used >= 41 and res.ends is None
+    # a floor above L (zeta_1 = 1/8, floor 80): the ladder hands off at L'
+    # = L/4 = 16, as the ends' bound |Delta^6 t_16| / 50 = 3e-7 of t_10,
+    # ..., t_16 meets rel_tol there
     hand_off = quadrature._EULER_L // 4
-    res = matsubara_sum(lambda l: 0.5 ** l, 1e-6, 80)
+    res = matsubara_sum(lambda l: 0.5 ** l, 1e-6, 0.125)
     assert res.terms_used == hand_off + 1
-    assert res.edge_terms == tuple(0.5 ** np.arange(hand_off - 6,
-                                                    hand_off + 1))
+    assert (res.ends, res.tail_err) == euler_maclaurin_ends(
+        0.5 ** np.arange(hand_off - 6, hand_off + 1))
     assert res.value == 0.5 + math.fsum(0.5 ** np.arange(1, hand_off))
 
 
-def _asked_rows(terms, rel_tol, l_floor):
+def _asked_rows(terms, rel_tol, zeta1):
     """The SumResult and the rows of each call of ``terms``."""
     asked = []
 
@@ -176,18 +181,21 @@ def _asked_rows(terms, rel_tol, l_floor):
         asked.append(ls.tolist())
         return terms(ls)
 
-    return matsubara_sum(recorded, rel_tol, l_floor), asked
+    return matsubara_sum(recorded, rel_tol, zeta1), asked
 
 
 def test_floor_bound_ladder_hands_off_at_the_first_l_whose_ends_meet_tol():
-    # e^(-0.3 l) at rel_tol 1e-6: |Delta^6 t_16| / 50 = 3e-7 is below 1e-6
-    # of the sum (3.4), so one call of rows 0..16 ends the ladder, and the
-    # sum over l < 16, the band over l >= 16 and the ends give the series
+    # e^(-0.3 l) at rel_tol 1e-6 and floor 64: |Delta^6 t_16| / 50 = 3e-7
+    # is below 1e-6 of the sum (3.4), so one call of rows 0..16 ends the
+    # ladder, and the sum over l < 16, the band over l >= 16 and the ends
+    # give the series
     big_l = quadrature._EULER_L
-    res, asked = _asked_rows(lambda ls: np.exp(-0.3 * ls), 1e-6, big_l)
+    res, asked = _asked_rows(lambda ls: np.exp(-0.3 * ls), 1e-6, 10 / big_l)
     assert asked == [list(range(big_l // 4 + 1))]
     assert res.terms_used == big_l // 4 + 1
-    ends, bound = euler_maclaurin_ends(res.edge_terms)
+    ends, bound = res.ends, res.tail_err
+    assert (ends, bound) == euler_maclaurin_ends(
+        np.exp(-0.3 * np.arange(big_l // 4 - 6, big_l // 4 + 1)))
     assert bound <= 1e-6 * res.value
     total = res.value + math.exp(-0.3 * big_l / 4) / 0.3 + ends
     exact = 0.5 + 1.0 / math.expm1(0.3)
@@ -195,27 +203,28 @@ def test_floor_bound_ladder_hands_off_at_the_first_l_whose_ends_meet_tol():
     # a floor below L leaves a ladder alone: (1 + l)^-2 meets the ends'
     # bound at 16 (7.5e-8 against 1e-6 of 1.08), but it runs on to L
     res, asked = _asked_rows(lambda ls: 1.0 / (1.0 + ls) ** 2, 1e-6,
-                             big_l - 1)
+                             10 / (big_l - 1))
     assert res.terms_used == big_l + 1 and asked[0][-1] == 32
 
 
 def test_floor_bound_ladder_falls_back_to_l_when_the_ends_miss_tol():
-    # (1 + l)^-2, whose sum is 1.08-1.13: |Delta^6 t_L'| / 50 is 7.5e-8 at
-    # 16 and 1.6e-10 at 32; at rel_tol 1e-9 the ladder passes 16 and ends at
-    # 32 (rows 17..32 in a second call), at 1e-12 it passes both and ends
-    # at L = 64 (rows 33..64 in a third), as a ladder that always ran to L
+    # (1 + l)^-2, whose sum is 1.08-1.13, at floor 128: |Delta^6 t_L'| / 50
+    # is 7.5e-8 at 16 and 1.6e-10 at 32; at rel_tol 1e-9 the ladder passes
+    # 16 and ends at 32 (rows 17..32 in a second call), at 1e-12 it passes
+    # both and ends at L = 64 (rows 33..64 in a third), as a ladder that
+    # always ran to L
     def terms(ls):
         return 1.0 / (1.0 + ls) ** 2
 
     big_l = quadrature._EULER_L
     for rel_tol, hand_off in ((1e-9, big_l // 2), (1e-12, big_l)):
-        res, asked = _asked_rows(terms, rel_tol, 2 * big_l)
+        res, asked = _asked_rows(terms, rel_tol, 10 / (2 * big_l))
         assert [row[-1] for row in asked] == [
             l for l in (16, 32, 64) if l <= hand_off]
         assert sum(asked, []) == list(range(hand_off + 1))
         assert res.terms_used == hand_off + 1
-        assert res.edge_terms == tuple(terms(np.arange(hand_off - 6,
-                                                       hand_off + 1)))
+        assert (res.ends, res.tail_err) == euler_maclaurin_ends(
+            terms(np.arange(hand_off - 6, hand_off + 1)))
         assert res.value == math.fsum([0.5, *terms(np.arange(1, hand_off))])
         for l in (big_l // 4, big_l // 2):  # the ends miss tol before L'
             _, bound = euler_maclaurin_ends(terms(np.arange(l - 6, l + 1)))
@@ -224,60 +233,89 @@ def test_floor_bound_ladder_falls_back_to_l_when_the_ends_miss_tol():
 
 
 def test_sum_of_ones_hands_off_at_euler_l():
-    res = matsubara_sum(lambda ls: np.ones(len(ls)), 1e-6, 0)
+    # rho = 1 at every l: a ladder whose terms do not fall never stops
+    res = matsubara_sum(lambda ls: np.ones(len(ls)), 1e-6, 10.0)
     assert isinstance(res, SumResult)
     assert res.terms_used == quadrature._EULER_L + 1
     assert res.value == quadrature._EULER_L - 0.5
-    assert res.edge_terms == (1.0,) * 7
+    assert (res.ends, res.tail_err) == euler_maclaurin_ends((1.0,) * 7)
 
 
 def test_sum_deterministic():
     def term(ls):
         return (1.0 + 0.3 * ls) * np.exp(-0.21 * ls)
 
-    a = matsubara_sum(term, 1e-9, 10)
-    b = matsubara_sum(term, 1e-9, 10)
-    assert a.value == b.value and a.terms_used == b.terms_used
+    a = matsubara_sum(term, 1e-9, 1.0)
+    b = matsubara_sum(term, 1e-9, 1.0)
+    assert a == b
 
 
-def _stop_rule_by_hand(terms, rel_tol, l_floor):
-    """terms_used and value of the stop rule, one term at a time."""
-    kept = [0.5 * float(terms(np.arange(1))[0])]
-    running, consecutive = kept[0], 0
-    while consecutive < 3 or len(kept) <= l_floor:
-        kept.append(float(terms(np.arange(len(kept), len(kept) + 1))[0]))
-        running += kept[-1]
-        small = abs(kept[-1]) <= rel_tol * abs(running)
-        consecutive = consecutive + 1 if small else 0
-    return len(kept), math.fsum(kept)
+def _stop_rule_by_hand(terms, rel_tol, zeta1):
+    """terms_used, value and remainder bound of the stop rule, one term at
+    a time: the first L >= ceil(10 / zeta_1) where rho = max(|t_L /
+    t_(L-1)|, e^-zeta_1) < 1 and |t_L| rho/(1 - rho) <= rel_tol |sum|."""
+    def t(l):
+        return float(terms(np.arange(l, l + 1))[0])
+
+    kept = [0.5 * t(0)]
+    while True:
+        big_l = len(kept)
+        kept.append(t(big_l))
+        rho = max(abs(t(big_l) / t(big_l - 1)), math.exp(-zeta1))
+        tail = abs(kept[-1]) * rho / (1.0 - rho) if rho < 1.0 else math.inf
+        if big_l >= math.ceil(10 / zeta1) and tail <= rel_tol * abs(
+                math.fsum(kept)):
+            return len(kept), math.fsum(kept), tail
+
+
+def _ladders():
+    """(terms, rel_tol, zeta_1) of geometric and poly-geometric ladders:
+    floors 1, 3, 1, 2 and 20, ratios 0.5, 0.4, 0.7, 0.05 and 0.6."""
+    for ratio, zeta1, rel_tol in ((0.5, 10.0, 1e-6), (0.4, 10 / 3, 1e-10),
+                                  (0.7, 10.0, 1e-3), (0.05, 5.0, 1e-6),
+                                  (0.6, 0.5, 1e-8)):
+        for poly in (0, 2):
+            yield (lambda ls, p=poly, r=ratio: -(1.0 + ls) ** p * r ** ls,
+                   rel_tol, zeta1, poly)
 
 
 def test_matsubara_blocks_start_at_zero_and_follow_the_decay():
-    # the first block holds l = 0 and reaches 2 past e^(-10 l / l_floor) =
-    # rel_tol; when the terms decay more slowly, the next block is sized
-    # from t_l / t_(l-1).  For geometric terms that takes two calls and at
-    # most 3 rows past the stop, for any decay with the same stop and value
-    for ratio, l_floor, rel_tol in ((0.5, 1, 1e-6), (0.4, 3, 1e-10),
-                                    (0.7, 0, 1e-3), (0.05, 2, 1e-6),
-                                    (0.6, 20, 1e-8)):
-        for poly in (0, 2):
-            def terms(ls):
-                return -(1.0 + ls) ** poly * ratio ** ls
+    # the first block holds l = 0 and reaches e^(-zeta_1 l) = rel_tol
+    # e^(-4); when the terms decay more slowly, the next block is sized to
+    # where the remainder bound is predicted to meet tol.  For geometric
+    # terms that takes at most two calls and at most 3 rows past the stop,
+    # for any decay with the same stop and value
+    for terms, rel_tol, zeta1, poly in _ladders():
+        res, asked = _asked_rows(terms, rel_tol, zeta1)
+        rows = sum(asked, [])
+        assert rows == list(range(len(rows)))
+        assert max(map(len, asked)) <= 33
+        used, value, tail = _stop_rule_by_hand(terms, rel_tol, zeta1)
+        assert (res.terms_used, res.value) == (used, value)
+        assert res.tail_err == pytest.approx(tail, rel=1e-14)
+        if poly == 0:
+            assert len(asked) <= 2, (zeta1, rel_tol)
+            assert len(rows) <= res.terms_used + 3, (zeta1, rel_tol)
 
-            def recorded(ls):
-                asked.append(ls)
-                return terms(ls)
 
-            asked = []
-            res = matsubara_sum(recorded, rel_tol, l_floor)
-            rows = np.concatenate(asked)
-            assert np.array_equal(rows, np.arange(len(rows)))
-            assert max(map(len, asked)) <= 33
-            assert (res.terms_used, res.value) == _stop_rule_by_hand(
-                terms, rel_tol, l_floor)
-            if poly == 0:
-                assert len(asked) <= 2, (ratio, l_floor, rel_tol)
-                assert len(rows) <= res.terms_used + 3, (ratio, l_floor)
+def test_self_stopped_ladder_bounds_its_remainder():
+    # at the stop L the reported bound meets rel_tol |value| and covers the
+    # remainder sum_{l>L} t_l (summed to where the terms underflow; for a
+    # geometric ladder the two are equal, up to rounding); at L - 1, past
+    # the floor, the same bound had not met rel_tol of the sum
+    for terms, rel_tol, zeta1, _ in _ladders():
+        res = matsubara_sum(terms, rel_tol, zeta1)
+        big_l = res.terms_used - 1
+        assert res.ends is None
+        assert res.tail_err <= rel_tol * abs(res.value)
+        rest = math.fsum(terms(np.arange(big_l + 1, big_l + 4000)))
+        assert abs(rest) <= res.tail_err * (1.0 + 1e-12)
+        if big_l - 1 >= math.ceil(10 / zeta1):
+            t = terms(np.arange(big_l - 2, big_l))
+            rho = max(abs(t[1] / t[0]), math.exp(-zeta1))
+            head = math.fsum([0.5 * terms(np.arange(1))[0],
+                              *terms(np.arange(1, big_l))])
+            assert abs(t[1]) * rho / (1.0 - rho) > rel_tol * abs(head)
 
 
 def test_wedge_rule_exact_on_polynomial_and_window():
