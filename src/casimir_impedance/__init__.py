@@ -12,8 +12,7 @@ from .physcore import (
     Geometry, InequalityCheck, MaterialParams, Regime,
     RegimeReport, ThermalState, ToleranceConfig,
     characteristic_frequency, classify_regime, derive_anomalous_constant,
-    effective_temperature, matsubara_frequency, sigma_gaussian_from_si,
-    transition_frequency,
+    matsubara_frequency, sigma_gaussian_from_si, transition_frequency,
 )
 from .reflection import (
     AnomalousSkin, Drude, IdealMetal, InfraredOptics, Model, NormalSkin,

@@ -30,8 +30,7 @@ __all__ = [
     "MaterialParams", "GOLD", "sigma_gaussian_from_si",
     "ThermalState", "Geometry", "ToleranceConfig",
     "Regime", "InequalityCheck", "RegimeReport",
-    "characteristic_frequency", "effective_temperature",
-    "matsubara_frequency", "transition_frequency",
+    "characteristic_frequency", "matsubara_frequency", "transition_frequency",
     "derive_anomalous_constant", "classify_regime",
 ]
 
@@ -204,11 +203,6 @@ class RegimeReport:
 def characteristic_frequency(geometry: Geometry) -> float:
     """omega_c = c / (2 a), the frequency scale dominating the interaction."""
     return C_LIGHT / (2.0 * geometry.separation)
-
-
-def effective_temperature(geometry: Geometry) -> float:
-    """T_eff with k_B T_eff = hbar omega_c = hbar c / (2 a)."""
-    return HBAR * C_LIGHT / (2.0 * geometry.separation * K_B)
 
 
 def matsubara_frequency(l: int, state: ThermalState) -> float:

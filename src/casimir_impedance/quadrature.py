@@ -15,6 +15,8 @@ is 10 R min(1, D/R)^(3/2), at least 50 eps R: K15 is exact to degree 23 and
 G7 to 13, so for analytic f K15's error goes like G7's to the power 24/14
 (Laurie, BIT 23 (1983)).
 
+One cached builder, `_gk_rule`, makes every node and weight table: nodes
+t^p on t-panels, the Jacobian p t^(p-1) folded into the weights.
 `integrate_interval` maps u = t^2, t on 5 panels with edges 0, 0.01, 0.04,
 0.15, 0.4 and 1 (75 points), onto [lower, upper]: a y ln y edge becomes
 t^3 ln t.  Its rows (lower limits) share each integrand call; a level takes
@@ -27,11 +29,14 @@ lower + max(40, ln(1/rel_tol) + 10): the tail left out is below ~4e-18.
 `integrate_wedge` takes the band int_lo^Y dy int_lo^y dzeta by a grading,
 zeta = lo + (y - lo) s^3, that removes the zeta^(1/2) and zeta^(2/3) edge
 behaviour of the skin-effect impedances, on K15 x K15 nodes in each pair of
-a y panel ([lo, lo + 1e-2], then 6 geometric panels up to Y) and an s panel
-([0, 0.03], [0.03, 0.3], [0.3, 1]): 4,725 points at level 0, D over the
-pairs; a factor of y alone costs one evaluation per y node.  With 5 y
-panels 55 of the 120 T = 0 benchmark records need level 1; s panels [0,
-0.1, 1] leave 21 of 300 integrals uncovered at rel_tol 1e-12.
+a y panel ([lo, lo + 1e-2], then 6 geometric panels up to Y, at Y - lo =
+40) and an s panel ([0, 0.03], [0.03, 0.3], [0.3, 1]): 4,725 points at
+level 0, D over the pairs; a factor of y alone costs one evaluation per y
+node.  With 5 y panels 55 of the 120 T = 0 benchmark records need level 1;
+s panels [0, 0.1, 1] leave 21 of 300 integrals uncovered at rel_tol 1e-12.
+The rows' u = t^2 table as the y table (3,375 points) covers the same 300,
+but its estimate overstates the error by a median of 1.1e5 at rel_tol 1e-6
+(2.1e4 here).
 """
 
 from __future__ import annotations
@@ -74,12 +79,12 @@ _W_G = np.concatenate([_WG, _WG[-2::-1]])                  # (7,) on [1::2]
 _EPS = float(np.finfo(float).eps)
 _CHUNK = 1 << 13  # most points per f call (past ~16,000 each costs ~1.5x)
 
-# integrate_wedge: level-0 y panels ([0, 1e-2], then _WEDGE_Y_PANELS; a 5e-3
-# start moved values by up to half their errors), s edges, grading, levels
-_WEDGE_Y0 = 1e-2
-_WEDGE_Y_PANELS = 6
-_WEDGE_S_EDGES = np.array([0.0, 0.03, 0.3, 1.0])
-_WEDGE_GRADING = 3
+# integrate_wedge: level-0 panel edges on [0, 1] of t, y = lo + (upper - lo)
+# t ([0, 2.5e-4], then 6 geometric panels: [0, 1e-2] at upper - lo = 40; a
+# 5e-3 start moved values by up to half their errors), and of s, zeta = lo +
+# (y - lo) s^3; levels
+_WEDGE_Y_EDGES = (0.0, *np.geomspace(2.5e-4, 1.0, 7).tolist())
+_WEDGE_S_EDGES = (0.0, 0.03, 0.3, 1.0)
 _WEDGE_LEVELS = 5
 # Wedge integrals of the observables are at most 13 (ideal metal): an error
 # below 1e-15 counts as resolved, as rel_tol is out of reach at ~1e-30 (vacuum)
@@ -90,7 +95,7 @@ _INTERVAL_ABS_TOL = 1e-300
 
 # integrate_interval: level-0 t panel edges on [0, 1] (u = t^2), levels;
 # matsubara_sum: rows per call, last l
-_U_T_EDGES = np.array([0.0, 0.01, 0.04, 0.15, 0.4, 1.0])
+_U_T_EDGES = (0.0, 0.01, 0.04, 0.15, 0.4, 1.0)
 _INTERVAL_LEVELS = 10
 _MATSUBARA_BLOCK = 33
 _EULER_L = 64
@@ -153,7 +158,7 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
     lo3, length3 = lo[:, None, None], length[:, None, None]
     floor = max(rel_tol, 50.0 * _EPS)
     for level in range(_INTERVAL_LEVELS):
-        u, w_k, w_d = _u_rule(level)
+        u, w_k, _, w_d = _gk_rule(_U_T_EDGES, 2, level)
         fx = [np.require(f(lo3 + length3 * u[i:i + step]), float, "A")[todo]
               for i in range(0, len(u), step)]  # whole panels of every row
         fx = fx[0] if len(fx) == 1 else np.concatenate(fx, axis=1)
@@ -219,7 +224,7 @@ def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
     before) hands off at the first L of _EULER_L / 4, _EULER_L / 2 and
     _EULER_L where the `euler_maclaurin_ends` bound is at most rel_tol *
     |sum over l < L|, and no block runs past the next such L.  Its value is
-    the sum over l < L, ``ends`` the ends' value on t_(L-6), ..., t_L and
+    the sum over l < L, ``ends`` the ends' value from t_(L-8), ..., t_L and
     ``tail_err`` their bound (terms_used = L + 1).
     """
     if not (0.0 < rel_tol <= 1e-2 and zeta1 > 0.0):
@@ -238,7 +243,7 @@ def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
         kept.append(t := block.pop())
         if len(kept) > hand_off:
             head = math.fsum(kept[:-1])
-            ends, bound = euler_maclaurin_ends(kept[-len(_EM_WEIGHTS):])
+            ends, bound = euler_maclaurin_ends(kept[-9:])  # t_(L-8..L)
             if hand_off == _EULER_L or bound <= rel_tol * abs(head):
                 return SumResult(head, len(kept), abs(t), bound, ends)
             hand_off *= 2
@@ -256,50 +261,38 @@ def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
 
 def euler_maclaurin_ends(edge_terms) -> tuple[float, float]:
     """(t_L/2 - t'(L)/12 + t'''(L)/720 - t^(5)(L)/30240, error bound) from
-    edge_terms = (t_{L-6}, ..., t_L) of a smooth decaying t(l).  With the
-    next term, t^(7)/1209600, the differences miss by below 0.0148 |t^(7)|
-    on [L-6, L]; while the terms fall by less than e^0.35 per step, that is
-    below |Delta^6 t_L| / 50, the bound returned.
+    edge_terms = (t_{L-8}, ..., t_L) of a smooth decaying t(l), the ends on
+    the last seven.  With the next term, t^(7)/1209600, the differences miss
+    by below 0.0148 |t^(7)| on [L-6, L]; while the terms fall by less than
+    e^0.35 per step, that is below |Delta^6 t_L| / 50.  Terms that turn
+    (the entropy's h = d(zeta I)/dzeta changes sign) have a Delta^6 t that
+    passes through zero, so the bound returned is the envelope max(|Delta^6
+    t_L|, |Delta^6 t_(L-1)|, |Delta^6 t_(L-2)|) / 50.
     """
     t = diff = list(map(float, edge_terms))
     for _ in range(6):  # np.diff(t, 6)'s order
         diff = [b - a for a, b in zip(diff, diff[1:])]
-    return math.fsum(x * w for x, w in zip(t, _EM_WEIGHTS)), abs(diff[0]) / 50
-
-
-def _gk_panels(edges: np.ndarray, level: int, jacobian, node=None):
-    """K15 nodes, K15 and G7 weights, (panels, 15), (panels, 15) and
-    (panels, 7), on the panels of ``edges`` each split into 2**level equal
-    parts, read-only; each weight includes ``jacobian`` at its node, and the
-    nodes are ``node`` of the panels' nodes (by default those nodes)."""
-    fine = np.append(np.linspace(edges[:-1], edges[1:], 2 ** level + 1)[:-1].T,
-                     edges[-1])
-    halfw = 0.5 * np.diff(fine)[:, None]
-    s = fine[:-1, None] + halfw * (1.0 + _NODES)
-    jac = jacobian(s)
-    rule = (s if node is None else node(s), halfw * _W_K * jac,
-            halfw * _W_G * jac[:, 1::2])
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+    return (math.fsum(x * w for x, w in zip(t[-7:], _EM_WEIGHTS)),
+            max(map(abs, diff)) / 50)
 
 
 @functools.cache
-def _u_rule(level: int):  # nodes u = t^2, K15 and K15 - G7 weights
-    u, w_k, w_g = _gk_panels(_U_T_EDGES, level, lambda t: 2.0 * t, np.square)
-    w_d = w_k - np.insert(w_g, range(8), 0.0, axis=1)  # G7 on odd nodes
-    w_d.flags.writeable = False
-    return u, w_k, w_d
-
-
-# the wedge's s panels as their nodes' grading s^p, flat, dzeta/(m ds) = p
-# s^(p-1); its y panels as m = y - lo, Jacobian m, per (upper - lo, level)
-_s_rule = functools.cache(lambda level, p=_WEDGE_GRADING: _gk_panels(
-    _WEDGE_S_EDGES, level, lambda s: p * s ** (p - 1),
-    lambda s: (s ** p).ravel()))
-_y_rule = functools.lru_cache(maxsize=16)(lambda width, level: _gk_panels(
-    np.append(0.0, np.geomspace(_WEDGE_Y0, width, _WEDGE_Y_PANELS + 1)),
-    level, lambda m: m))
+def _gk_rule(edges: tuple, p: int, level: int):
+    """Nodes t^p, K15, G7 and K15 - G7 weights, (panels, 15), (panels, 15),
+    (panels, 7) and (panels, 15), on the t-panels of ``edges`` each split
+    into 2**level equal parts, read-only; each weight includes the
+    Jacobian p t^(p-1) at its node (the G7 weights sit on the odd nodes)."""
+    edges = np.array(edges)
+    fine = np.append(np.linspace(edges[:-1], edges[1:], 2 ** level + 1)[:-1].T,
+                     edges[-1])
+    halfw = 0.5 * np.diff(fine)[:, None]
+    t = fine[:-1, None] + halfw * (1.0 + _NODES)
+    jac = p * t ** (p - 1)
+    w_k, w_g = halfw * _W_K * jac, halfw * _W_G * jac[:, 1::2]
+    rule = (t ** p, w_k, w_g, w_k - np.insert(w_g, range(8), 0.0, axis=1))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -311,17 +304,21 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     NonConvergenceError (with the best estimate attached) when
     _WEDGE_LEVELS levels miss the tolerance.
     """
-    if not (0.0 < rel_tol <= 1e-2 and 0.0 <= lo and upper > lo + _WEDGE_Y0):
-        raise ValueError("need rel_tol in (0, 1e-2], lo >= 0 and "
-                         f"upper > lo + {_WEDGE_Y0:g}")
-    evaluations = 0
+    if not (0.0 < rel_tol <= 1e-2 and 0.0 <= lo < upper):  # NaN fails
+        raise ValueError("need rel_tol in (0, 1e-2] and 0 <= lo < upper")
+    # y - lo = width t, so (y - lo) dy, the zeta interval's length times dy,
+    # is width^2 t dt = scale d(t^2): the weights of t^2, scaled in the sums
+    width, evaluations = upper - lo, 0
+    scale = 0.5 * width * width
     for level in range(_WEDGE_LEVELS):
-        grade, ws_k, ws_g = _s_rule(level)  # s^p, its weights
-        y, wy_k, wy_g = _y_rule(upper - lo, level)  # y - lo, its weights
+        grade, ws_k, ws_g, _ = _gk_rule(_WEDGE_S_EDGES, 3, level)  # s^3
+        y = width * _gk_rule(_WEDGE_Y_EDGES, 1, level)[0]  # y - lo
+        _, wy_k, wy_g, _ = _gk_rule(_WEDGE_Y_EDGES, 2, level)
+        grade = grade.ravel()
         step = max(1, _CHUNK // (15 * grade.size))
         cells, diffs, resabs = [], [], []
         for i in range(0, len(y), step):  # whole y panels at a time
-            m = y[i:i + step, :, None]  # y - lo; zeta = lo + m s^p
+            m = y[i:i + step, :, None]  # y - lo; zeta = lo + m s^3
             # lo = 0: no array adds
             yc, zeta = (lo + m, lo + m * grade) if lo else (m, m * grade)
             fx = np.require(f(zeta, yc), float, "A")  # compact f: broadcast
@@ -342,7 +339,7 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
             resabs.extend(np.einsum("ySj,Sj->yS", np.einsum(
                 "yiSj,yi->ySj", np.abs(fx), wk), ws_k).ravel().tolist())
         evaluations += y.size * grade.size
-        value, d, r = (math.fsum(x) for x in (cells, diffs, resabs))
+        value, d, r = (scale * math.fsum(x) for x in (cells, diffs, resabs))
         err = float(_gk_error(d, r))
         if err <= max(rel_tol * abs(value), _WEDGE_ABS_TOL):
             return IntegralResult(value, err, evaluations)

@@ -9,7 +9,9 @@ limit in closed form.  `free_energy_ideal` is the ideal metal's
 closed-form free energy, with `ZETA3` = zeta(3); `energy_T0_nested_quad`
 and `free_energy_direct_ladder` are independent numeric references for
 the two spectral forms, and `entropy_direct_ladder` sums the entropy's
-ladder of the package's integrand with no stop rule.  `lowT_asymptotics`
+ladder of the package's integrand with no stop rule.
+`effective_temperature` is the temperature scale hbar c / (2 a k_B) of the
+low-temperature expansion and of the tests' temperatures.  `lowT_asymptotics`
 is the paper's low-temperature expansion of the infrared-optics free
 energy and entropy, added to a numeric E(a); `spectral_contribution` is
 the fraction of E(a) from a window of zeta, the quantity of acceptance
@@ -33,7 +35,7 @@ import numpy as np
 
 from casimir_impedance.physcore import (
     C_LIGHT, HBAR, K_B, Geometry, MaterialParams, ThermalState,
-    ToleranceConfig, effective_temperature,
+    ToleranceConfig,
 )
 from casimir_impedance.reflection import (
     AnomalousSkin, Drude, IdealMetal, InfraredOptics, Model, NormalSkin,
@@ -46,6 +48,11 @@ from casimir_impedance.observables import (
 )
 
 ZETA3 = 1.2020569031595943  # Riemann zeta(3)
+
+
+def effective_temperature(geometry: Geometry) -> float:
+    """T_eff with k_B T_eff = hbar omega_c = hbar c / (2 a)."""
+    return HBAR * C_LIGHT / (2.0 * geometry.separation * K_B)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ from casimir_impedance.physcore import (
     C_LIGHT, GOLD, HBAR, K_B,
     Geometry, MaterialParams, Regime, ThermalState, ToleranceConfig,
     characteristic_frequency, classify_regime, derive_anomalous_constant,
-    effective_temperature, matsubara_frequency, sigma_gaussian_from_si,
-    transition_frequency,
+    matsubara_frequency, sigma_gaussian_from_si, transition_frequency,
 )
+from oracles import effective_temperature
 
 
 def test_constants_positive_and_frozen():

@@ -163,13 +163,13 @@ def test_sum_floor_is_respected():
     res = matsubara_sum(lambda l: 0.5 ** l, 1e-6, 0.25)
     assert res.terms_used >= 41 and res.ends is None
     # a floor above L (zeta_1 = 1/8, floor 80): the ladder hands off at L'
-    # = L/4 = 16, as the ends' bound |Delta^6 t_16| / 50 = 3e-7 of t_10,
-    # ..., t_16 meets rel_tol there
+    # = L/4 = 16, as the ends' bound, the envelope |Delta^6 t_14| / 50 =
+    # 1.2e-6 of t_8, ..., t_16, meets rel_tol there (1e-6 of 1.5)
     hand_off = quadrature._EULER_L // 4
     res = matsubara_sum(lambda l: 0.5 ** l, 1e-6, 0.125)
     assert res.terms_used == hand_off + 1
     assert (res.ends, res.tail_err) == euler_maclaurin_ends(
-        0.5 ** np.arange(hand_off - 6, hand_off + 1))
+        0.5 ** np.arange(hand_off - 8, hand_off + 1))
     assert res.value == 0.5 + math.fsum(0.5 ** np.arange(1, hand_off))
 
 
@@ -185,31 +185,31 @@ def _asked_rows(terms, rel_tol, zeta1):
 
 
 def test_floor_bound_ladder_hands_off_at_the_first_l_whose_ends_meet_tol():
-    # e^(-0.3 l) at rel_tol 1e-6 and floor 64: |Delta^6 t_16| / 50 = 3e-7
-    # is below 1e-6 of the sum (3.4), so one call of rows 0..16 ends the
-    # ladder, and the sum over l < 16, the band over l >= 16 and the ends
-    # give the series
+    # e^(-0.3 l) at rel_tol 1e-6 and floor 64: the ends' bound, the
+    # envelope |Delta^6 t_14| / 50 = 5.5e-7, is below 1e-6 of the sum
+    # (3.4), so one call of rows 0..16 ends the ladder, and the sum over
+    # l < 16, the band over l >= 16 and the ends give the series
     big_l = quadrature._EULER_L
     res, asked = _asked_rows(lambda ls: np.exp(-0.3 * ls), 1e-6, 10 / big_l)
     assert asked == [list(range(big_l // 4 + 1))]
     assert res.terms_used == big_l // 4 + 1
     ends, bound = res.ends, res.tail_err
     assert (ends, bound) == euler_maclaurin_ends(
-        np.exp(-0.3 * np.arange(big_l // 4 - 6, big_l // 4 + 1)))
+        np.exp(-0.3 * np.arange(big_l // 4 - 8, big_l // 4 + 1)))
     assert bound <= 1e-6 * res.value
     total = res.value + math.exp(-0.3 * big_l / 4) / 0.3 + ends
     exact = 0.5 + 1.0 / math.expm1(0.3)
     assert abs(total - exact) <= bound
     # a floor below L leaves a ladder alone: (1 + l)^-2 meets the ends'
-    # bound at 16 (7.5e-8 against 1e-6 of 1.08), but it runs on to L
+    # bound at 16 (2.7e-7 against 1e-6 of 1.08), but it runs on to L
     res, asked = _asked_rows(lambda ls: 1.0 / (1.0 + ls) ** 2, 1e-6,
                              10 / (big_l - 1))
     assert res.terms_used == big_l + 1 and asked[0][-1] == 32
 
 
 def test_floor_bound_ladder_falls_back_to_l_when_the_ends_miss_tol():
-    # (1 + l)^-2, whose sum is 1.08-1.13, at floor 128: |Delta^6 t_L'| / 50
-    # is 7.5e-8 at 16 and 1.6e-10 at 32; at rel_tol 1e-9 the ladder passes
+    # (1 + l)^-2, whose sum is 1.08-1.13, at floor 128: the ends' bound
+    # is 2.7e-7 at 16 and 2.7e-10 at 32; at rel_tol 1e-9 the ladder passes
     # 16 and ends at 32 (rows 17..32 in a second call), at 1e-12 it passes
     # both and ends at L = 64 (rows 33..64 in a third), as a ladder that
     # always ran to L
@@ -224,10 +224,10 @@ def test_floor_bound_ladder_falls_back_to_l_when_the_ends_miss_tol():
         assert sum(asked, []) == list(range(hand_off + 1))
         assert res.terms_used == hand_off + 1
         assert (res.ends, res.tail_err) == euler_maclaurin_ends(
-            terms(np.arange(hand_off - 6, hand_off + 1)))
+            terms(np.arange(hand_off - 8, hand_off + 1)))
         assert res.value == math.fsum([0.5, *terms(np.arange(1, hand_off))])
         for l in (big_l // 4, big_l // 2):  # the ends miss tol before L'
-            _, bound = euler_maclaurin_ends(terms(np.arange(l - 6, l + 1)))
+            _, bound = euler_maclaurin_ends(terms(np.arange(l - 8, l + 1)))
             head = math.fsum([0.5, *terms(np.arange(1, l))])
             assert (bound <= rel_tol * head) == (l == hand_off)
 
@@ -238,7 +238,7 @@ def test_sum_of_ones_hands_off_at_euler_l():
     assert isinstance(res, SumResult)
     assert res.terms_used == quadrature._EULER_L + 1
     assert res.value == quadrature._EULER_L - 0.5
-    assert (res.ends, res.tail_err) == euler_maclaurin_ends((1.0,) * 7)
+    assert (res.ends, res.tail_err) == euler_maclaurin_ends((1.0,) * 9)
 
 
 def test_sum_deterministic():
@@ -354,8 +354,15 @@ def test_wedge_band_above_lo_is_the_difference_of_wedges():
             band.abs_error_estimate + full.abs_error_estimate)
         assert abs(band.value - closed) <= band.abs_error_estimate + 1e-15
         assert band.abs_error_estimate <= 1e-10 * closed
-    with pytest.raises(ValueError):
-        integrate_wedge(f, 1.0 + 1e-3, 1e-6, lo=1.0)
+    # the y panels scale with upper - lo: a band 1e-3 wide computes (int
+    # (y - lo) dy = width^2 / 2), and one with lo >= upper raises
+    narrow = integrate_wedge(lambda zeta, y: np.ones_like(zeta), 1.0 + 1e-3,
+                             1e-6, lo=1.0)
+    assert narrow.value == pytest.approx((1.0 + 1e-3 - 1.0) ** 2 / 2,
+                                         rel=1e-12)
+    for upper in (1.0, 0.5):
+        with pytest.raises(ValueError):
+            integrate_wedge(f, upper, 1e-6, lo=1.0)
 
 
 def test_euler_maclaurin_ends_on_geometric_terms():
@@ -494,13 +501,11 @@ def test_row_error_is_the_formula_on_k15_minus_g7_weights():
     y0, dy = lowers[:, None, None], length[:, None, None]
     stopped = {}
     for level in range(quadrature._INTERVAL_LEVELS):
-        u, w_k, w_g = quadrature._gk_panels(
-            quadrature._U_T_EDGES, level, lambda t: 2.0 * t, lambda t: t * t)
+        u, w_k, w_g, w_d = quadrature._gk_rule(quadrature._U_T_EDGES, 2,
+                                               level)
         w_g15 = np.zeros_like(w_k)  # G7 on the 15 nodes
         w_g15[:, 1::2] = w_g
-        w_d = w_k - w_g15
-        cached = quadrature._u_rule(level)
-        assert all(np.array_equal(a, b) for a, b in zip(cached, (u, w_k, w_d)))
+        assert np.array_equal(w_d, w_k - w_g15)
         fx = f(y0 + dy * u)
         k = np.einsum("rpn,pn->rp", fx, w_k)
         g = np.einsum("rpn,pn->rp", fx[..., 1::2], w_g)
@@ -525,19 +530,20 @@ def test_row_error_is_the_formula_on_k15_minus_g7_weights():
 
 
 def test_euler_maclaurin_ends_keep_their_arithmetic():
-    # seven-term edges, geometric, alternating and with exact zeros: value
-    # and bound are those of the weights' fsum and of np.diff, bit for bit
+    # nine-term edges, geometric, alternating and with exact zeros: value
+    # and bound are those of the weights' fsum on the last seven and of the
+    # largest |np.diff| of order 6 (the envelope), bit for bit
     rng = np.random.default_rng(29)
     edges = []
     for _ in range(200):
         ratio, start = rng.uniform(0.2, 1.0), rng.lognormal(0.0, 20.0)
-        geometric = start * ratio ** np.arange(7.0)
-        edges += [geometric, geometric * (-1.0) ** np.arange(7),
-                  np.where(rng.random(7) < 0.4, 0.0, rng.normal(size=7))]
-    edges += [np.zeros(7), np.eye(7)[3]]
+        geometric = start * ratio ** np.arange(9.0)
+        edges += [geometric, geometric * (-1.0) ** np.arange(9),
+                  np.where(rng.random(9) < 0.4, 0.0, rng.normal(size=9))]
+    edges += [np.zeros(9), np.eye(9)[3], np.eye(9)[0]]
     for t in edges:
-        want = (math.fsum(np.asarray(t) * quadrature._EM_WEIGHTS),
-                abs(np.diff(t, 6)[0]) / 50)
+        want = (math.fsum(np.asarray(t[2:]) * quadrature._EM_WEIGHTS),
+                float(np.abs(np.diff(t, 6)).max()) / 50)
         for given in (t, tuple(t.tolist())):
             got = euler_maclaurin_ends(given)
             assert [type(x) for x in got] == [float, float]

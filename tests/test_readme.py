@@ -55,18 +55,24 @@ def test_quoted_wedge_layout_and_level_zero_cost():
 
     text = " ".join(README.read_text().split())
     y0, panels, points = re.search(
-        r"every pair of a `y` panel \(`\[0, ([\de.-]+)\]`, then (\d+) "
+        r"every pair of a `y` panel \(`\[0, Y/(\d+)\]`, then (\d+) "
         r"geometric panels .*?\): ([\d,]+) points\.", text).groups()
     y_values, per_point = re.search(
         r"once per `y` node, ([\d,]+) values instead of ([\d,]+) at level 0",
         text).groups()
-    upper = quadrature.tail_cutoff(0.0, 1e-6)
-    y_nodes = quadrature._y_rule(upper, 0)[0].size
-    res = quadrature.integrate_wedge(
-        lambda zeta, y: (zeta + y) * np.exp(-y), upper, 1e-6)
-    assert res.evaluations == y_nodes * quadrature._s_rule(0)[0].size
-    assert (float(y0), int(panels)) == (quadrature._WEDGE_Y0,
-                                        quadrature._WEDGE_Y_PANELS)
+    y_nodes = []  # one y per y node and call
+
+    def f(zeta, y):
+        y_nodes.append(y.size)
+        return (zeta + y) * np.exp(-y)
+
+    res = quadrature.integrate_wedge(f, quadrature.tail_cutoff(0.0, 1e-6),
+                                     1e-6)
+    y_nodes = sum(y_nodes)
+    s_nodes = 15 * (len(quadrature._WEDGE_S_EDGES) - 1)
+    assert res.evaluations == y_nodes * s_nodes
+    edges = quadrature._WEDGE_Y_EDGES  # on [0, 1], y - lo = (Y - lo) t
+    assert (1.0 / int(y0), int(panels)) == (edges[1], len(edges) - 2)
     assert int(points.replace(",", "")) == res.evaluations
     assert int(per_point.replace(",", "")) == res.evaluations
     assert int(y_values.replace(",", "")) == y_nodes
