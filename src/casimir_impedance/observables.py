@@ -57,8 +57,9 @@ from .physcore import (
 )
 from .reflection import Model, x_factors_grid
 from .quadrature import (  # integrate_interval: perfbench/spans.py wraps it
-    IntegralResult, NonConvergenceError, integrate_interval,
-    integrate_semiinf, integrate_wedge, matsubara_sum, tail_cutoff,
+    WEDGE_GRADED, WEDGE_LEAN, IntegralResult, NonConvergenceError,
+    integrate_interval, integrate_semiinf, integrate_wedge, matsubara_sum,
+    tail_cutoff,
 )
 
 lifshitz_x_grid = x_factors_grid  # perfbench/spans.py wraps it
@@ -167,11 +168,13 @@ def check_range(geometry: Geometry, state: ThermalState) -> float:
 
 def _band(g, lo: float, rel_tol: float) -> IntegralResult:
     """The T = 0 spectrum above zeta = lo, int_lo^Y dy int_lo^y dzeta g(zeta,
-    y) by `integrate_wedge`, Y = tail_cutoff(lo, rel_tol); 0 past the
-    cutoff of lo = 0, where it is below e^-40 of the whole."""
+    y) by `integrate_wedge`, Y = tail_cutoff(lo, rel_tol), on WEDGE_LEAN from
+    lo = 0.2 (clear of the edges at zeta = 0) and WEDGE_GRADED below; 0 past
+    the cutoff of lo = 0, where it is below e^-40 of the whole."""
     if lo >= tail_cutoff(0.0, rel_tol):
         return IntegralResult(0.0, 0.0, 0)
-    return integrate_wedge(g, tail_cutoff(lo, rel_tol), rel_tol, lo)
+    return integrate_wedge(g, tail_cutoff(lo, rel_tol), rel_tol, lo,
+                           WEDGE_LEAN if lo >= 0.2 else WEDGE_GRADED)
 
 
 def _spectral(model: Model, geometry: Geometry, state: ThermalState,

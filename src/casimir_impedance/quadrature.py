@@ -26,17 +26,19 @@ rel_tol of its int |f|, past which it is neither summed nor checked.
 For integrands decaying like exp(-y), `integrate_semiinf` stops at
 lower + max(40, ln(1/rel_tol) + 10): the tail left out is below ~4e-18.
 
-`integrate_wedge` takes the band int_lo^Y dy int_lo^y dzeta by a grading,
-zeta = lo + (y - lo) s^3, that removes the zeta^(1/2) and zeta^(2/3) edge
-behaviour of the skin-effect impedances, on K15 x K15 nodes in each pair of
-a y panel ([lo, lo + 1e-2], then 6 geometric panels up to Y, at Y - lo =
-40) and an s panel ([0, 0.03], [0.03, 0.3], [0.3, 1]): 4,725 points at
-level 0, D over the pairs; a factor of y alone costs one evaluation per y
-node.  With 5 y panels 55 of the 120 T = 0 benchmark records need level 1;
-s panels [0, 0.1, 1] leave 21 of 300 integrals uncovered at rel_tol 1e-12.
-The rows' u = t^2 table as the y table (3,375 points) covers the same 300,
-but its estimate overstates the error by a median of 1.1e5 at rel_tol 1e-6
-(2.1e4 here).
+`integrate_wedge` takes the band int_lo^Y dy int_lo^y dzeta f on a layout,
+K15 x K15 nodes in each pair of a y panel and an s panel with zeta = lo +
+(y - lo) s^p, D over the pairs; a factor of y alone costs one evaluation
+per y node.  WEDGE_GRADED's s^3 removes the zeta^(1/2) and zeta^(2/3)
+edges of the skin-effect impedances at zeta = 0: y panels [lo, lo + 1e-2],
+then 6 geometric ones up to Y, at Y - lo = 40, times s panels [0, 0.03],
+[0.03, 0.3] and [0.3, 1], 4,725 points at level 0.  With 5 y panels 55 of
+the 120 T = 0 benchmark records need level 1; s panels [0, 0.1, 1] leave
+21 of 300 integrals uncovered at rel_tol 1e-12.  The rows' u = t^2 table
+as the y table (3,375 points) covers the same 300, but overstates the
+error by a median of 1.1e5 at rel_tol 1e-6 (2.1e4 on this layout).  A band
+from lo = 0.2 up meets no such edge, and `observables._band` gives it
+WEDGE_LEAN, 3 y panels times one s panel with p = 1: 675 points.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 __all__ = [
     "IntegralResult", "SumResult", "NonConvergenceError",
     "integrate_interval", "integrate_semiinf", "integrate_wedge",
-    "matsubara_sum", "euler_maclaurin_ends",
+    "matsubara_sum", "euler_maclaurin_ends", "WEDGE_GRADED", "WEDGE_LEAN",
 ]
 
 # 15-point Kronrod abscissae (positive half) and weights, with the
@@ -79,12 +81,13 @@ _W_G = np.concatenate([_WG, _WG[-2::-1]])                  # (7,) on [1::2]
 _EPS = float(np.finfo(float).eps)
 _CHUNK = 1 << 13  # most points per f call (past ~16,000 each costs ~1.5x)
 
-# integrate_wedge: level-0 panel edges on [0, 1] of t, y = lo + (upper - lo)
-# t ([0, 2.5e-4], then 6 geometric panels: [0, 1e-2] at upper - lo = 40; a
-# 5e-3 start moved values by up to half their errors), and of s, zeta = lo +
-# (y - lo) s^3; levels
-_WEDGE_Y_EDGES = (0.0, *np.geomspace(2.5e-4, 1.0, 7).tolist())
-_WEDGE_S_EDGES = (0.0, 0.03, 0.3, 1.0)
+# integrate_wedge layouts (level-0 edges on [0, 1] of t, y = lo + (upper -
+# lo) t, and of s, zeta = lo + (y - lo) s^p; p): graded, [0, 2.5e-4] then 6
+# geometric y panels (a 5e-3 start moved values by up to half their errors);
+# lean, y - lo = 0, 2, 10, 40 at upper - lo = 40 and one ungraded s panel
+WEDGE_GRADED = ((0.0, *np.geomspace(2.5e-4, 1.0, 7).tolist()),
+                (0.0, 0.03, 0.3, 1.0), 3)
+WEDGE_LEAN = ((0.0, 0.05, 0.25, 1.0), (0.0, 1.0), 1)
 _WEDGE_LEVELS = 5
 # Wedge integrals of the observables are at most 13 (ideal metal): an error
 # below 1e-15 counts as resolved, as rel_tol is out of reach at ~1e-30 (vacuum)
@@ -296,11 +299,11 @@ def _gk_rule(edges: tuple, p: int, level: int):
 
 
 def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    upper: float, rel_tol: float,
-                    lo: float = 0.0) -> IntegralResult:
-    """int_lo^upper dy int_lo^y dzeta f(zeta, y) by the graded tensor rule
-    of the module docstring; ``f`` maps zeta (panels, 15, nodes) and y
-    (panels, 15, 1) to an array of their broadcast shape.  Raises
+                    upper: float, rel_tol: float, lo: float = 0.0,
+                    layout=WEDGE_GRADED) -> IntegralResult:
+    """int_lo^upper dy int_lo^y dzeta f(zeta, y) by the tensor rule of the
+    module docstring on ``layout``; ``f`` maps zeta (panels, 15, nodes) and
+    y (panels, 15, 1) to an array of their broadcast shape.  Raises
     NonConvergenceError (with the best estimate attached) when
     _WEDGE_LEVELS levels miss the tolerance.
     """
@@ -308,17 +311,17 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         raise ValueError("need rel_tol in (0, 1e-2] and 0 <= lo < upper")
     # y - lo = width t, so (y - lo) dy, the zeta interval's length times dy,
     # is width^2 t dt = scale d(t^2): the weights of t^2, scaled in the sums
-    width, evaluations = upper - lo, 0
+    (y_edges, s_edges, p), width, evaluations = layout, upper - lo, 0
     scale = 0.5 * width * width
     for level in range(_WEDGE_LEVELS):
-        grade, ws_k, ws_g, _ = _gk_rule(_WEDGE_S_EDGES, 3, level)  # s^3
-        y = width * _gk_rule(_WEDGE_Y_EDGES, 1, level)[0]  # y - lo
-        _, wy_k, wy_g, _ = _gk_rule(_WEDGE_Y_EDGES, 2, level)
+        grade, ws_k, ws_g, _ = _gk_rule(s_edges, p, level)  # s^p
+        y = width * _gk_rule(y_edges, 1, level)[0]  # y - lo
+        _, wy_k, wy_g, _ = _gk_rule(y_edges, 2, level)
         grade = grade.ravel()
         step = max(1, _CHUNK // (15 * grade.size))
         cells, diffs, resabs = [], [], []
         for i in range(0, len(y), step):  # whole y panels at a time
-            m = y[i:i + step, :, None]  # y - lo; zeta = lo + m s^3
+            m = y[i:i + step, :, None]  # y - lo; zeta = lo + m s^p
             # lo = 0: no array adds
             yc, zeta = (lo + m, lo + m * grade) if lo else (m, m * grade)
             fx = np.require(f(zeta, yc), float, "A")  # compact f: broadcast

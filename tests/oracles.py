@@ -8,8 +8,10 @@ at 50 digits.  `zero_freq_closed_form` states each model's zero-frequency
 limit in closed form.  `free_energy_ideal` is the ideal metal's
 closed-form free energy, with `ZETA3` = zeta(3); `energy_T0_nested_quad`
 and `free_energy_direct_ladder` are independent numeric references for
-the two spectral forms, and `entropy_direct_ladder` sums the entropy's
-ladder of the package's integrand with no stop rule.
+the two spectral forms, `pressure_direct_ladder` is the pressure's
+ladder taken the same way, `entropy_direct_ladder` sums the entropy's
+ladder of the package's integrand with no stop rule, and
+`band_nested_quad` takes a T = 0 band above zeta = lo by nested rules.
 `effective_temperature` is the temperature scale hbar c / (2 a k_B) of the
 low-temperature expansion and of the tests' temperatures.  `lowT_asymptotics`
 is the paper's low-temperature expansion of the infrared-optics free
@@ -43,8 +45,8 @@ from casimir_impedance.reflection import (
 )
 from casimir_impedance.observables import (
     DEFAULT_TOL, Quantity, ResultValue, _band, _entropy_integrand,
-    _free_energy_integrand, check_range, energy_T0, energy_ideal,
-    free_energy,
+    _free_energy_integrand, _pressure_integrand, check_range, energy_T0,
+    energy_ideal, free_energy,
 )
 
 ZETA3 = 1.2020569031595943  # Riemann zeta(3)
@@ -494,6 +496,32 @@ def energy_T0_nested_quad(model, geometry: Geometry,
     return HBAR * C_LIGHT / (32.0 * math.pi ** 2 * a ** 3) * outer
 
 
+def band_nested_quad(g, lo: float, upper: float,
+                     rel_tol: float = 1e-13) -> float:
+    """int_lo^upper dzeta int_zeta^upper dy g(zeta, y), zeta outside, by
+    scipy's adaptive `quad` over zeta; each inner y-integral is one call of
+    g on a composite 30-point Gauss-Legendre rule over 6 panels, edges at
+    y - zeta = 0, 0.02, 0.05, 0.1, 0.25, 0.5 and 1 times upper - zeta.  For
+    lo >= 0.2 the y-integrands are analytic, and on the bands of five
+    models at 0.15, 1 and 20 um, F and P, lo in {0.2, 1, 5}, it agreed with
+    scipy's adaptive 2-D `cubature` at rtol 1e-13 to 1e-15 relative.  It
+    shares no rule, layout or error estimate with `integrate_wedge`.
+    """
+    from scipy import integrate
+
+    x, w = np.polynomial.legendre.leggauss(30)
+    frac = np.array([0.0, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0])
+
+    def inner(zeta: float) -> float:
+        edges = zeta + (upper - zeta) * frac
+        half = 0.5 * np.diff(edges)[:, None]
+        y = (edges[:-1, None] + half * (1.0 + x)).ravel()
+        return math.fsum((half * w).ravel() * g(np.full(1, zeta), y))
+
+    return integrate.quad(inner, lo, upper, epsabs=0.0, epsrel=rel_tol,
+                          limit=200)[0]
+
+
 def free_energy_direct_ladder(model, geometry: Geometry, temperature: float,
                               rel_tol: float = 1e-11) -> float:
     """Free energy per area as the primed Matsubara sum of the y-integrals
@@ -508,6 +536,17 @@ def free_energy_direct_ladder(model, geometry: Geometry, temperature: float,
     a = geometry.separation
     return K_B * temperature / (8.0 * math.pi * a * a) * _direct_ladder(
         partial(_free_energy_integrand, model, geometry), geometry,
+        temperature, rel_tol, 40.0)
+
+
+def pressure_direct_ladder(model, geometry: Geometry, temperature: float,
+                           rel_tol: float = 1e-11) -> float:
+    """Pressure between the plates, -(k_B T / 8 pi a^3) times the primed
+    Matsubara sum of the pressure integrand's y-integrals, by the rules of
+    `free_energy_direct_ladder`: no stop rule and no remainder."""
+    a = geometry.separation
+    return -K_B * temperature / (8.0 * math.pi * a ** 3) * _direct_ladder(
+        partial(_pressure_integrand, model, geometry), geometry,
         temperature, rel_tol, 40.0)
 
 

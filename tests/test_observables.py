@@ -9,6 +9,7 @@ import ast
 import importlib.util
 import math
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -818,23 +819,84 @@ def test_default_tolerance_wedge_uses_the_level_zero_layout(monkeypatch):
     assert {band.evaluations for band in bands} == {4725}
 
 
-def test_bands_at_every_lo_share_one_y_table_per_level():
-    # the wedge's y table is built on [0, 1] and scaled to [lo, upper], as
+def _recorded_bands(monkeypatch, models, separations, temperatures):
+    """(lo, evaluations) of every Euler-Maclaurin band of F and P at the
+    default tol over the grid."""
+    bands = []
+
+    def recording(g, upper, rel_tol, lo, layout):
+        res = quadrature.integrate_wedge(g, upper, rel_tol, lo, layout)
+        bands.append((lo, res.evaluations))
+        return res
+
+    monkeypatch.setattr(observables, "integrate_wedge", recording)
+    for model in models:
+        for a in separations:
+            for temperature in temperatures:
+                for f in (free_energy, pressure_plates):
+                    f(model, Geometry(a), ThermalState(temperature))
+    return bands
+
+
+def test_default_tolerance_band_layout_switches_at_lo_0_2(monkeypatch):
+    # a band from lo = 0.2 up takes the lean layout, 45 y x 15 s nodes =
+    # 675 points at level 0, and one below 0.2 the graded 4,725; on this
+    # grid the bands nearest the switch start at lo = 0.161 and 0.266
+    # (tests/test_readme.py checks lo = 0.2 and the float just below it)
+    models = (GOLD_IR, GOLD_AS, NormalSkin(3.2e17),
+              Plasma(GOLD.plasma_frequency),
+              Drude(GOLD.plasma_frequency, 5.3e13))
+    bands = _recorded_bands(monkeypatch, models,
+                            np.geomspace(0.15e-6, 5e-6, 6), (3.0, 10.0, 70.0))
+    assert {(lo >= 0.2, n) for lo, n in bands} == {(True, 675),
+                                                   (False, 4725)}
+    assert any(0.15 < lo < 0.2 for lo, _ in bands)
+    assert any(0.2 <= lo < 0.3 for lo, _ in bands)
+
+
+def test_bands_at_every_lo_share_one_y_table_per_level(monkeypatch):
+    # each layout's y table is built on [0, 1] and scaled to [lo, upper], as
     # the rows' table is, so the Euler-Maclaurin bands of ladders at any
-    # (a, T), and the T = 0 wedge, reuse one table per level: with every row
-    # and band at level 0, the one builder makes four tables, the rows' u
-    # table, the wedge's s table and its y nodes (p = 1) and weights (p = 2)
+    # (a, T), and the T = 0 wedge, reuse one table per layout and level:
+    # with every row and band at level 0, `_gk_rule` makes seven
+    # tables, the rows' u table and, for each of the two layouts, the s
+    # table and the y nodes (p = 1) and weights (p = 2)
     quadrature._gk_rule.cache_clear()
-    handed_off = set()
-    for a in np.geomspace(0.15e-6, 5e-6, 6):
-        for temperature in (3.0, 10.0, 70.0):
-            for f in (free_energy, pressure_plates):
-                res = f(GOLD_IR, Geometry(a), ThermalState(temperature))
-                if res.diagnostics["tail"] == "euler_maclaurin":
-                    handed_off.add((a, temperature))
+    bands = _recorded_bands(monkeypatch, (GOLD_IR,),
+                            np.geomspace(0.15e-6, 5e-6, 6), (3.0, 10.0, 70.0))
     energy_T0(GOLD_IR, Geometry(1e-6))
-    assert len(handed_off) >= 8
-    assert quadrature._gk_rule.cache_info().misses == 4  # all at level 0
+    assert len({lo for lo, _ in bands}) >= 8
+    assert {n for _, n in bands} == {675, 4725}  # both layouts, level 0
+    assert quadrature._gk_rule.cache_info().misses == 7
+
+
+def test_lean_bands_are_within_tol_and_covered_against_nested_quad():
+    # bands above lo = 0.2, 1 and 5 (the lean layout) of F and P for five
+    # models, against scipy's nested rule at 1e-13: Drude at 20 um has
+    # 2 a gamma / c = 7.1 and plasma at 0.15 um 2 a omega_p / c = 13.7,
+    # both inside every band [lo, lo + 40]
+    from oracles import band_nested_quad
+
+    models = (GOLD_IR, GOLD_AS, NormalSkin(3.2e17),
+              Plasma(GOLD.plasma_frequency),
+              Drude(GOLD.plasma_frequency, 5.3e13))
+    misses = []
+    for model in models:
+        for a in (0.15e-6, 1e-6, 20e-6):
+            for integrand in (observables._free_energy_integrand,
+                              observables._pressure_integrand):
+                g = partial(integrand, model, Geometry(a))
+                for lo in (0.2, 1.0, 5.0):
+                    ref = band_nested_quad(g, lo, quadrature.tail_cutoff(
+                        lo, 1e-10))  # the cutoff at 1e-6 too
+                    for rel_tol in (1e-6, 1e-10):
+                        res = observables._band(g, lo, rel_tol)
+                        dev = abs(res.value - ref)
+                        if not (dev <= rel_tol * abs(ref)
+                                and dev <= res.abs_error_estimate):
+                            misses.append((type(model).__name__, a,
+                                           integrand.__name__, lo, rel_tol))
+    assert not misses, misses
 
 
 def test_one_call_site_of_the_wedge_in_src():

@@ -1,12 +1,15 @@
 """The README's library example runs against the current API, and the
-costs it quotes for a low-temperature record and for the T = 0 wedge are
-the current ones."""
+costs it quotes for a low-temperature record, for the T = 0 wedge, for the
+lean band layout and for the benchmark's `thermal_grid` are the current
+ones."""
 
+import importlib.util
 import math
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_library_use_example_runs(capsys):
@@ -69,13 +72,89 @@ def test_quoted_wedge_layout_and_level_zero_cost():
     res = quadrature.integrate_wedge(f, quadrature.tail_cutoff(0.0, 1e-6),
                                      1e-6)
     y_nodes = sum(y_nodes)
-    s_nodes = 15 * (len(quadrature._WEDGE_S_EDGES) - 1)
-    assert res.evaluations == y_nodes * s_nodes
-    edges = quadrature._WEDGE_Y_EDGES  # on [0, 1], y - lo = (Y - lo) t
+    edges, s_edges, _ = quadrature.WEDGE_GRADED  # y - lo = (Y - lo) t
+    assert res.evaluations == y_nodes * 15 * (len(s_edges) - 1)
     assert (1.0 / int(y0), int(panels)) == (edges[1], len(edges) - 2)
     assert int(points.replace(",", "")) == res.evaluations
     assert int(per_point.replace(",", "")) == res.evaluations
     assert int(y_values.replace(",", "")) == y_nodes
+
+
+def test_quoted_lean_band_layout_and_cost():
+    # the lean layout's y panels (as y - lo at Y - lo = 40), its single s
+    # panel and its level-0 points, and the switch at lo = 0.2 in `_band`
+    import numpy as np
+    from casimir_impedance import quadrature
+    from casimir_impedance.observables import _band
+
+    text = " ".join(README.read_text().split())
+    lo, y_panels, points = re.search(
+        r"A band from `lo = ([\d.]+)` up .*? lean layout \(`WEDGE_LEAN`.*?: "
+        r"3 `y` panels, `y - lo` in ((?:`\[\d+, \d+\]`(?:,)? (?:and )?)+)"
+        r"at `Y - lo = 40`, times one ungraded `s` panel, .*?: ([\d,]+) "
+        r"points at level 0", text).groups()
+    y_edges, s_edges, p = quadrature.WEDGE_LEAN
+    quoted = [tuple(map(int, m)) for m in re.findall(r"(\d+), (\d+)",
+                                                        y_panels)]
+    assert quoted == [(round(40 * a), round(40 * b))
+                      for a, b in zip(y_edges, y_edges[1:])]
+    assert (s_edges, p) == ((0.0, 1.0), 1)
+
+    def f(zeta, y):
+        return (zeta + y) * np.exp(-y)
+
+    lo = float(lo)
+    assert _band(f, lo, 1e-6).evaluations == int(points.replace(",", ""))
+    assert _band(f, math.nextafter(lo, 0.0), 1e-6).evaluations == 4725
+
+
+def test_quoted_thermal_grid_points_per_record():
+    # the mean points per `thermal_grid` record at the default tol and at
+    # 1e-10, over the benchmark's own grid and models, and the first
+    # separation of the 3 K sweep whose band takes the lean layout
+    import casimir_impedance as ci
+    from casimir_impedance.observables import check_range
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_grids", ROOT / "perfbench" / "grids.py")
+    grids = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grids)
+    text = " ".join(README.read_text().split())
+    default, tight = (int(g.replace(",", "")) for g in re.search(
+        r"On the benchmark's `thermal_grid` a record evaluates ([\d,]+) "
+        r"points on average at the default tolerance and ([\d,]+) at 1e-10",
+        text).groups())
+    mat = grids.MATERIAL
+    gold = ci.MaterialParams(plasma_frequency=mat["omega_p"],
+                             fermi_velocity=mat["v_f"])
+    models = {"infrared-optics": ci.InfraredOptics(gold.plasma_frequency),
+              "anomalous-skin": ci.AnomalousSkin(
+                  ci.derive_anomalous_constant(gold)),
+              "lifshitz-plasma": ci.Plasma(gold.plasma_frequency),
+              "lifshitz-drude": ci.Drude(gold.plasma_frequency,
+                                         mat["gamma"])}
+    for quoted, rel_tol in ((default, 1e-6), (tight, 1e-10)):
+        points = []
+        for cell in grids.cells("thermal_grid"):
+            f = (ci.free_energy if cell["kind"] == "free_energy"
+                 else ci.pressure_plates)
+            for a in cell["separations"]:
+                res = f(models[cell["model"]], ci.Geometry(a),
+                        ci.ThermalState(cell["T"]),
+                        ci.ToleranceConfig(rel_tol))
+                points.append(res.diagnostics["evaluations"])
+        assert round(sum(points) / len(points)) == quoted, rel_tol
+    first = float(re.search(r"the bands from ([\d.]+) um up start above "
+                            r"`zeta = 0.2`", text).group(1))
+    lean = []
+    for a in grids.geomspace(0.15e-6, 5e-6, 40):
+        geometry, state = ci.Geometry(a), ci.ThermalState(3.0)
+        diag = ci.free_energy(models["infrared-optics"], geometry,
+                              state).diagnostics
+        assert diag["tail"] == "euler_maclaurin"  # lo = L zeta_1
+        if (diag["terms_used"] - 1) * check_range(geometry, state) >= 0.2:
+            lean.append(a)
+    assert round(lean[0] * 1e6, 2) == first
 
 
 def test_material_file_example_loads(tmp_path, capsys):
