@@ -5,14 +5,12 @@ and y = 2 a q.  The free energy per unit area at temperature T is the
 primed Matsubara sum (l = 0 carries weight 1/2)
 
     F = (k_B T / 8 pi a^2) * sum'_l  I(zeta_l),
-    I(zeta) = int_zeta^inf y dy [ 2 ln(1 - e^-y)
-                                  + ln(1 + X_par /(e^y - 1))
-                                  + ln(1 + X_perp/(e^y - 1)) ],
+    I(zeta) = int_zeta^inf y dy sum_p ln(1 - r_p^2 e^-y),
 
-with zeta_l = 2 a xi_l / c and the transparency factors X = 1 - r^2 of the
-chosen reflection model (X = 0 reproduces the ideal metal).  At T = 0 the
-sum becomes its continuum limit, zeta_1 sum'_l -> int dzeta with
-zeta_1 = 4 pi a k_B T / (hbar c), so
+with zeta_l = 2 a xi_l / c and r_p^2 = 1 - X_p, X_p the transparency
+factors of the chosen reflection model (X = 0 reproduces the ideal
+metal).  At T = 0 the sum becomes its continuum limit, zeta_1 sum'_l ->
+int dzeta with zeta_1 = 4 pi a k_B T / (hbar c), so
 
     E = (hbar c / 32 pi^2 a^3) * int_0^inf dzeta I(zeta),
 
@@ -95,31 +93,30 @@ class ResultValue:
 
 
 def _free_energy_integrand(model: Model, geometry: Geometry, zeta, y):
-    """y * [2 ln(1-e^-y) + sum_p ln(1 + X_p/(e^y - 1))], vectorized."""
+    """y sum_p ln(1 - r_p^2 e^-y) as y sum_p log1p((X_p - 1) e^-y),
+    vectorized: never positive while X_p <= 1."""
     xpar, xperp = x_factors_grid(model, geometry, zeta, y)
-    with np.errstate(over="ignore"):  # y > 709: 1/inf = 0 is right
-        t = 1.0 / np.expm1(y)
+    em = np.exp(-y)
     for x in (xpar, xperp):  # in place: X's arrays are the kernel's own
-        np.log1p(np.multiply(x, t, out=x), out=x)
+        x -= 1.0
+        np.log1p(np.multiply(x, em, out=x), out=x)
     # X_par depends on zeta in every model: it has the shape of (zeta, y)
-    xpar += 2.0 * np.log1p(-np.exp(-y))
     xpar += xperp
     return np.multiply(xpar, y, out=xpar)
 
 
 def _entropy_integrand(model: Model, geometry: Geometry, zeta, y):
-    """g + zeta (d/dzeta + d/dy) g = g + zeta g / y + y sum_p (zeta (1 - X_p)
-    + zeta dX_p) / (e^y - 1 + X_p), g the free-energy integrand: its
-    y-integral from zeta is h(zeta).  zeta dX along the ray is Im X(zeta (1
-    + i d), y + i d zeta) / d, d = _STEP; the logarithms stay real."""
+    """g + zeta (d/dzeta + d/dy) g = g + zeta g / y + y e^-y sum_p (zeta (1
+    - X_p) + zeta dX_p) / ((1 - e^-y) + X_p e^-y), the pressure's
+    denominator; g is the free-energy integrand in its operation order, and
+    its y-integral from zeta is h(zeta).  zeta dX along the ray is Im X(zeta
+    (1 + i d), y + i d zeta) / d, d = _STEP; the logarithms stay real."""
     step = _STEP * zeta * 1j
     xs = x_factors_grid(model, geometry, zeta + step, y + step)
-    with np.errstate(over="ignore"):  # y > 709: X/inf = 0 is right
-        em1 = np.expm1(y)
-    g = y * (2.0 * np.log1p(-np.exp(-y))
-             + sum(np.log1p(x.real / em1) for x in xs))
-    return g + zeta * g / y + y * sum(
-        (zeta * (1.0 - x.real) + x.imag / _STEP) / (em1 + x.real)
+    em, one_minus_em = np.exp(-y), -np.expm1(-y)
+    g = sum(np.log1p((x.real - 1.0) * em) for x in xs) * y
+    return g + zeta * g / y + y * em * sum(
+        (zeta * (1.0 - x.real) + x.imag / _STEP) / (x.real * em + one_minus_em)
         for x in xs)
 
 

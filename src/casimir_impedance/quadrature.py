@@ -13,7 +13,8 @@ from its panel's K15 sum: every K15 weight is positive.  With D the summed
 |K15 - G7| of an integral's panels and R the K15 integral of |f|, the error
 is 10 R min(1, D/R)^(3/2), at least 50 eps R: K15 is exact to degree 23 and
 G7 to 13, so for analytic f K15's error goes like G7's to the power 24/14
-(Laurie, BIT 23 (1983)).
+(Laurie, BIT 23 (1983)).  Either rule stops where err <= max(rel_tol, 50
+eps) R, so a rel_tol below the 50 eps floor is met at the floor.
 
 One cached builder, `_gk_rule`, makes every node and weight table: nodes
 t^p on t-panels, the Jacobian p t^(p-1) folded into the weights.
@@ -22,7 +23,7 @@ t^p on t-panels, the Jacobian p t^(p-1) folded into the weights.
 t^3 ln t.  Its rows (lower limits) share each integrand call; a level takes
 D from one contraction with K15 - G7 weights and every row's error and stop
 test in one array expression.  Each row keeps the first level that meets
-rel_tol of its int |f|, past which it is neither summed nor checked.
+its test, past which it is neither summed nor checked.
 For integrands decaying like exp(-y), `integrate_semiinf` stops at
 lower + max(40, ln(1/rel_tol) + 10): the tail left out is below ~4e-18.
 
@@ -344,7 +345,7 @@ def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         evaluations += y.size * grade.size
         value, d, r = (scale * math.fsum(x) for x in (cells, diffs, resabs))
         err = float(_gk_error(d, r))
-        if err <= max(rel_tol * abs(value), _WEDGE_ABS_TOL):
+        if err <= max(max(rel_tol, 50.0 * _EPS) * r, _WEDGE_ABS_TOL):
             return IntegralResult(value, err, evaluations)
     raise NonConvergenceError(
         f"no convergence to rel_tol={rel_tol:g} within {_WEDGE_LEVELS} "

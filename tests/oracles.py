@@ -24,6 +24,9 @@ difference of free energies, the reference of the package's entropy ladder.
 `pressure_integrand_out_of_place` write the X kernel and the two
 y-integrands as plain expressions, each operation into a new array, in the
 order that the package's in-place forms keep.
+`free_energy_integrand_expm1_form` is the free-energy integrand with the
+y-only logarithm split off, 2 ln(1 - e^-y) + sum_p ln(1 + X_p/(e^y - 1)):
+the accuracy reference of the package's log1p((X_p - 1) e^-y) form.
 """
 
 from __future__ import annotations
@@ -611,6 +614,13 @@ def x_factors_out_of_place(model, geometry: Geometry, zeta, y):
 
 
 def free_energy_integrand_out_of_place(model, geometry: Geometry, zeta, y):
+    """y sum_p log1p((X_p - 1) e^-y), the ln(1 - r_p^2 e^-y) form."""
+    xpar, xperp = x_factors_out_of_place(model, geometry, zeta, y)
+    em = np.exp(-y)
+    return y * (np.log1p((xpar - 1.0) * em) + np.log1p((xperp - 1.0) * em))
+
+
+def free_energy_integrand_expm1_form(model, geometry: Geometry, zeta, y):
     """y [2 ln(1 - e^-y) + sum_p ln(1 + X_p / (e^y - 1))]."""
     xpar, xperp = x_factors_out_of_place(model, geometry, zeta, y)
     em = np.exp(-y)

@@ -363,6 +363,22 @@ def test_free_energy_routes_zero_temperature_to_energy(capsys):
     assert float(row["energy_J_per_m2"]) < 0.0
 
 
+def test_sweep_at_the_rounding_floor_exits_0(capsys):
+    # at --rel-tol 1e-14 the T = 0 wedge's error estimate sits at its
+    # rounding floor, 50 eps of its int |f| (1.1e-14 of |E| here): the wedge
+    # stops there, as the Matsubara rows do, and reports that error
+    code, out, _ = run(capsys, "sweep", "--model", "infrared-optics",
+                       "--separation", "1e-6", "--temperature", "0,300",
+                       "--rel-tol", "1e-14", "--format", "csv")
+    assert code == 0
+    rows = [dict(zip(CSV_COLUMNS, line.split(",")))
+            for line in out.strip().split("\n")[1:]]
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    energy, err = (float(rows[0][k]) for k in ("energy_J_per_m2",
+                                               "err_estimate"))
+    assert 1e-14 * abs(energy) < err < 2e-14 * abs(energy)
+
+
 def test_nonconvergent_row_keeps_schema_and_exits_3(capsys, monkeypatch):
     from casimir_impedance import cli
     from casimir_impedance.quadrature import IntegralResult, \

@@ -1,10 +1,14 @@
 """Every error estimate against an independent value, on random inputs.
 
-Free energies and pressures of five reflection models at separations and
-temperatures drawn from a seeded numpy generator, each checked against
-`oracles.free_energy_direct_ladder` or `oracles.pressure_direct_ladder`,
-which sum every Matsubara term up to l zeta_1 = 40 with scipy's y-rules
-and share no stop rule, remainder or y-rule with the package.
+Free energies, pressures, entropies and T = 0 energies of five reflection
+models at separations and temperatures drawn from a seeded numpy
+generator.  The thermal ones are checked against
+`oracles.free_energy_direct_ladder`, `oracles.pressure_direct_ladder` or
+`oracles.entropy_direct_ladder`, which sum every Matsubara term up to l
+zeta_1 = 40 (45) with scipy's y-rules and share no stop rule, remainder or
+y-rule with the package; the energies against
+`oracles.energy_T0_nested_quad`, nested scipy `quad` in the original
+order.
 """
 
 import numpy as np
@@ -16,9 +20,12 @@ from casimir_impedance.reflection import (
     AnomalousSkin, Drude, InfraredOptics, NormalSkin, Plasma,
 )
 from casimir_impedance.observables import (
-    check_range, free_energy, pressure_plates,
+    check_range, energy_T0, entropy, free_energy, pressure_plates,
 )
-from oracles import free_energy_direct_ladder, pressure_direct_ladder
+from oracles import (
+    energy_T0_nested_quad, entropy_direct_ladder, free_energy_direct_ladder,
+    pressure_direct_ladder,
+)
 
 MODELS = (InfraredOptics(GOLD.plasma_frequency), Plasma(GOLD.plasma_frequency),
           Drude(GOLD.plasma_frequency, 5.3e13),
@@ -26,14 +33,15 @@ MODELS = (InfraredOptics(GOLD.plasma_frequency), Plasma(GOLD.plasma_frequency),
 TOLS = (1e-3, 1e-4, 1e-6, 1e-8)
 
 
-def _draws(seed: int, n: int, t_min: float = 10.0):
-    """(model, a, T, tol): a and T log-uniform in 0.15-5 um and t_min-300
-    K, tol one of TOLS."""
+def _draws(seed: int, n: int, t_min: float = 10.0,
+           a_range: tuple = (0.15e-6, 5e-6)):
+    """(model, a, T, tol): a and T log-uniform in a_range and t_min-300 K,
+    tol one of TOLS."""
     rng = np.random.default_rng(seed)
     for _ in range(n):
         model = MODELS[rng.integers(len(MODELS))]
-        a, temperature = np.exp(rng.uniform(np.log([0.15e-6, t_min]),
-                                            np.log([5e-6, 300.0])))
+        a, temperature = np.exp(rng.uniform(np.log([a_range[0], t_min]),
+                                            np.log([a_range[1], 300.0])))
         yield model, float(a), float(temperature), TOLS[rng.integers(4)]
 
 
@@ -73,3 +81,41 @@ def test_pressure_draw_is_within_tol_and_covered():
                            res.diagnostics["terms_used"]))
     assert not misses, misses
     assert lean == {False, True}
+
+
+def test_entropy_draw_is_covered():
+    # 20 draws: every value is within its own error estimate.  Not within
+    # tol of |S|: the terms of the entropy's ladder cancel.  The draws
+    # reach ladders with zeta_1 < 10/63, whose floor ceil(10 / zeta_1) is
+    # 64 or more, so that they hand off at l = 16 or 32
+    misses, early = [], 0
+    for model, a, temperature, tol in _draws(1, 20):
+        geometry = Geometry(a)
+        res = entropy(model, geometry, ThermalState(temperature),
+                      ToleranceConfig(tol))
+        ref = entropy_direct_ladder(model, geometry, temperature)
+        early += (res.diagnostics["tail"] == "euler_maclaurin"
+                  and res.diagnostics["terms_used"] <= 33)
+        if not abs(res.value - ref) <= res.numeric_error:
+            misses.append((type(model).__name__, a, temperature, tol,
+                           abs(res.value - ref) / abs(ref),
+                           res.diagnostics["terms_used"]))
+    assert not misses, misses
+    assert early
+
+
+def test_energy_draw_is_within_tol_and_covered():
+    # 9 draws at T = 0 from 1-10 um, where the nested-quad oracle is good
+    # to 3.2e-12 of |E| or better (its docstring) and takes 20-30 ms a value
+    # (0.2-0.5 s for the skin models); the error estimates reach down to
+    # ~5e-12 of |E| at tol 1e-8
+    misses = []
+    for model, a, _, tol in _draws(1, 9, a_range=(1e-6, 10e-6)):
+        geometry = Geometry(a)
+        res = energy_T0(model, geometry, ToleranceConfig(tol))
+        ref = energy_T0_nested_quad(model, geometry)
+        dev = abs(res.value - ref)
+        if not (dev <= tol * abs(ref) and dev <= res.numeric_error):
+            misses.append((type(model).__name__, a, tol, dev / abs(ref),
+                           res.numeric_error / dev))
+    assert not misses, misses

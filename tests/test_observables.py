@@ -1116,6 +1116,75 @@ def test_in_place_kernels_are_the_out_of_place_forms_bit_for_bit():
             assert np.iscomplexobj(ours) and np.array_equal(ours, theirs)
 
 
+def test_free_energy_integrand_is_as_accurate_as_the_expm1_form():
+    # y sum_p log1p((X_p - 1) e^-y) against 50-digit mpmath of y sum_p ln(1
+    # - (1 - X_p) e^-y), both from the same float X, for six models at zeta
+    # in {0, 0.01, 0.3, 2, 10} and 400 y from zeta + 1e-8 to zeta + 60: the
+    # worst relative error per model is at most twice that of the form 2
+    # ln(1 - e^-y) + sum_p ln(1 + X_p/(e^y - 1)) (`oracles.
+    # free_energy_integrand_expm1_form`).  Both are worst at y = 1e-8, at
+    # 2.5e-10 to 3.6e-10, where the rounding of e^-y dominates.  Points with
+    # X > 0.9 are left out: there r^2 = 1 - X itself carries eps/r^2 of
+    # rounding
+    from mpmath import exp, log, mp, mpf
+
+    from oracles import free_energy_integrand_expm1_form
+
+    geometry, wp = Geometry(1e-6), GOLD.plasma_frequency
+    worst = {}
+    for model in (IdealMetal(), NormalSkin(3.2e17), GOLD_AS, GOLD_IR,
+                  Plasma(wp), Drude(wp, 5.3e13)):
+        errors = [[], []]
+        for zeta in (0.0, 0.01, 0.3, 2.0, 10.0):
+            y = zeta + np.geomspace(1e-8, 60.0, 400)
+            z = np.full_like(y, zeta)
+            xs = np.array(observables.x_factors_grid(model, geometry, z, y))
+            forms = (observables._free_energy_integrand(model, geometry, z, y),
+                     free_energy_integrand_expm1_form(model, geometry, z, y))
+            with mp.workdps(50):
+                for i in np.flatnonzero(xs.max(axis=0) <= 0.9).tolist():
+                    yi = mpf(float(y[i]))
+                    ref = yi * sum(log(1 - (1 - mpf(float(x))) * exp(-yi))
+                                   for x in xs[:, i])
+                    for form, out in zip(forms, errors):
+                        out.append(float(abs(mpf(float(form[i])) / ref - 1)))
+        worst[type(model).__name__] = max(errors[0]), max(errors[1])
+        assert len(errors[0]) > 1000, model
+        assert max(errors[0]) <= 2.0 * max(errors[1]), model
+    assert max(w[0] for w in worst.values()) < 1e-9, worst
+
+
+def test_entropy_integrand_is_the_free_energy_integrand_at_zeta_0(
+        monkeypatch):
+    # on the zeta = 0 row the entropy's derivative terms are exact zeros and
+    # its g is formed in the free-energy integrand's operation order, so on
+    # the same X the two integrands are equal value for value, y past 709
+    # included.  The kernel's complex path can round X_perp differently
+    # (numpy divides complex numbers through a reciprocal), so the entropy
+    # here reads the real path's X; on the models and separations of
+    # test_entropy_reads_plus_zero_where_its_ladder_cancels, whose exact
+    # cancellation rests on this equality, the complex path's X is the same
+    wp = GOLD.plasma_frequency
+    y = 760.0 * quadrature._gk_rule(quadrature._U_T_EDGES, 2, 0)[0]
+    zeta = np.zeros((1, 1, 1))
+    real_x = observables.x_factors_grid
+    for model in (IdealMetal(), NormalSkin(1e17), GOLD_AS, GOLD_IR,
+                  Plasma(wp), Drude(wp, 5.3e13)):
+        for a in (1e-12, 0.5e-6, 1.0):
+            geometry = Geometry(a)
+            g = observables._free_energy_integrand(model, geometry, zeta, y)
+            assert np.isfinite(g).all() and (g <= 0.0).all(), (model, a)
+            if type(model) in (IdealMetal, InfraredOptics) and a != 0.5e-6:
+                assert np.array_equal(observables._entropy_integrand(
+                    model, geometry, zeta, y), g), (model, a)
+            with monkeypatch.context() as patch:
+                patch.setattr(observables, "x_factors_grid", lambda m, geo, z,
+                              yc: tuple(x + 0j for x in real_x(m, geo, z.real,
+                                                               yc.real)))
+                h = observables._entropy_integrand(model, geometry, zeta, y)
+            assert np.array_equal(h, g), (model, a)
+
+
 def test_matsubara_terms_evaluate_kernels_in_chunks(monkeypatch):
     # at tol 1e-10 the Matsubara rows' calls and the Euler-Maclaurin
     # band's both hold more than 1,024 points, so a smaller _CHUNK (the one
@@ -1165,13 +1234,14 @@ def test_long_ladders_match_direct_ladder_oracle():
 
 
 def test_underflowing_matsubara_rows_do_not_fail_the_sum(monkeypatch):
-    # at 15 um and 4,300 K (zeta_1 = 354) the ladder stops after 2 terms,
-    # while the row l = 2 of its first block has a value near 1e-305 and an
-    # error near 4e-306 that neither rel_tol nor the underflowed eps floor
-    # meet: without _INTERVAL_ABS_TOL the record raises
+    # at 15 um and 4,470 K (zeta_1 = 368) the ladder stops after 2 terms,
+    # while the row l = 2 of its first block has a subnormal value near
+    # -4.7e-318 and an error near 2.1e-321 that neither rel_tol nor the
+    # underflowed eps floor meet: without _INTERVAL_ABS_TOL the record
+    # raises
     from oracles import free_energy_direct_ladder
 
-    geometry, temperature = Geometry(15e-6), 4300.0
+    geometry, temperature = Geometry(15e-6), 4470.0
     res = free_energy(GOLD_IR, geometry, ThermalState(temperature))
     ref = free_energy_direct_ladder(GOLD_IR, geometry, temperature)
     assert res.diagnostics["terms_used"] == 2
