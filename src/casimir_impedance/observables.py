@@ -28,7 +28,8 @@ T > 0 (stopped where `matsubara_sum`'s remainder bound meets tol, or its
 remainder by Euler-Maclaurin past l = 64, or past l = 16 or 32 where a
 ladder's floor is 64 or more and the ends' error bound already meets tol
 there) and, at T = 0, the zeta integral with the order swapped,
-int_0^inf dy int_0^y dzeta, by the graded tensor rule `integrate_wedge`.
+int_0^inf dy int_0^y dzeta, by `integrate_wedge`, which takes the ladder's
+Euler-Maclaurin band too and sets each band's cutoff and layout itself.
 Every observable reaches the quadrature through it, the entropy S = -dF/dT
 as the ladder -(k_B / 8 pi a^2) sum'_l h(zeta_l), h = d(zeta I)/dzeta
 (zeta_1 is proportional to T), whose remainder past L is -L I(L zeta_1).
@@ -55,9 +56,8 @@ from .physcore import (
 )
 from .reflection import Model, x_factors_grid
 from .quadrature import (  # integrate_interval: perfbench/spans.py wraps it
-    WEDGE_GRADED, WEDGE_LEAN, IntegralResult, NonConvergenceError,
-    integrate_interval, integrate_semiinf, integrate_wedge, matsubara_sum,
-    tail_cutoff,
+    IntegralResult, NonConvergenceError, integrate_interval,
+    integrate_semiinf, integrate_wedge, matsubara_sum,
 )
 
 lifshitz_x_grid = x_factors_grid  # perfbench/spans.py wraps it
@@ -163,39 +163,28 @@ def check_range(geometry: Geometry, state: ThermalState) -> float:
     return zeta1
 
 
-def _band(g, lo: float, rel_tol: float) -> IntegralResult:
-    """The T = 0 spectrum above zeta = lo, int_lo^Y dy int_lo^y dzeta g(zeta,
-    y) by `integrate_wedge`, Y = tail_cutoff(lo, rel_tol), on WEDGE_LEAN from
-    lo = 0.2 (clear of the edges at zeta = 0) and WEDGE_GRADED below; 0 past
-    the cutoff of lo = 0, where it is below e^-40 of the whole."""
-    if lo >= tail_cutoff(0.0, rel_tol):
-        return IntegralResult(0.0, 0.0, 0)
-    return integrate_wedge(g, tail_cutoff(lo, rel_tol), rel_tol, lo,
-                           WEDGE_LEAN if lo >= 0.2 else WEDGE_GRADED)
-
-
 def _spectral(model: Model, geometry: Geometry, state: ThermalState,
               tol: ToleranceConfig, integrand, power: int,
-              band=_band) -> tuple[float, float, dict]:
+              band=None) -> tuple[float, float, dict]:
     """(value, absolute error, diagnostics) of an observable's spectral
     form in physical units, `integrand` bound once to the model and
-    geometry: (hbar c / 32 pi^2 a^power) times the `_band` above zeta = 0
-    at T = 0, and (k_B T / 8 pi a^(power-1)) times the primed Matsubara sum
-    of the y-integrals at T > 0 by `matsubara_sum`; every integral and the
-    sum's stop rule use tol.quadrature_rel_tol.  Its error is the per-term
-    quadrature errors (quad_err) plus the sum's remainder bound (tail_err):
-    for a ladder that stops by itself, the bound it stopped on; for one
-    handed off at l = L (64, or 16 or 32 for a floor ceil(10 / zeta_1)
-    past 64), the Euler-Maclaurin remainder, the sum's ends and their bound
-    plus `band` (default `_band`) above L zeta_1 = (terms_used - 1) zeta_1
-    over zeta_1.  Then the model's `check_separation` runs: a record that
-    raises warns nothing.
+    geometry: at T = 0, (hbar c / 32 pi^2 a^power) times `integrate_wedge`
+    above zeta = 0, and at T > 0 (k_B T / 8 pi a^(power-1)) times the primed
+    Matsubara sum of the y-integrals by `matsubara_sum`; every integral and
+    the sum's stop rule use tol.quadrature_rel_tol.  Its error is the
+    per-term quadrature errors (quad_err) plus the sum's remainder bound
+    (tail_err): for a ladder that stops by itself, the bound it stopped on;
+    for one handed off at l = L (64, or 16 or 32 for a floor ceil(10 /
+    zeta_1) past 64), the Euler-Maclaurin remainder, the sum's ends and
+    their bound plus `band` (default `integrate_wedge`) above L zeta_1 =
+    (terms_used - 1) zeta_1 over zeta_1.  Then the model's
+    `check_separation` runs: a record that raises warns nothing.
     """
     a, zeta1 = geometry.separation, check_range(geometry, state)
     rel_tol = tol.quadrature_rel_tol
     g = partial(integrand, model, geometry)
     if state.temperature <= 0.0:
-        w = _band(g, 0.0, rel_tol)
+        w = integrate_wedge(g, 0.0, rel_tol)
         model.check_separation(geometry)
         prefac = HBAR * C_LIGHT / (32.0 * math.pi ** 2 * a ** power)
         return prefac * w.value, prefac * w.abs_error_estimate, {
@@ -216,7 +205,7 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     quad_err = math.fsum([e for r in done for e in  # no overshoot
                           r.abs_error_estimate.tolist()][:s.terms_used])
     if s.ends is not None:
-        w = band(g, (s.terms_used - 1) * zeta1, rel_tol)
+        w = (band or integrate_wedge)(g, (s.terms_used - 1) * zeta1, rel_tol)
         value += s.ends + w.value / zeta1
         tail_err += w.abs_error_estimate / zeta1
         evaluations += w.evaluations

@@ -27,19 +27,20 @@ its test, past which it is neither summed nor checked.
 For integrands decaying like exp(-y), `integrate_semiinf` stops at
 lower + max(40, ln(1/rel_tol) + 10): the tail left out is below ~4e-18.
 
-`integrate_wedge` takes the band int_lo^Y dy int_lo^y dzeta f on a layout,
-K15 x K15 nodes in each pair of a y panel and an s panel with zeta = lo +
-(y - lo) s^p, D over the pairs; a factor of y alone costs one evaluation
-per y node.  WEDGE_GRADED's s^3 removes the zeta^(1/2) and zeta^(2/3)
+`integrate_wedge` takes the band int_lo^Y dy int_lo^y dzeta f, Y =
+tail_cutoff(lo, rel_tol) as for the rows, on K15 x K15 nodes in each pair
+of a y panel and an s panel with zeta = lo + (y - lo) s^p, D over the
+pairs; a factor of y alone costs one evaluation per y node.  Below lo = 0.2
+it takes WEDGE_GRADED, whose s^3 removes the zeta^(1/2) and zeta^(2/3)
 edges of the skin-effect impedances at zeta = 0: y panels [lo, lo + 1e-2],
 then 6 geometric ones up to Y, at Y - lo = 40, times s panels [0, 0.03],
 [0.03, 0.3] and [0.3, 1], 4,725 points at level 0.  With 5 y panels 55 of
-the 120 T = 0 benchmark records need level 1; s panels [0, 0.1, 1] leave
-21 of 300 integrals uncovered at rel_tol 1e-12.  The rows' u = t^2 table
-as the y table (3,375 points) covers the same 300, but overstates the
-error by a median of 1.1e5 at rel_tol 1e-6 (2.1e4 on this layout).  A band
-from lo = 0.2 up meets no such edge, and `observables._band` gives it
-WEDGE_LEAN, 3 y panels times one s panel with p = 1: 675 points.
+the 120 T = 0 benchmark records need level 1; s panels [0, 0.1, 1] leave 21
+of 300 integrals uncovered at rel_tol 1e-12.  The rows' u = t^2 table as
+the y table (3,375 points) covers the same 300, but overstates the error by
+a median of 1.1e5 at rel_tol 1e-6 (2.1e4 on this layout).  Bands from 0.2
+up meet no such edge and take WEDGE_LEAN, 3 y panels times one s panel with
+p = 1: 675 points.  From tail_cutoff(0, rel_tol) up a band is 0.
 """
 
 from __future__ import annotations
@@ -82,10 +83,10 @@ _W_G = np.concatenate([_WG, _WG[-2::-1]])                  # (7,) on [1::2]
 _EPS = float(np.finfo(float).eps)
 _CHUNK = 1 << 13  # most points per f call (past ~16,000 each costs ~1.5x)
 
-# integrate_wedge layouts (level-0 edges on [0, 1] of t, y = lo + (upper -
-# lo) t, and of s, zeta = lo + (y - lo) s^p; p): graded, [0, 2.5e-4] then 6
+# integrate_wedge layouts (level-0 edges on [0, 1] of t, y = lo + (Y - lo)
+# t, and of s, zeta = lo + (y - lo) s^p; p): graded, [0, 2.5e-4] then 6
 # geometric y panels (a 5e-3 start moved values by up to half their errors);
-# lean, y - lo = 0, 2, 10, 40 at upper - lo = 40 and one ungraded s panel
+# lean, y - lo = 0, 2, 10, 40 at Y - lo = 40 and one ungraded s panel
 WEDGE_GRADED = ((0.0, *np.geomspace(2.5e-4, 1.0, 7).tolist()),
                 (0.0, 0.03, 0.3, 1.0), 3)
 WEDGE_LEAN = ((0.0, 0.05, 0.25, 1.0), (0.0, 1.0), 1)
@@ -154,8 +155,9 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
     misses the tolerance after _INTERVAL_LEVELS levels.
     """
     lo, length = (np.array(x, float, ndmin=1) for x in (lower, upper - lower))
-    if not (0.0 < rel_tol <= 1e-2 and length.min() > 0.0):  # NaN fails
-        raise ValueError("need rel_tol in (0, 1e-2] and upper > lower")
+    if not (0.0 < rel_tol <= 1e-2 and 0.0 < length.min()
+            and length.max() < math.inf):  # NaN fails
+        raise ValueError("need rel_tol in (0, 1e-2] and finite upper > lower")
     rows, evaluations, todo = len(lo), 0, slice(None)  # the refining rows
     value, err = np.zeros(rows), np.zeros(rows)
     step = max(1, _CHUNK // (15 * rows))
@@ -231,8 +233,8 @@ def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
     the sum over l < L, ``ends`` the ends' value from t_(L-8), ..., t_L and
     ``tail_err`` their bound (terms_used = L + 1).
     """
-    if not (0.0 < rel_tol <= 1e-2 and zeta1 > 0.0):
-        raise ValueError("need rel_tol in (0, 1e-2] and zeta1 > 0")
+    if not (0.0 < rel_tol <= 1e-2 and 0.0 < zeta1 < math.inf):
+        raise ValueError("need rel_tol in (0, 1e-2] and 0 < zeta1 < inf")
     l_floor = math.ceil(10.0 / zeta1)
     hand_off = _EULER_L // 4 if l_floor >= _EULER_L else _EULER_L
     gap_floor = math.expm1(min(zeta1, 700.0))  # 1/rho - 1 at e^-zeta_1, capped
@@ -300,19 +302,21 @@ def _gk_rule(edges: tuple, p: int, level: int):
 
 
 def integrate_wedge(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    upper: float, rel_tol: float, lo: float = 0.0,
-                    layout=WEDGE_GRADED) -> IntegralResult:
-    """int_lo^upper dy int_lo^y dzeta f(zeta, y) by the tensor rule of the
-    module docstring on ``layout``; ``f`` maps zeta (panels, 15, nodes) and
-    y (panels, 15, 1) to an array of their broadcast shape.  Raises
-    NonConvergenceError (with the best estimate attached) when
-    _WEDGE_LEVELS levels miss the tolerance.
+                    lo: float, rel_tol: float) -> IntegralResult:
+    """int_lo^Y dy int_lo^y dzeta f(zeta, y), Y = tail_cutoff(lo, rel_tol),
+    by the module docstring's rule and layouts, 0 from tail_cutoff(0,
+    rel_tol) up; ``f`` maps zeta (panels, 15, nodes) and y (panels, 15, 1)
+    to an array of their broadcast shape.  Raises NonConvergenceError (with
+    the best estimate attached) when _WEDGE_LEVELS levels miss the tolerance.
     """
-    if not (0.0 < rel_tol <= 1e-2 and 0.0 <= lo < upper):  # NaN fails
-        raise ValueError("need rel_tol in (0, 1e-2] and 0 <= lo < upper")
+    if not (0.0 < rel_tol <= 1e-2 and lo >= 0.0):  # NaN fails
+        raise ValueError("need rel_tol in (0, 1e-2] and lo >= 0")
+    if lo >= tail_cutoff(0.0, rel_tol):  # below e^-40 of the whole
+        return IntegralResult(0.0, 0.0, 0)
     # y - lo = width t, so (y - lo) dy, the zeta interval's length times dy,
     # is width^2 t dt = scale d(t^2): the weights of t^2, scaled in the sums
-    (y_edges, s_edges, p), width, evaluations = layout, upper - lo, 0
+    y_edges, s_edges, p = WEDGE_LEAN if lo >= 0.2 else WEDGE_GRADED
+    width, evaluations = tail_cutoff(lo, rel_tol) - lo, 0
     scale = 0.5 * width * width
     for level in range(_WEDGE_LEVELS):
         grade, ws_k, ws_g, _ = _gk_rule(s_edges, p, level)  # s^p

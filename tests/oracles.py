@@ -47,10 +47,11 @@ from casimir_impedance.reflection import (
     Plasma, x_factors_grid,
 )
 from casimir_impedance.observables import (
-    DEFAULT_TOL, Quantity, ResultValue, _band, _entropy_integrand,
+    DEFAULT_TOL, Quantity, ResultValue, _entropy_integrand,
     _free_energy_integrand, _pressure_integrand, check_range, energy_T0,
     energy_ideal, free_energy,
 )
+from casimir_impedance.quadrature import integrate_wedge
 
 ZETA3 = 1.2020569031595943  # Riemann zeta(3)
 
@@ -377,17 +378,18 @@ def spectral_contribution(model: Model, geometry: Geometry,
     """Fraction of the zero-temperature energy contributed by scaled
     frequencies zeta = xi/omega_c inside (zeta_lo, zeta_hi).
 
-    zeta_hi may be inf.  With B(lo) the energy's `_band` above zeta = lo
-    (B(inf) = 0) it is (B(zeta_lo) - B(zeta_hi)) / B(0), so windows
-    partition additively.
+    zeta_hi may be inf.  With B(lo) the energy's band above zeta = lo by
+    `integrate_wedge` (B(inf) = 0) it is (B(zeta_lo) - B(zeta_hi)) / B(0),
+    so windows partition additively.
     """
     lo, hi = window
     if lo < 0.0 or not hi > lo:
         raise ValueError("window must satisfy 0 <= zeta_lo < zeta_hi")
     check_range(geometry, ThermalState(0.0))
     g = partial(_free_energy_integrand, model, geometry)
-    full, above_lo, above_hi = (_band(g, z, tol.quadrature_rel_tol).value
-                                for z in (0.0, lo, hi))
+    full, above_lo, above_hi = (
+        integrate_wedge(g, z, tol.quadrature_rel_tol).value
+        for z in (0.0, lo, hi))
     return (above_lo - above_hi) / full
 
 

@@ -65,7 +65,7 @@ def test_free_energy_draw_is_within_tol_and_covered():
 def test_pressure_draw_is_within_tol_and_covered():
     # 100 draws from 3 K up, so that the Euler-Maclaurin bands of the
     # ladders that hand off start on both sides of zeta = 0.2, where
-    # `observables._band` changes layout
+    # `integrate_wedge` changes layout
     misses, lean = [], set()
     for model, a, temperature, tol in _draws(1, 100, 3.0):
         geometry, state = Geometry(a), ThermalState(temperature)

@@ -824,8 +824,8 @@ def _recorded_bands(monkeypatch, models, separations, temperatures):
     default tol over the grid."""
     bands = []
 
-    def recording(g, upper, rel_tol, lo, layout):
-        res = quadrature.integrate_wedge(g, upper, rel_tol, lo, layout)
+    def recording(g, lo, rel_tol):
+        res = quadrature.integrate_wedge(g, lo, rel_tol)
         bands.append((lo, res.evaluations))
         return res
 
@@ -855,7 +855,7 @@ def test_default_tolerance_band_layout_switches_at_lo_0_2(monkeypatch):
 
 
 def test_bands_at_every_lo_share_one_y_table_per_level(monkeypatch):
-    # each layout's y table is built on [0, 1] and scaled to [lo, upper], as
+    # each layout's y table is built on [0, 1] and scaled to [lo, Y], as
     # the rows' table is, so the Euler-Maclaurin bands of ladders at any
     # (a, T), and the T = 0 wedge, reuse one table per layout and level:
     # with every row and band at level 0, `_gk_rule` makes seven
@@ -890,7 +890,7 @@ def test_lean_bands_are_within_tol_and_covered_against_nested_quad():
                     ref = band_nested_quad(g, lo, quadrature.tail_cutoff(
                         lo, 1e-10))  # the cutoff at 1e-6 too
                     for rel_tol in (1e-6, 1e-10):
-                        res = observables._band(g, lo, rel_tol)
+                        res = quadrature.integrate_wedge(g, lo, rel_tol)
                         dev = abs(res.value - ref)
                         if not (dev <= rel_tol * abs(ref)
                                 and dev <= res.abs_error_estimate):
@@ -900,8 +900,9 @@ def test_lean_bands_are_within_tol_and_covered_against_nested_quad():
 
 
 def test_one_call_site_of_the_wedge_in_src():
-    # every T = 0 integral, Euler-Maclaurin remainder and spectral window
-    # is a band above a lower edge, taken by observables._band alone
+    # every T = 0 integral and Euler-Maclaurin remainder is a band above a
+    # lower edge, taken in observables._spectral alone (the hand-off calls
+    # `band or integrate_wedge`)
     src = Path(__file__).resolve().parents[1] / "src"
     sites = []
     for path in sorted(src.rglob("*.py")):
@@ -911,7 +912,25 @@ def test_one_call_site_of_the_wedge_in_src():
                         getattr(node.func, "id", None),
                         getattr(node.func, "attr", None)}):
                     sites.append((path.name, getattr(top, "name", None)))
-    assert sites == [("observables.py", "_band")]
+    assert sites == [("observables.py", "_spectral")]
+
+
+def test_observables_imports_no_layout_or_cutoff_from_quadrature():
+    # the band's cutoff, layout and zero past the cutoff are the wedge's
+    # own, as a row's cutoff is integrate_semiinf's: observables chooses an
+    # integrand and a power, and no integration policy
+    imported = set()
+    for node in ast.walk(ast.parse(Path(observables.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert "quadrature" not in names
+            if (node.module or "").endswith("quadrature"):
+                imported |= names
+        assert not isinstance(node, ast.Import) or all(
+            "quadrature" not in alias.name for alias in node.names)
+    assert imported == {"IntegralResult", "NonConvergenceError",
+                        "integrate_interval", "integrate_semiinf",
+                        "integrate_wedge", "matsubara_sum"}
 
 
 def test_low_temperature_correction_keeps_its_cancellation():
@@ -1089,7 +1108,7 @@ def test_in_place_kernels_are_the_out_of_place_forms_bit_for_bit():
     block = (lo, lo + 40.0 * u)
     level0 = []  # the wedge's own level-0 chunk on [0, 40]
     quadrature.integrate_wedge(lambda zeta, y: level0.append((zeta, y)) or (
-        zeta + y), 40.0, 1e-2)
+        zeta + y), 0.0, 1e-2)
     wedge = tuple(a[:3] for a in level0[0])
     assert block[1].max() > 709.0 and block[0][0, 0, 0] == 0.0
     for model in (IdealMetal(), NormalSkin(1e17), GOLD_AS, GOLD_IR,

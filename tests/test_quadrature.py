@@ -135,9 +135,15 @@ def test_rejects_bad_tolerance_and_bounds():
         integrate_semiinf(lambda y: np.exp(-y), 0.0, 0.5)
     with pytest.raises(ValueError):
         integrate_semiinf(lambda y: np.exp(-y), -1.0, 1e-6)
-    with pytest.raises(ValueError):
-        integrate_interval(lambda y: np.exp(-y), 1.0, 1.0, 1e-6)
-    for rel_tol, zeta1 in ((0.0, 1.0), (0.5, 1.0), (1e-6, 0.0), (1e-6, -1.0)):
+    # an infinite length would put every node at y = inf (NaN from inf *
+    # 0), and zeta1 = inf leave a ladder of one term
+    for lower, upper in ((1.0, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+                         (math.inf, math.inf),
+                         (np.array([0.0, 1.0]), np.array([1.0, math.inf]))):
+        with pytest.raises(ValueError):
+            integrate_interval(lambda y: np.exp(-y), lower, upper, 1e-6)
+    for rel_tol, zeta1 in ((0.0, 1.0), (0.5, 1.0), (1e-6, 0.0), (1e-6, -1.0),
+                           (1e-6, math.inf), (1e-6, math.nan)):
         with pytest.raises(ValueError):
             matsubara_sum(lambda ls: 0.5 ** ls, rel_tol, zeta1)
 
@@ -321,14 +327,12 @@ def test_self_stopped_ladder_bounds_its_remainder():
 def test_wedge_rule_exact_on_polynomial_and_window():
     # int_0^Y dy int_0^y dzeta (zeta + y) e^-y and the window 0 < zeta < 2,
     # the full wedge less the band above lo = 2, each in closed form
-    upper = tail_cutoff(0.0, 1e-10)
-
     def f(zeta, y):
         return (zeta + y) * np.exp(-y)
 
-    full = integrate_wedge(f, upper, 1e-10)
+    full = integrate_wedge(f, 0.0, 1e-10)
     assert full.value == pytest.approx(3.0, rel=1e-12)  # 1.5 * Gamma(3)
-    band = integrate_wedge(f, tail_cutoff(2.0, 1e-10), 1e-10, lo=2.0)
+    band = integrate_wedge(f, 2.0, 1e-10)
     # y < 2: 1.5 y^2 e^-y; y > 2: (2 + 2 y) e^-y
     closed = 1.5 * (2.0 - 10.0 * math.exp(-2.0)) + 8.0 * math.exp(-2.0)
     assert closed == pytest.approx(3.0 - 7.0 * math.exp(-2.0), rel=1e-15)
@@ -340,29 +344,35 @@ def test_wedge_rule_exact_on_polynomial_and_window():
 def test_wedge_band_above_lo_is_the_difference_of_wedges():
     # int_lo^inf dy int_lo^y dzeta (zeta + y) e^-y = (2 lo + 3) e^-lo, the
     # Matsubara remainder's form, and the full wedge less that band is the
-    # window 0 < zeta < lo; lo = 0 is the wedge, bit for bit
+    # window 0 < zeta < lo; lo = 0.3, 2.5 and 9 take the lean layout
     def f(zeta, y):
         return (zeta + y) * np.exp(-y)
 
-    upper = tail_cutoff(0.0, 1e-10)
-    full = integrate_wedge(f, upper, 1e-10)
-    assert integrate_wedge(f, upper, 1e-10, lo=0.0) == full
+    def points(level0):  # the evaluations after levels 0, 1, ..., 4
+        return {level0 * (4 ** k - 1) // 3 for k in range(1, 6)}
+
+    full = integrate_wedge(f, 0.0, 1e-10)
+    assert full.evaluations in points(4725)  # graded
     for lo in (0.3, 2.5, 9.0):
-        band = integrate_wedge(f, tail_cutoff(lo, 1e-10), 1e-10, lo=lo)
+        band = integrate_wedge(f, lo, 1e-10)
+        assert band.evaluations in points(675)  # lean
         closed = (2.0 * lo + 3.0) * math.exp(-lo)
         assert abs((full.value - band.value) - (3.0 - closed)) <= (
             band.abs_error_estimate + full.abs_error_estimate)
         assert abs(band.value - closed) <= band.abs_error_estimate + 1e-15
         assert band.abs_error_estimate <= 1e-10 * closed
-    # the y panels scale with upper - lo: a band 1e-3 wide computes (int
-    # (y - lo) dy = width^2 / 2), and one with lo >= upper raises
-    narrow = integrate_wedge(lambda zeta, y: np.ones_like(zeta), 1.0 + 1e-3,
-                             1e-6, lo=1.0)
-    assert narrow.value == pytest.approx((1.0 + 1e-3 - 1.0) ** 2 / 2,
-                                         rel=1e-12)
-    for upper in (1.0, 0.5):
+    # a band from the cutoff of lo = 0 up, lo = inf too, is exactly 0 at no
+    # evaluation; a negative or NaN lo raises
+    for rel_tol in (1e-3, 1e-6, 1e-10):
+        cutoff = tail_cutoff(0.0, rel_tol)
+        for lo in (cutoff, 1e3, math.inf):
+            assert integrate_wedge(f, lo, rel_tol) == IntegralResult(
+                0.0, 0.0, 0)
+        assert integrate_wedge(f, math.nextafter(cutoff, 0.0),
+                               rel_tol).evaluations == 675
+    for lo in (-1e-300, -1.0, math.nan):
         with pytest.raises(ValueError):
-            integrate_wedge(f, upper, 1e-6, lo=1.0)
+            integrate_wedge(f, lo, 1e-6)
 
 
 def test_euler_maclaurin_ends_on_geometric_terms():
@@ -384,7 +394,7 @@ def test_wedge_nonconvergence_reports_best_estimate():
         return 1.0 / np.sqrt(np.abs(y - math.pi) + 1e-14)
 
     with pytest.raises(NonConvergenceError) as excinfo:
-        integrate_wedge(ridge, 40.0, 1e-10)
+        integrate_wedge(ridge, 0.0, 1e-10)
     best = excinfo.value.result
     assert isinstance(best, IntegralResult)
     assert best.abs_error_estimate > 0.0
@@ -396,7 +406,7 @@ def test_non_finite_integrand_raises_floating_point_error():
         integrate_semiinf(lambda y: np.full_like(y, np.nan), 0.0, 1e-6)
     with pytest.raises(FloatingPointError):
         integrate_wedge(lambda zeta, y: np.where(y > 1.0, np.inf, 0.0),
-                        40.0, 1e-6)
+                        0.0, 1e-6)
 
     # one bad value at one node, on a Gauss node and on a Kronrod-only node
     # (G7 weight zero), in a row other than the first: it still raises
@@ -413,7 +423,7 @@ def test_non_finite_integrand_raises_floating_point_error():
                                   np.array([0.0, 1.0]), 1e-6)
             with pytest.raises(FloatingPointError):  # y node, s node
                 integrate_wedge(lambda zeta, y: one_bad(
-                    zeta.shape, (2, node, 15 + node), bad), 40.0, 1e-6)
+                    zeta.shape, (2, node, 15 + node), bad), 0.0, 1e-6)
 
 
 def _placed(values, elements, misalign_bytes):
@@ -437,7 +447,7 @@ def test_rules_do_not_depend_on_where_the_integrand_array_sits():
 
     lowers = np.array([0.0, 0.3, 2.0])
     rows, wedge = integrate_semiinf(f, lowers, 1e-10), integrate_wedge(
-        g, 40.0, 1e-10)
+        g, 0.0, 1e-10)
     layouts = [(k, 0) for k in range(1, 8)] + [(0, b) for b in range(1, 8)]
     for elements, misalign in layouts:
         moved = integrate_semiinf(
@@ -447,7 +457,7 @@ def test_rules_do_not_depend_on_where_the_integrand_array_sits():
                               rows.abs_error_estimate)
         assert integrate_wedge(
             lambda zeta, y: _placed(g(zeta, y), elements, misalign),
-            40.0, 1e-10) == wedge
+            0.0, 1e-10) == wedge
 
 
 def test_no_blas_or_optimized_contractions_in_src():

@@ -69,8 +69,7 @@ def test_quoted_wedge_layout_and_level_zero_cost():
         y_nodes.append(y.size)
         return (zeta + y) * np.exp(-y)
 
-    res = quadrature.integrate_wedge(f, quadrature.tail_cutoff(0.0, 1e-6),
-                                     1e-6)
+    res = quadrature.integrate_wedge(f, 0.0, 1e-6)
     y_nodes = sum(y_nodes)
     edges, s_edges, _ = quadrature.WEDGE_GRADED  # y - lo = (Y - lo) t
     assert res.evaluations == y_nodes * 15 * (len(s_edges) - 1)
@@ -82,10 +81,9 @@ def test_quoted_wedge_layout_and_level_zero_cost():
 
 def test_quoted_lean_band_layout_and_cost():
     # the lean layout's y panels (as y - lo at Y - lo = 40), its single s
-    # panel and its level-0 points, and the switch at lo = 0.2 in `_band`
+    # panel and its level-0 points, and the switch at lo = 0.2
     import numpy as np
     from casimir_impedance import quadrature
-    from casimir_impedance.observables import _band
 
     text = " ".join(README.read_text().split())
     lo, y_panels, points = re.search(
@@ -104,8 +102,10 @@ def test_quoted_lean_band_layout_and_cost():
         return (zeta + y) * np.exp(-y)
 
     lo = float(lo)
-    assert _band(f, lo, 1e-6).evaluations == int(points.replace(",", ""))
-    assert _band(f, math.nextafter(lo, 0.0), 1e-6).evaluations == 4725
+    assert quadrature.integrate_wedge(f, lo, 1e-6).evaluations == int(
+        points.replace(",", ""))
+    assert quadrature.integrate_wedge(
+        f, math.nextafter(lo, 0.0), 1e-6).evaluations == 4725
 
 
 def test_quoted_thermal_grid_points_per_record():
