@@ -141,8 +141,7 @@ def energy_ideal(geometry: Geometry) -> ResultValue:
     """Ideal-metal zero-temperature energy per area, -pi^2 hbar c/(720 a^3)."""
     a = geometry.separation
     value = -math.pi ** 2 * HBAR * C_LIGHT / (720.0 * a ** 3)
-    return ResultValue(Quantity.ENERGY_PER_AREA, value, 0.0,
-                       {"closed_form": True})
+    return ResultValue(Quantity.ENERGY_PER_AREA, value, 0.0, {})
 
 
 def check_range(geometry: Geometry, state: ThermalState) -> float:
@@ -169,11 +168,12 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
     """(value, absolute error, diagnostics) of an observable's spectral
     form in physical units, `integrand` bound once to the model and
     geometry: at T = 0, (hbar c / 32 pi^2 a^power) times `integrate_wedge`
-    above zeta = 0, and at T > 0 (k_B T / 8 pi a^(power-1)) times the primed
-    Matsubara sum of the y-integrals by `matsubara_sum`; every integral and
-    the sum's stop rule use tol.quadrature_rel_tol.  Its error is the
-    per-term quadrature errors (quad_err) plus the sum's remainder bound
-    (tail_err): for a ladder that stops by itself, the bound it stopped on;
+    above zeta = 0 (diagnostics: evaluations), and at T > 0 (k_B T / 8 pi
+    a^(power-1)) times the primed Matsubara sum of the y-integrals by
+    `matsubara_sum`; every integral and the sum's stop rule use
+    tol.quadrature_rel_tol.  Its error is the per-term quadrature errors
+    (quad_err) plus the sum's remainder bound (tail_err, its kind in tail):
+    for a ladder that stops by itself, the bound it stopped on;
     for one handed off at l = L (64, or 16 or 32 for a floor ceil(10 /
     zeta_1) past 64), the Euler-Maclaurin remainder, the sum's ends and
     their bound plus `band` (default `integrate_wedge`) above L zeta_1 =
@@ -210,13 +210,9 @@ def _spectral(model: Model, geometry: Geometry, state: ThermalState,
         tail_err += w.abs_error_estimate / zeta1
         evaluations += w.evaluations
     model.check_separation(geometry)
-    # (8 pi a) a, not 8 pi a^2: the free energy's 17-digit CSV shows the ulp
-    denom = (8.0 * math.pi * a * a if power == 3
-             else 8.0 * math.pi * a ** (power - 1))
-    prefac = K_B * state.temperature / denom
+    prefac = K_B * state.temperature / (8.0 * math.pi * a ** (power - 1))
     return prefac * value, prefac * (quad_err + tail_err), {
         "terms_used": s.terms_used, "evaluations": evaluations,
-        "last_term_magnitude": s.last_term_magnitude,
         "quad_err": prefac * quad_err, "tail_err": prefac * tail_err,
         "tail": "geometric" if s.ends is None else "euler_maclaurin"}
 
@@ -234,13 +230,12 @@ def energy_T0(model: Model, geometry: Geometry,
 
 def free_energy(model: Model, geometry: Geometry, state: ThermalState,
                 tol: ToleranceConfig = DEFAULT_TOL) -> ResultValue:
-    """Free energy per unit area at T > 0 (J/m^2, negative = attraction).
+    """Free energy per unit area at T >= 0 (J/m^2, negative = attraction).
 
-    The l = 0 term is the model's zero-frequency limit.  At T = 0 use
-    `energy_T0` (continuous spectrum) instead.
+    At T > 0 the l = 0 term is the model's zero-frequency limit.  At T = 0
+    the Matsubara sum is its continuum limit, the same `_spectral` call as
+    `energy_T0`, so F(a, 0) = E(a) in value and error, bit for bit.
     """
-    if state.temperature <= 0.0:
-        raise ValueError("free_energy requires T > 0; use energy_T0 at T = 0")
     value, err, diag = _spectral(model, geometry, state, tol,
                                  _free_energy_integrand, 3)
     return ResultValue(Quantity.FREE_ENERGY_PER_AREA, value, err, diag)
@@ -260,7 +255,7 @@ def thermal_correction(model: Model, geometry: Geometry, state: ThermalState,
 
 def _relative_correction(fe: ResultValue, e0: ResultValue) -> ResultValue:
     """(F - E)/E and its error from F and E, formed nowhere else."""
-    value = (fe.value - e0.value) / e0.value
+    value = 0.0 - (e0.value - fe.value) / e0.value  # F = E: +0, not -0
     err = (fe.numeric_error + e0.numeric_error) / abs(e0.value)
     return ResultValue(Quantity.RELATIVE_THERMAL_CORRECTION, value, err, {
         "free_energy": fe.value,
@@ -285,14 +280,13 @@ def pressure_plates(model: Model, geometry: Geometry, state: ThermalState,
 
 def force_sphere_plate(model: Model, geometry: Geometry, state: ThermalState,
                        tol: ToleranceConfig = DEFAULT_TOL) -> ResultValue:
-    """Sphere-plate force via the proximity relation F = 2 pi R F_pp(a)
+    """Sphere-plate force 2 pi R `free_energy`(a) by the proximity relation
     (2 pi R E(a) at T = 0); requires geometry.sphere_radius.  The relation's
     own error, of order a/R, is not in numeric_error; a_over_R states it."""
     radius = geometry.sphere_radius
     if radius is None:
         raise ValueError("force_sphere_plate requires geometry.sphere_radius")
-    base = (free_energy(model, geometry, state, tol)
-            if state.temperature > 0.0 else energy_T0(model, geometry, tol))
+    base = free_energy(model, geometry, state, tol)
     scale = 2.0 * math.pi * radius
     return ResultValue(
         Quantity.FORCE_SPHERE_PLATE, scale * base.value,

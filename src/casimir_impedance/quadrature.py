@@ -123,9 +123,9 @@ class IntegralResult:
 
 @dataclass(frozen=True)
 class SumResult:
+    """`matsubara_sum`'s value over terms_used = L + 1 terms t_0..t_L."""
     value: float
     terms_used: int
-    last_term_magnitude: float
     tail_err: float  # the remainder bound
     ends: float | None = None  # `euler_maclaurin_ends` if handed off at L
 
@@ -150,7 +150,8 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
                        lower, upper, rel_tol: float) -> IntegralResult:
     """int_lower^upper f(y) dy by the graded rule of the module docstring,
     for floats or for 1-D arrays of rows (the result then holds arrays);
-    ``f`` maps y of shape (rows, panels, 15) to an array of that shape.
+    ``f`` maps y of shape (rows, panels, 15) to an array of that shape, and
+    a level joins its calls and sums the rows still refining, by index.
     Raises NonConvergenceError (with the best estimate attached) when a row
     misses the tolerance after _INTERVAL_LEVELS levels.
     """
@@ -158,16 +159,16 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
     if not (0.0 < rel_tol <= 1e-2 and 0.0 < length.min()
             and length.max() < math.inf):  # NaN fails
         raise ValueError("need rel_tol in (0, 1e-2] and finite upper > lower")
-    rows, evaluations, todo = len(lo), 0, slice(None)  # the refining rows
+    rows, evaluations, todo = len(lo), 0, np.arange(len(lo))
     value, err = np.zeros(rows), np.zeros(rows)
     step = max(1, _CHUNK // (15 * rows))
     lo3, length3 = lo[:, None, None], length[:, None, None]
     floor = max(rel_tol, 50.0 * _EPS)
     for level in range(_INTERVAL_LEVELS):
         u, w_k, _, w_d = _gk_rule(_U_T_EDGES, 2, level)
-        fx = [np.require(f(lo3 + length3 * u[i:i + step]), float, "A")[todo]
-              for i in range(0, len(u), step)]  # whole panels of every row
-        fx = fx[0] if len(fx) == 1 else np.concatenate(fx, axis=1)
+        fx = np.concatenate([  # whole panels of every row, then gathered
+            np.require(f(lo3 + length3 * u[i:i + step]), float, "A")
+            for i in range(0, len(u), step)], axis=1)[todo]
         evaluations += rows * u.size
         # refining rows' panel sums over [0, 1] in u, scaled; values by fsum
         k = np.einsum("rpn,pn->rp", fx, w_k)
@@ -182,8 +183,7 @@ def integrate_interval(f: Callable[[np.ndarray], np.ndarray],
             floor * resabs, _INTERVAL_ABS_TOL)
         if not (unmet := missed.any()):
             break
-        if not missed.all():  # a slice, no gather, until a row is done
-            todo = np.arange(rows)[todo][missed]
+        todo = todo[missed]  # the rows still refining
     result = IntegralResult(*(v if np.ndim(lower) else float(v[0])
                               for v in (value, err)), evaluations)
     if unmet:
@@ -251,14 +251,14 @@ def matsubara_sum(terms: Callable[[np.ndarray], np.ndarray], rel_tol: float,
             head = math.fsum(kept[:-1])
             ends, bound = euler_maclaurin_ends(kept[-9:])  # t_(L-8..L)
             if hand_off == _EULER_L or bound <= rel_tol * abs(head):
-                return SumResult(head, len(kept), abs(t), bound, ends)
+                return SumResult(head, len(kept), bound, ends)
             hand_off *= 2
         running += t
         gap = min(abs(prev / t) - 1.0 if t else math.inf, gap_floor)
         tail = abs(t) / gap if gap > 0.0 else math.inf  # |t| rho/(1 - rho)
         target, prev = rel_tol * abs(running), t
         if tail <= target and len(kept) > l_floor:
-            return SumResult(math.fsum(kept), len(kept), abs(t), tail)
+            return SumResult(math.fsum(kept), len(kept), tail)
         if not block:  # to where the bound at the ratio rho meets target
             block = ask(len(kept), _MATSUBARA_BLOCK if gap <= 0.0 or not target
                         else math.ceil(math.log(max(tail / target, 1.0))

@@ -150,9 +150,27 @@ def test_free_energy_ideal_error_covers_high_temperature_limit():
             assert res.numeric_error <= 1e-12 * abs(res.value)
 
 
-def test_free_energy_requires_positive_temperature():
-    with pytest.raises(ValueError):
-        free_energy(GOLD_IR, Geometry(1e-6), ThermalState(0.0))
+def test_free_energy_at_zero_temperature_is_the_energy():
+    # F(a, 0) = E(a): at T = 0 free_energy makes energy_T0's _spectral
+    # call, so value and error match bit for bit, the sphere-plate force is
+    # 2 pi R E and the thermal correction reads +0 (never -0)
+    from casimir_impedance.physcore import sigma_gaussian_from_si
+
+    models = (IdealMetal(), NormalSkin(sigma_gaussian_from_si(4.1e7)),
+              GOLD_AS, GOLD_IR, Plasma(GOLD.plasma_frequency),
+              Drude(GOLD.plasma_frequency, 5.3e13))
+    zero = ThermalState(0.0)
+    for model in models:
+        for a in (0.15e-6, 1e-6, 5e-6):
+            geometry = Geometry(a, 1e-3)
+            e, f = energy_T0(model, geometry), free_energy(model, geometry,
+                                                           zero)
+            assert (f.value, f.numeric_error) == (
+                e.value, e.numeric_error), (model, a)
+            force = force_sphere_plate(model, geometry, zero)
+            assert force.value == 2.0 * math.pi * 1e-3 * e.value
+            corr = thermal_correction(model, geometry, zero)
+            assert corr.value == 0.0 and math.copysign(1.0, corr.value) > 0
 
 
 def test_free_energy_to_zero_T_consistency():

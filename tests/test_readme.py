@@ -173,3 +173,32 @@ def test_material_file_example_loads(tmp_path, capsys):
     assert main(["energy", "--material", str(path), "--model", "normal-skin",
                  "--separation", "1e-6"]) == 0
     assert "error" not in capsys.readouterr().err
+
+
+def test_readme_lists_every_diagnostics_key():
+    # every key the library puts in a result's diagnostics, collected at
+    # runtime from E, P, S, sphere-plate, thermal-correction and F records
+    # (F at T = 0 and with both remainders), is one line of the README's
+    # list, and the list names no other
+    import casimir_impedance as ci
+
+    model = ci.InfraredOptics(ci.GOLD.plasma_frequency)
+    near, far = ci.Geometry(0.15e-6, 1e-3), ci.Geometry(1e-6, 1e-3)
+    cold, room, zero = (ci.ThermalState(t) for t in (3.0, 300.0, 0.0))
+    results = [ci.energy_ideal(far), ci.energy_T0(model, far),
+               ci.pressure_plates(model, far, zero),
+               ci.pressure_plates(model, far, room),
+               ci.entropy(model, far, room),
+               ci.force_sphere_plate(model, far, room),
+               ci.thermal_correction(model, far, room),
+               ci.free_energy(model, far, zero),
+               ci.free_energy(model, far, room),
+               ci.free_energy(model, near, cold)]
+    assert {r.diagnostics["tail"] for r in results[-2:]} == {
+        "geometric", "euler_maclaurin"}
+    keys = {k for r in results for k in r.diagnostics}
+    section = README.read_text().split(
+        "Every result carries a `diagnostics` mapping", 1)[1]
+    listed = re.findall(r"^\* `(\w+)`:", section.split("\n\n", 2)[1], re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == keys
